@@ -36,7 +36,8 @@ from .hilbert import (
     UnitarySource,
     conjugate,
     derive_rng,
-    evolve,
+    embed_isometry,
+    evolve_basis_series,
     gue_hamiltonian,
     sample_haar_unitary,
     tensor_embed,
@@ -428,9 +429,10 @@ def _run_many_body_sweep(cfg: ExperimentConfig):
         dims = []
         if lambdas:
             p_r = tensor_embed(setup, "observable")
-            p_rho = tensor_embed(setup, "core")
-            for t in times:
-                geom = halmos_decompose(p_r, conjugate(p_rho, evolve(source, t)))
+            k = embed_isometry(setup, "core")
+            for kt in evolve_basis_series(source, k, times):
+                p_rho_t = Projector.from_isometry(kt)
+                geom = halmos_decompose(p_r, p_rho_t)
                 dims.append([thermal_subspace(geom, lam)[1] for lam in lambdas])
         return series, dims
 
@@ -545,6 +547,10 @@ def _run_sizing_table(cfg: ExperimentConfig):
     _reject_leftovers(cfg.experiment, params)
     if not lambda_grid or not f_grid:
         raise ConfigError("lambda_rel_grid and f_grid must be nonempty")
+    if any(lam_rel <= 0 for lam_rel in lambda_grid):
+        raise ConfigError("lambda_rel_grid values must be positive")
+    if any(not 0 < f_target <= 1 for f_target in f_grid):
+        raise ConfigError("f_grid values must lie in (0, 1]")
     n_s = d_s.bit_length() - 1 if d_s & (d_s - 1) == 0 else None
     floor = _Worst("D_sigma_min >= (D_S*(D_S-1)/4)*(3/(lambda_rel*f))^3",
                    "sound")

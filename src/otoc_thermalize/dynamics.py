@@ -1,9 +1,12 @@
 """Time series of the correlators and Haar-typicality statistics.
 
 ``correlator_series`` evaluates G^2(t), G^4(t), sigma^2(t) and the normalized
-commutator norm for a many-body setup under a unitary source, using the
-isometry representation of the embedded projectors (the commutator norm is
-computed from the dense commutator matrix, independently of G^2 - G^4).
+commutator norm for a many-body setup under a unitary source. It evolves only
+the D x D_eta core basis K (``evolve_basis_series``), never the full unitary:
+G^2 and G^4 come from the D_eta x D_eta Gram matrix of the cross-Gram
+L^dag K_t, and the commutator norm from the residual (1 - P_R) K_t in C^D,
+through
+||[P_R, P_t]||_F^2 = 2 ||(1 - P_R) P_t P_R||_F^2, independently of G^2 - G^4.
 ``haar_prediction`` carries the exact Weingarten moments of the correlators
 over the Haar measure, and ``typicality_experiment`` tests them by Monte
 Carlo. ``swap_representation_check`` evaluates the OTOC a second way, as a
@@ -26,7 +29,7 @@ from .hilbert import (
     UnitarySource,
     derive_rng,
     embed_isometry,
-    evolve,
+    evolve_basis_series,
     sample_haar_unitary,
 )
 
@@ -109,8 +112,9 @@ class CorrelatorSeries:
     """G^2, G^4, sigma^2 and the normalized commutator norm on a time grid.
 
     ``commutator_norm`` is ||[P_R, P_psi(t)]||_F^2 / (2 D_eta), which equals
-    G^2(t) - G^4(t) identically; both sides are computed independently so the
-    identity is a genuine consistency check (see ``validate``).
+    G^2(t) - G^4(t) identically when the evolved core basis is an isometry;
+    both sides are computed independently so the identity is a genuine
+    consistency check of unitarity (see ``validate``).
     """
 
     times: np.ndarray
@@ -145,8 +149,8 @@ def correlator_series(setup: ManyBodySetup, source: UnitarySource,
         Explicit evaluation grid (ensemble sources require integer times).
     cross_check : bool
         When True, additionally recompute G^2 and G^4 at every time through
-        the principal-angle route and assert agreement to 1e-9 (slow;
-        intended for verification runs).
+        the principal-angle route and raise ValueError unless they agree to
+        1e-9 (slow; intended for verification runs).
 
     Returns
     -------
@@ -158,29 +162,29 @@ def correlator_series(setup: ManyBodySetup, source: UnitarySource,
             f"source dimension {source.dim} does not match setup {setup.dim}")
     k = embed_isometry(setup, "core")          # D x D_eta
     l = embed_isometry(setup, "observable")    # D x D_E
-    p_r = l @ l.conj().T
     d_eta = setup.d_eta
     times = np.asarray([float(t) for t in times])
     g2 = np.empty(times.shape)
     g4 = np.empty(times.shape)
     comm = np.empty(times.shape)
-    for i, t in enumerate(times):
-        u = evolve(source, t)
-        kt = u @ k
+    evolved = evolve_basis_series(source, k, times)
+    for i, (t, kt) in enumerate(zip(times, evolved)):
         c = l.conj().T @ kt
         m = c.conj().T @ c
         g2[i] = np.trace(m).real / d_eta
         g4[i] = np.sum(np.abs(m) ** 2) / d_eta
-        p_t = kt @ kt.conj().T
-        delta = p_r @ p_t - p_t @ p_r
-        comm[i] = np.sum(np.abs(delta) ** 2) / (2.0 * d_eta)
+        # (1 - P_R) P_t P_R = (K_t - L c) c^dag L^dag, and L^dag drops out of
+        # the Frobenius norm because L is an isometry
+        residual = (kt - l @ c) @ c.conj().T
+        comm[i] = np.sum(np.abs(residual) ** 2) / d_eta
         if cross_check:
             geom = halmos_decompose(
                 Projector.from_isometry(l), Projector.from_isometry(kt))
             for n, direct in ((1, g2[i]), (2, g4[i])):
                 angle_route = correlator_from_angles(geom, n)
-                assert abs(angle_route - direct) <= 1e-9, (
-                    f"angle/trace cross-check failed at t={t}, n={n}")
+                if abs(angle_route - direct) > 1e-9:
+                    raise ValueError(
+                        f"angle/trace cross-check failed at t={t}, n={n}")
     sigma2 = np.clip(g4 - g2 ** 2, 0.0, None)
     series = CorrelatorSeries(times=times, g2=g2, g4=g4, sigma2=sigma2,
                               commutator_norm=comm)
@@ -287,6 +291,7 @@ def swap_representation_check(p_r: Projector, p_rho_t: Projector,
     lhs = correlator_trace(p_r, p_rho_t, 2)
     r, p = p_r.entries, p_rho_t.entries
     rhs_c = np.einsum("ab,cd,da,bc->", r, r, p, p, optimize=True)
-    assert abs(rhs_c.imag) <= 1e-10 * d, "swap-form OTOC was not real"
+    if abs(rhs_c.imag) > 1e-10 * d:
+        raise ValueError("swap-form OTOC was not real")
     rhs = float(np.clip(rhs_c.real / p_rho_t.rank, 0.0, 1.0))
     return lhs, rhs, abs(lhs - rhs)

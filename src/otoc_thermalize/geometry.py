@@ -141,7 +141,8 @@ def correlator_trace(p_r: Projector, p_rho: Projector, n: int) -> float:
     for _ in range(n - 1):
         acc = acc @ a
     tr = np.trace(acc)
-    assert abs(tr.imag) <= 1e-9 * p_r.dim, "correlator trace was not real"
+    if abs(tr.imag) > 1e-9 * p_r.dim:
+        raise ValueError("correlator trace was not real")
     return float(np.clip(tr.real / p_rho.rank, 0.0, 1.0))
 
 

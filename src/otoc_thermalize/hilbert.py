@@ -1,18 +1,20 @@
-"""Dense complex linear algebra substrate.
+"""Complex linear algebra substrate.
 
 Operators and projectors on C^D, tensor embeddings of subsystem states into a
 qubit register, Haar-random unitary sampling, and time evolution from several
 unitary sources (Hamiltonian, circular unitary ensemble, brickwork circuit).
-Everything is dense; the default dimension cap is 2**14.
+Operators and projectors are dense D x D matrices. Time evolution acts on a
+D x r basis: ``evolve_basis`` returns U(t) K without forming U(t), and
+``evolve`` is its special case K = 1; ``evolve_basis_series`` walks a time
+grid, carrying a circuit's block forward. The default dimension cap is 2**14.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import zlib
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -77,9 +79,27 @@ def sample_haar_unitary(dim: int, seed=None, rng=None) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    rng = _resolve_rng(seed, rng)
-    a = (rng.standard_normal((dim, dim))
-         + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
+    return _haar_columns(dim, dim, _resolve_rng(seed, rng))
+
+
+def _haar_columns(dim: int, m: int, rng) -> np.ndarray:
+    """Leading ``m`` columns of the Haar unitary ``sample_haar_unitary`` draws.
+
+    The Ginibre matrix comes from the same random stream as the full D x D
+    draw (its real part, then its imaginary part, row by row), but only its
+    leading ``m`` columns are kept, ``m`` rows of the draw at a time. Column j
+    of the QR factor Q depends on columns <= j alone, so the thin QR of those
+    columns with the same phase fix gives the leading columns of the full
+    unitary; with ``m = dim`` the output is bit-identical to it.
+    """
+    parts = []
+    for _ in range(2):
+        part = np.empty((dim, m))
+        for start in range(0, dim, m):
+            part[start:start + m] = rng.standard_normal(
+                (min(m, dim - start), dim))[:, :m]
+        parts.append(part)
+    a = (parts[0] + 1j * parts[1]) / math.sqrt(2.0)
     q, r = np.linalg.qr(a)
     diag = np.diagonal(r).copy()
     # map zero pivots (probability zero, but finite-precision safe) to phase 1
@@ -331,28 +351,28 @@ def tensor_embed(setup: ManyBodySetup, which: str,
     return Projector.from_isometry(embed_isometry(setup, which))
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnitarySource:
     """A family of unitaries U(t), one of three variants.
 
-    ``hamiltonian``: autonomous evolution exp(-i H t); the eigendecomposition
-    of H is computed once and cached (thread-safe single init).
+    ``hamiltonian``: autonomous evolution exp(-i H t); the constructor
+    diagonalizes H once and keeps its eigenvalues and eigenvectors.
     ``haar_cue``: each integer t > 0 labels an independent Haar unitary drawn
     from the seed, with t = 0 the identity; this realizes "evolve to the
     Haar-typicality regime" without a model Hamiltonian.
     ``circuit``: brickwork of Haar-random two-qubit gates; integer t counts
     applied layers, each layer's gates derived deterministically from the seed.
+
+    A source holds no mutable state, so one source may be evolved from
+    several threads at once.
     """
 
     kind: str
     dim: int
     seed: Optional[int] = None
-    h: Optional[np.ndarray] = None
     n_sites: Optional[int] = None
-    gate_set: str = "haar2"
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
+    evals: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    evecs: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def hamiltonian(cls, h: np.ndarray) -> "UnitarySource":
@@ -363,7 +383,8 @@ class UnitarySource:
         defect = np.linalg.norm(h - h.conj().T)
         if defect > HERMITICITY_TOL * h.shape[0]:
             raise ValueError(f"Hamiltonian not Hermitian: defect {defect:.3e}")
-        return cls(kind="hamiltonian", dim=h.shape[0], h=h)
+        evals, evecs = np.linalg.eigh(h)
+        return cls(kind="hamiltonian", dim=h.shape[0], evals=evals, evecs=evecs)
 
     @classmethod
     def haar_cue(cls, dim: int, seed: int) -> "UnitarySource":
@@ -371,72 +392,97 @@ class UnitarySource:
         return cls(kind="haar_cue", dim=dim, seed=seed)
 
     @classmethod
-    def circuit(cls, n_sites: int, seed: int,
-                gate_set: str = "haar2") -> "UnitarySource":
+    def circuit(cls, n_sites: int, seed: int) -> "UnitarySource":
         """Brickwork circuit of Haar two-qubit gates on ``n_sites`` qubits."""
         if n_sites < 2:
             raise ValueError("circuit source needs at least 2 qubits")
-        if gate_set != "haar2":
-            raise ValueError(f"unknown gate set {gate_set!r}")
         return cls(kind="circuit", dim=2 ** n_sites, seed=seed, n_sites=n_sites)
 
-    def eigensystem(self):
-        """Eigenvalues and eigenvectors of H, computed once and cached."""
-        if self.kind != "hamiltonian":
-            raise ValueError(f"eigensystem undefined for kind {self.kind!r}")
-        with self._lock:
-            if "eig" not in self._cache:
-                self._cache["eig"] = np.linalg.eigh(self.h)
-        return self._cache["eig"]
 
-    def _circuit_layer(self, layer: int) -> np.ndarray:
-        """Dense unitary of one brickwork layer (even pairs on even layers)."""
-        n = self.n_sites
-        u = np.eye(self.dim, dtype=complex)
-        start = 0 if layer % 2 == 0 else 1
-        tensor = u.reshape((2,) * n + (self.dim,))
-        for slot, a in enumerate(range(start, n - 1, 2)):
-            gate = sample_haar_unitary(4, rng=derive_rng(self.seed, "layer", layer, slot))
-            g = gate.reshape(2, 2, 2, 2)
-            # contract the gate onto qubit legs (a, a+1) of the row index
-            tensor = np.tensordot(g, tensor, axes=[(2, 3), (a, a + 1)])
+def _apply_circuit(source: UnitarySource, k: np.ndarray, start: int,
+                   stop: int) -> np.ndarray:
+    """Apply brickwork layers ``start .. stop-1`` to the columns of ``k``.
+
+    Each two-qubit gate is contracted into legs (a, a+1) of the row index of
+    the D x r block, as in a state-vector simulation; layer l acts on the
+    pairs starting at qubit l mod 2.
+    """
+    n = source.n_sites
+    tensor = k.reshape((2,) * n + (k.shape[1],))
+    for layer in range(start, stop):
+        for slot, a in enumerate(range(layer % 2, n - 1, 2)):
+            gate = sample_haar_unitary(4, rng=derive_rng(source.seed, "layer", layer, slot))
+            tensor = np.tensordot(gate.reshape(2, 2, 2, 2), tensor,
+                                  axes=[(2, 3), (a, a + 1)])
             tensor = np.moveaxis(tensor, (0, 1), (a, a + 1))
-        return tensor.reshape(self.dim, self.dim)
+    return tensor.reshape(k.shape)
 
 
-def evolve(source: UnitarySource, t: float) -> np.ndarray:
-    """Unitary at time t for the given source.
+def _integer_time(source: UnitarySource, t: float) -> int:
+    """The step index of an ensemble source's time ``t``."""
+    step = int(round(t)) if np.isfinite(t) else -1
+    if step < 0 or abs(t - step) > 1e-12:
+        raise ValueError(
+            f"{source.kind} sources are defined on nonnegative integer times, got {t}")
+    return step
+
+
+def evolve_basis(source: UnitarySource, k: np.ndarray, t: float) -> np.ndarray:
+    """Return U(t) K for a D x r matrix K without forming the D x D U(t).
 
     Hamiltonian sources accept any real t (with U(t1) U(t2) = U(t1+t2));
-    the ensemble variants accept nonnegative integers, t = 0 giving the
-    identity.
+    the ensemble variants accept nonnegative integers, t = 0 giving K.
+    Costs: O(D^2 r) for a Hamiltonian; a thin QR of the leading m columns
+    of the Ginibre draw for CUE, where m is one plus the index of the last
+    nonzero row of K; O(t D r) for a circuit (``evolve_basis_series`` makes
+    a whole ascending grid cost what its last time does).
     """
+    k = np.asarray(k, dtype=complex)
+    if k.ndim != 2 or k.shape[0] != source.dim:
+        raise ValueError(
+            f"dimension mismatch: source acts on {source.dim}, K is {k.shape}")
     if not np.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
     if source.kind == "hamiltonian":
-        evals, vecs = source.eigensystem()
-        phases = np.exp(-1j * float(t) * evals)
-        return (vecs * phases) @ vecs.conj().T
-    step = int(round(t))
-    if abs(t - step) > 1e-12 or step < 0:
-        raise ValueError(
-            f"{source.kind} sources are defined on nonnegative integer times, got {t}")
+        phases = np.exp(-1j * float(t) * source.evals)
+        # V^dag K as conj(V^T conj(K)): V^T is a view, V.conj() a D x D copy
+        coeffs = (source.evecs.T @ k.conj()).conj()
+        return source.evecs @ (phases[:, None] * coeffs)
+    step = _integer_time(source, t)
     if step == 0:
-        return np.eye(source.dim, dtype=complex)
+        return k.copy()
     if source.kind == "haar_cue":
-        return sample_haar_unitary(source.dim, rng=derive_rng(source.seed, "cue", step))
+        m = int(np.max(np.flatnonzero(np.any(k != 0, axis=1)), initial=0)) + 1
+        q = _haar_columns(source.dim, m, derive_rng(source.seed, "cue", step))
+        return q @ k[:m]
     if source.kind == "circuit":
-        with source._lock:
-            depth, u = source._cache.get("circuit", (0, np.eye(source.dim, dtype=complex)))
-            while depth < step:
-                u = source._circuit_layer(depth) @ u
-                depth += 1
-                source._cache["circuit"] = (depth, u)
-            if depth == step:
-                return u
-        # ask for an earlier time than the cached product: rebuild cheaply
-        u = np.eye(source.dim, dtype=complex)
-        for layer in range(step):
-            u = source._circuit_layer(layer) @ u
-        return u
+        return _apply_circuit(source, k, 0, step)
     raise ValueError(f"unknown source kind {source.kind!r}")
+
+
+def evolve_basis_series(source: UnitarySource, k: np.ndarray,
+                        times: Sequence[float]) -> Iterator[np.ndarray]:
+    """Yield ``evolve_basis(source, k, t)`` for each t in ``times``, in order.
+
+    A circuit source carries the evolved block forward while the times do
+    not decrease, applying only the layers between consecutive times, so a
+    grid t = 0..T costs T layers rather than T(T+1)/2. A decreasing time
+    starts again from K. Other sources evolve K afresh at every time.
+    """
+    depth, kt = None, None
+    for t in times:
+        if source.kind != "circuit":
+            yield evolve_basis(source, k, t)
+            continue
+        step = _integer_time(source, t)
+        if depth is None or step < depth:
+            kt = evolve_basis(source, k, t)
+        else:
+            kt = _apply_circuit(source, kt, depth, step)
+        depth = step
+        yield kt
+
+
+def evolve(source: UnitarySource, t: float) -> np.ndarray:
+    """Dense unitary U(t) for the given source: ``evolve_basis`` with K = 1."""
+    return evolve_basis(source, np.eye(source.dim, dtype=complex), t)

@@ -7,6 +7,16 @@ import sys
 import pytest
 
 from otoc_thermalize import cli
+from otoc_thermalize.geometry import halmos_decompose
+from otoc_thermalize.hilbert import (
+    UnitarySource,
+    conjugate,
+    derive_rng,
+    evolve,
+    gue_hamiltonian,
+    tensor_embed,
+)
+from otoc_thermalize.thermalization import thermal_subspace
 from otoc_thermalize.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -196,6 +206,39 @@ def test_many_body_sweep_rejects_fractional_ensemble_times(tmp_path, capsys):
     assert "integer times" in capsys.readouterr().err
 
 
+def _sweep_source(kind, seed, i, n):
+    """The source many-body-sweep builds for instance i."""
+    if kind == "gue":
+        h = gue_hamiltonian(2 ** n, rng=derive_rng(seed, "sweep-gue", i))
+        return UnitarySource.hamiltonian(h)
+    child = int(derive_rng(seed, "sweep-source", i).integers(1 << 63))
+    if kind == "cue":
+        return UnitarySource.haar_cue(2 ** n, seed=child)
+    return UnitarySource.circuit(n, seed=child)
+
+
+@pytest.mark.parametrize("source", ["gue", "cue", "circuit"])
+def test_many_body_sweep_thermal_dimensions_match_dense_route(tmp_path, source):
+    n, seed, lambdas = 5, 4, (0.05, 0.2)
+    cfg = write_config(tmp_path, f"experiment = many-body-sweep\nn = {n}\n"
+                                 f"n_s = 1\nn_sigma = 2\nsource = {source}\n"
+                                 "n_instances = 2\ntimes = 0, 1, 3\n"
+                                 "lambda_grid = 0.05, 0.2\n")
+    out = tmp_path / "sw.csv"
+    assert cli.main(["run", "--config", cfg, "--seed", str(seed),
+                     "--out", str(out)]) == EXIT_PASS
+    setup = cli._product_setup(n, 1, 2)
+    p_r = tensor_embed(setup, "observable")
+    p_rho = tensor_embed(setup, "core")
+    expected = []
+    for i in range(2):
+        src = _sweep_source(source, seed, i, n)
+        for t in (0, 1, 3):
+            geom = halmos_decompose(p_r, conjugate(p_rho, evolve(src, t)))
+            expected += [float(thermal_subspace(geom, lam)[1]) for lam in lambdas]
+    assert [float(row["measured"]) for row in read_rows(out)] == expected
+
+
 def test_negative_demo_note_and_row(tmp_path, capsys):
     cfg = write_config(tmp_path, "experiment = negative-demo\n"
                                  "n = 6\nn_sigma = 2\nn_samples = 60\n")
@@ -238,6 +281,18 @@ def test_library_error_reports_soundness(monkeypatch, capsys):
     monkeypatch.setitem(cli.EXPERIMENTS, "stub-experiment", (stub, "stub"))
     assert cli.run({"experiment": "stub-experiment"}) == EXIT_SOUND
     assert "soundness failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("f_grid = 0, 0.5", "f_grid"),
+    ("lambda_rel_grid = -1", "lambda_rel_grid"),
+])
+def test_sizing_table_out_of_range_grid_is_config_error(tmp_path, capsys,
+                                                         grid, message):
+    cfg = write_config(tmp_path, f"experiment = sizing-table\n{grid}\n")
+    assert cli.main(["run", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
 
 
 def test_run_accepts_plain_mapping(capsys):

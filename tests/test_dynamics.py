@@ -3,12 +3,22 @@
 import numpy as np
 import pytest
 
+from otoc_thermalize import dynamics, hilbert
+from otoc_thermalize.geometry import correlator_trace
 from otoc_thermalize.hilbert import (
     ManyBodySetup,
     Projector,
     UnitarySource,
+    _haar_columns,
     conjugate,
+    embed_isometry,
+    evolve,
+    evolve_basis,
+    evolve_basis_series,
+    gue_hamiltonian,
+    sample_haar_state,
     sample_haar_unitary,
+    tensor_embed,
 )
 from otoc_thermalize.dynamics import (
     CorrelatorSeries,
@@ -149,6 +159,98 @@ def test_series_validate_detects_corruption():
         sigma2=np.array([0.15]), commutator_norm=np.array([0.3]))
     with pytest.raises(ValueError, match="commutator"):
         series.validate()
+
+
+def spread_setup():
+    """D = 128 with non-leading sites and an entangled core state: the core
+    basis has support on the last row, so CUE takes the full-support path."""
+    return ManyBodySetup(7, 1, 3, np.array([0.6, 0.8]),
+                         sample_haar_state(8, seed=31),
+                         observed_sites=(5,), core_sites=(6, 2, 5))
+
+
+def oracle_cases():
+    """(setup, source, times) for every source kind, D = 64..256."""
+    return [
+        (default_setup(6, 1, 3),
+         UnitarySource.hamiltonian(gue_hamiltonian(64, seed=41)), [0.0, 0.7, 2.5]),
+        (spread_setup(),
+         UnitarySource.hamiltonian(gue_hamiltonian(128, seed=42)), [0.0, 1.3]),
+        (default_setup(8, 1, 4), UnitarySource.haar_cue(256, seed=43), [0, 1, 3]),
+        (spread_setup(), UnitarySource.haar_cue(128, seed=44), [0, 2]),
+        (default_setup(8, 2, 4), UnitarySource.circuit(8, seed=45), [0, 1, 4]),
+        (spread_setup(), UnitarySource.circuit(7, seed=46), [0, 3]),
+    ]
+
+
+def test_spread_setup_core_basis_has_full_support():
+    assert np.any(embed_isometry(spread_setup(), "core")[-1] != 0)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_series_matches_dense_evolution_oracle(case):
+    setup, source, times = oracle_cases()[case]
+    series = correlator_series(setup, source, times)
+    p_r = tensor_embed(setup, "observable")
+    p_rho = tensor_embed(setup, "core")
+    for i, t in enumerate(times):
+        p_t = conjugate(p_rho, evolve(source, t))
+        delta = p_r.entries @ p_t.entries - p_t.entries @ p_r.entries
+        comm = np.sum(np.abs(delta) ** 2) / (2.0 * setup.d_eta)
+        assert abs(series.g2[i] - correlator_trace(p_r, p_t, 1)) <= 1e-12
+        assert abs(series.g4[i] - correlator_trace(p_r, p_t, 2)) <= 1e-12
+        assert abs(series.commutator_norm[i] - comm) <= 1e-12
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_evolve_basis_matches_dense_unitary(case):
+    setup, source, times = oracle_cases()[case]
+    k = embed_isometry(setup, "core")
+    for t in times:
+        np.testing.assert_allclose(evolve_basis(source, k, t),
+                                   evolve(source, t) @ k, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_evolve_basis_series_matches_evolve_basis(case):
+    setup, source, times = oracle_cases()[case]
+    k = embed_isometry(setup, "core")
+    # ascending, repeated, ascending again, then back to an earlier time
+    grid = list(times) + [times[-1], times[-1] + 2, times[0] + 1]
+    for t, kt in zip(grid, evolve_basis_series(source, k, grid), strict=True):
+        np.testing.assert_allclose(kt, evolve_basis(source, k, t), rtol=0, atol=1e-12)
+
+
+def test_circuit_series_applies_each_layer_once(monkeypatch):
+    draws = []
+    sample = hilbert.sample_haar_unitary
+    monkeypatch.setattr(hilbert, "sample_haar_unitary",
+                        lambda *a, **kw: draws.append(a) or sample(*a, **kw))
+    source = UnitarySource.circuit(6, seed=5)
+    k = embed_isometry(default_setup(6, 1, 3), "core")
+    list(evolve_basis_series(source, k, range(6)))
+    # layers 0..4 of a 6-qubit brickwork hold 3, 2, 3, 2, 3 gates
+    assert len(draws) == 13
+
+
+def test_evolve_basis_rejects_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension"):
+        evolve_basis(UnitarySource.haar_cue(8, seed=0), np.eye(4), 1)
+
+
+def test_haar_columns_are_the_leading_columns_of_the_full_draw():
+    for dim, m in ((1, 1), (64, 64), (256, 16), (100, 7)):
+        full = sample_haar_unitary(dim, seed=dim)
+        assert np.array_equal(full, _haar_columns(dim, dim, np.random.default_rng(dim)))
+        np.testing.assert_allclose(_haar_columns(dim, m, np.random.default_rng(dim)),
+                                   full[:, :m], rtol=0, atol=1e-12)
+
+
+def test_series_cross_check_raises_value_error(monkeypatch):
+    monkeypatch.setattr(dynamics, "correlator_from_angles", lambda geom, n: 2.0)
+    source = UnitarySource.haar_cue(16, seed=0)
+    with pytest.raises(ValueError, match="cross-check"):
+        correlator_series(default_setup(4, 1, 2), source, [1], cross_check=True)
 
 
 # ---------------------------------------------------------------------------

@@ -182,3 +182,11 @@ def test_correlator_rejects_out_of_range_order():
 def test_correlator_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         correlator_trace(Projector.coordinate(4, 2), Projector.coordinate(6, 2), 1)
+
+
+def test_correlator_trace_rejects_complex_trace():
+    # unvalidated projectors whose product has a complex trace
+    p_r = Projector(np.diag([1j, 0.0]), rank=1)
+    p_rho = Projector(np.diag([1.0, 0.0]), rank=1)
+    with pytest.raises(ValueError, match="not real"):
+        correlator_trace(p_r, p_rho, 1)
