@@ -28,7 +28,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .dynamics import correlator_series, typicality_experiment
-from .geometry import halmos_decompose
 from .hilbert import (
     DIM_CAP_DEFAULT,
     ManyBodySetup,
@@ -36,8 +35,6 @@ from .hilbert import (
     UnitarySource,
     conjugate,
     derive_rng,
-    embed_isometry,
-    evolve_basis_series,
     gue_hamiltonian,
     sample_haar_unitary,
     tensor_embed,
@@ -56,7 +53,7 @@ from .predictor import (
 from .thermalization import (
     bound_thermal_dimension,
     core_sizing,
-    thermal_subspace,
+    thermal_axes,
     thermalization_report,
 )
 
@@ -355,24 +352,8 @@ def _run_haar_typicality(cfg: ExperimentConfig):
             cfg.experiment, cfg.seed, n, n_s, n_sigma, t=float(i),
             g2=g2, g4=g4, sigma2=g4 - g2 * g2,
             bound=scale, measured=dev, ok=dev <= scale))
-    se_g2 = math.sqrt(pred.var_g2 / n_samples) if pred.var_g2 > 0 else 0.0
-    se_g4 = (float(np.std(result.samples_g4, ddof=1)) / math.sqrt(n_samples)
-             if n_samples > 1 else 0.0)
-    var_ratio = (result.sample_var_g2 / pred.var_g2 if pred.var_g2 > 0 else 1.0)
-    verdicts = [
-        Verdict("|mean(G2) - 1/D_S| <= 4*SE", "stat", result.mean_g2_ok,
-                abs(result.mean_g2 - pred.mean_g2), 4 * se_g2),
-        Verdict("|mean(G4) - haar_mean(G4)| <= 4*SE", "stat", result.mean_g4_ok,
-                abs(result.mean_g4 - pred.mean_g4), 4 * se_g4),
-        Verdict("|log2(var(G2)/var_pred)| <= 1", "stat", result.var_g2_ok,
-                abs(math.log2(var_ratio)) if var_ratio > 0 else math.inf, 1.0),
-        Verdict("|mean(sigma2) - sigma2_typ| <= 0.2*sigma2_typ", "stat",
-                result.sigma2_ok, abs(result.mean_sigma2 - pred.sigma2_typ),
-                0.2 * pred.sigma2_typ),
-        Verdict("tail fraction beyond kappa*concentration scale <= 0.01", "stat",
-                result.tails_ok, max(result.tail_frac_g2, result.tail_frac_g4),
-                0.01),
-    ]
+    verdicts = [Verdict(check.formula, "stat", check.ok, check.lhs, check.rhs)
+                for check in result.checks.values()]
     return rows, verdicts
 
 
@@ -425,16 +406,7 @@ def _run_many_body_sweep(cfg: ExperimentConfig):
                 source = UnitarySource.haar_cue(d, seed=child)
             else:
                 source = UnitarySource.circuit(n, seed=child)
-        series = correlator_series(setup, source, times)
-        dims = []
-        if lambdas:
-            p_r = tensor_embed(setup, "observable")
-            k = embed_isometry(setup, "core")
-            for kt in evolve_basis_series(source, k, times):
-                p_rho_t = Projector.from_isometry(kt)
-                geom = halmos_decompose(p_r, p_rho_t)
-                dims.append([thermal_subspace(geom, lam)[1] for lam in lambdas])
-        return series, dims
+        return correlator_series(setup, source, times)
 
     results = _map_instances(one_instance, n_instances)
     chain = _Worst("G4(t) <= G2(t)", "sound")
@@ -442,7 +414,7 @@ def _run_many_body_sweep(cfg: ExperimentConfig):
                       "sound")
     dimension = _Worst("dim(H_th)(t) >= D_rho*(1 - sigma2(t)/lambda^2)", "sound")
     rows = []
-    for series, dims in results:
+    for series in results:
         for j, t in enumerate(series.times):
             g2, g4 = float(series.g2[j]), float(series.g4[j])
             sigma2 = float(series.sigma2[j])
@@ -453,9 +425,9 @@ def _run_many_body_sweep(cfg: ExperimentConfig):
                 rows.append(_row(cfg.experiment, cfg.seed, n, n_s, n_sigma,
                                  t=float(t), g2=g2, g4=g4, sigma2=sigma2))
                 continue
-            for k, lam in enumerate(lambdas):
+            for lam in lambdas:
                 bound = bound_thermal_dimension(sigma2, lam, setup.d_rho)
-                achieved = dims[j][k]
+                achieved = int(np.count_nonzero(thermal_axes(series.cos2[j], lam)))
                 dimension.update(bound, achieved)
                 rows.append(_row(
                     cfg.experiment, cfg.seed, n, n_s, n_sigma, t=float(t),

@@ -326,9 +326,11 @@ def embed_isometry(setup: ManyBodySetup, which: str) -> np.ndarray:
         raise ValueError(f"which must be 'observable' or 'core', got {which!r}")
     d = setup.dim
     d_rest = d // len(state)
-    block = np.kron(state[:, None], np.eye(d_rest, dtype=complex))
-    perm = _site_permutation(sites, setup.n_total)
-    return block[perm]
+    # row j carries (site block a, rest index e): the entry state[a] at column e
+    a, e = divmod(_site_permutation(sites, setup.n_total), d_rest)
+    block = np.zeros((d, d_rest), dtype=complex)
+    block[np.arange(d), e] = state[a]
+    return block
 
 
 def tensor_embed(setup: ManyBodySetup, which: str,

@@ -203,7 +203,8 @@ def weighted_autocorrelator(evals: np.ndarray, a_eig: np.ndarray,
     so callers can check that property.
     """
     val = weighted_correlator(evals, a_eig, a_eig, w)
-    assert abs(val.imag) <= 1e-9, "autocorrelator average was not real"
+    if abs(val.imag) > 1e-9:
+        raise ValueError("autocorrelator average was not real")
     return val.real
 
 

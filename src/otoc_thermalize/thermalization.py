@@ -13,8 +13,8 @@ target resolution and fraction into a minimum core dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .geometry import (
     SubspaceGeometry,
     correlator_trace,
     halmos_decompose,
-    orthonormal_range_basis,
 )
 from .hilbert import Projector, sample_haar_unitary, derive_rng
 
@@ -59,18 +58,25 @@ def bound_nonthermal_fraction(sigma2: float, lam: float):
     return min(1.0, raw), raw > 1.0
 
 
-def thermal_subspace(g: SubspaceGeometry, lam: float):
-    """Projector onto the thermal subspace and its dimension.
+def thermal_axes(cos2: np.ndarray, lam: float) -> np.ndarray:
+    """Mask of the principal cos^2 theta_k within ``lam`` of their mean G^2.
 
-    The subspace is spanned by the principal axes |w_k> whose cos^2 theta_k
-    deviates from G^2 by at most ``lam``; every unit vector in it has an
-    observable expectation within ``lam`` of G^2.
+    A boundary tie counts as thermal.
     """
     if lam <= 0:
         raise ValueError(f"resolution lambda must be positive, got {lam}")
-    cos2 = g.cos2
-    g2 = float(np.sum(cos2)) / g.d_rho
-    keep = np.abs(cos2 - g2) <= lam
+    g2 = float(np.sum(cos2)) / cos2.size
+    return np.abs(cos2 - g2) <= lam
+
+
+def thermal_subspace(g: SubspaceGeometry, lam: float):
+    """Projector onto the thermal subspace and its dimension.
+
+    The subspace is spanned by the principal axes |w_k> that ``thermal_axes``
+    keeps; every unit vector in it has an observable expectation within
+    ``lam`` of G^2.
+    """
+    keep = thermal_axes(g.cos2, lam)
     basis = g.axes_w[:, keep]
     return Projector.from_isometry(basis), int(np.count_nonzero(keep))
 

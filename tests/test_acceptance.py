@@ -27,6 +27,8 @@ from otoc_thermalize.hilbert import (
     UnitarySource,
     conjugate,
     derive_rng,
+    embed_isometry,
+    evolve_basis,
     gue_hamiltonian,
     sample_haar_unitary,
     tensor_embed,
@@ -316,7 +318,16 @@ def test_series_chain_and_commutator_identity():
         ),
     ]
     for setup, source, times in cases:
-        series = correlator_series(setup, source, times, cross_check=True)
+        series = correlator_series(setup, source, times)
+        # the angle route on dense projectors agrees with the series to 1e-9
+        p_r = tensor_embed(setup, "observable")
+        k = embed_isometry(setup, "core")
+        for i, t in enumerate(times):
+            p_t = Projector.from_isometry(evolve_basis(source, k, t))
+            geom = halmos_decompose(p_r, p_t)
+            assert np.max(np.abs(series.cos2[i] - np.sort(geom.cos2))) <= 1e-9
+            assert abs(correlator_from_angles(geom, 1) - series.g2[i]) <= 1e-9
+            assert abs(correlator_from_angles(geom, 2) - series.g4[i]) <= 1e-9
         assert np.all(series.g2 >= series.g4 - 1e-9)
         assert np.all(series.g4 >= series.g2**2 - 1e-9)
         gap = series.g2 - series.g4

@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from otoc_thermalize import cli
+from otoc_thermalize import cli, hilbert
 from otoc_thermalize.geometry import halmos_decompose
 from otoc_thermalize.hilbert import (
     UnitarySource,
@@ -237,6 +238,37 @@ def test_many_body_sweep_thermal_dimensions_match_dense_route(tmp_path, source):
             geom = halmos_decompose(p_r, conjugate(p_rho, evolve(src, t)))
             expected += [float(thermal_subspace(geom, lam)[1]) for lam in lambdas]
     assert [float(row["measured"]) for row in read_rows(out)] == expected
+
+
+def test_circuit_lambda_sweep_draws_each_layer_once(tmp_path, monkeypatch):
+    draws = []
+    sample = hilbert.sample_haar_unitary
+    monkeypatch.setattr(hilbert, "sample_haar_unitary",
+                        lambda *a, **kw: draws.append(a) or sample(*a, **kw))
+    cfg = write_config(tmp_path, "experiment = many-body-sweep\nn = 6\n"
+                                 "n_s = 1\nn_sigma = 3\nsource = circuit\n"
+                                 "n_instances = 1\ntimes = 0, 1, 2, 3, 4, 5\n"
+                                 "lambda_grid = 0.05, 0.2\n")
+    assert cli.main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "c.csv")]) == EXIT_PASS
+    # layers 0..4 of a 6-qubit brickwork hold 3, 2, 3, 2, 3 gates
+    assert len(draws) == 13
+
+
+@pytest.mark.parametrize("n, n_s", [(6, 1), (4, 2)])
+def test_haar_typicality_one_dimensional_core_passes(tmp_path, n, n_s):
+    # D_sigma = 1: G2 and G4 are the same in every sample and var_pred = 0
+    cfg = write_config(tmp_path, f"experiment = haar-typicality\nn = {n}\n"
+                                 f"n_s = {n_s}\nn_sigma = 0\n")
+    out = tmp_path / "ht.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", "--config", cfg, "--format", "json",
+                         "--out", str(out)]) == EXIT_PASS
+    verdicts = json.loads(out.read_text())["verdicts"]
+    assert len(verdicts) == 5
+    for v in verdicts:
+        assert v["passed"] == (v["slack"] >= 0), v
 
 
 def test_negative_demo_note_and_row(tmp_path, capsys):

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from otoc_thermalize import dynamics, hilbert
-from otoc_thermalize.geometry import correlator_trace
+from otoc_thermalize import hilbert
+from otoc_thermalize.geometry import (
+    correlator_from_angles,
+    correlator_trace,
+    halmos_decompose,
+)
 from otoc_thermalize.hilbert import (
     ManyBodySetup,
     Projector,
@@ -20,6 +24,7 @@ from otoc_thermalize.hilbert import (
     sample_haar_unitary,
     tensor_embed,
 )
+from otoc_thermalize.thermalization import thermal_axes
 from otoc_thermalize.dynamics import (
     CorrelatorSeries,
     correlator_series,
@@ -38,6 +43,21 @@ def default_setup(n_total, n_observed, n_core):
     psi = np.zeros(2 ** n_core)
     psi[0] = 1.0
     return ManyBodySetup(n_total, n_observed, n_core, chi, psi)
+
+
+def assert_angle_route_agrees(setup, source, times, series, tol=SERIES_TOL):
+    """Dense oracle: halmos_decompose of P_R and P_t at every time.
+
+    The sorted cos^2 spectrum, and G^2 and G^4 through the angle route, must
+    match the series to ``tol``.
+    """
+    p_r = tensor_embed(setup, "observable")
+    k = embed_isometry(setup, "core")
+    for i, t in enumerate(times):
+        geom = halmos_decompose(p_r, Projector.from_isometry(evolve_basis(source, k, t)))
+        np.testing.assert_allclose(series.cos2[i], np.sort(geom.cos2), rtol=0, atol=tol)
+        for n, direct in ((1, series.g2[i]), (2, series.g4[i])):
+            assert abs(correlator_from_angles(geom, n) - direct) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +117,8 @@ def test_two_qubit_swap_hamiltonian_cosine_law():
     source = UnitarySource.hamiltonian(swap)
     setup = default_setup(2, 1, 1)
     times = np.linspace(0.0, 3.0, 13)
-    series = correlator_series(setup, source, times, cross_check=True)
+    series = correlator_series(setup, source, times)
+    assert_angle_route_agrees(setup, source, times, series)
     g2_ref = (1.0 + np.cos(times) ** 2) / 2.0
     g4_ref = (1.0 + np.cos(times) ** 4) / 2.0
     np.testing.assert_allclose(series.g2, g2_ref, atol=SERIES_TOL)
@@ -117,7 +138,8 @@ def test_series_commuting_at_time_zero():
 def test_series_validates_chain_and_commutator_identity():
     setup = default_setup(6, 2, 3)
     source = UnitarySource.haar_cue(64, seed=11)
-    series = correlator_series(setup, source, [0, 1, 2, 3], cross_check=True)
+    series = correlator_series(setup, source, [0, 1, 2, 3])
+    assert_angle_route_agrees(setup, source, [0, 1, 2, 3], series)
     series.validate()  # raises on violation
     assert np.all(series.sigma2 >= 0.0)
     assert np.all(series.g2 <= 1.0 + 1e-12)
@@ -151,12 +173,14 @@ def test_series_rejects_dimension_mismatch():
 def test_series_validate_detects_corruption():
     series = CorrelatorSeries(
         times=np.array([0.0]), g2=np.array([0.5]), g4=np.array([0.6]),
-        sigma2=np.array([0.0]), commutator_norm=np.array([0.0]))
+        sigma2=np.array([0.0]), commutator_norm=np.array([0.0]),
+        cos2=np.array([[0.5]]))
     with pytest.raises(ValueError, match="chain"):
         series.validate()
     series = CorrelatorSeries(
         times=np.array([0.0]), g2=np.array([0.5]), g4=np.array([0.4]),
-        sigma2=np.array([0.15]), commutator_norm=np.array([0.3]))
+        sigma2=np.array([0.15]), commutator_norm=np.array([0.3]),
+        cos2=np.array([[0.5]]))
     with pytest.raises(ValueError, match="commutator"):
         series.validate()
 
@@ -202,6 +226,40 @@ def test_series_matches_dense_evolution_oracle(case):
         assert abs(series.commutator_norm[i] - comm) <= 1e-12
 
 
+def cos2_cases():
+    """oracle_cases plus D_eta = 1 (N_sigma = N) and N_S = N_sigma splits."""
+    return oracle_cases() + [
+        (default_setup(6, 1, 6),
+         UnitarySource.hamiltonian(gue_hamiltonian(64, seed=47)), [0.0, 0.9]),
+        (default_setup(6, 3, 6), UnitarySource.haar_cue(64, seed=48), [0, 2]),
+        (default_setup(6, 2, 2), UnitarySource.circuit(6, seed=49), [0, 1, 3]),
+        (default_setup(6, 3, 3),
+         UnitarySource.hamiltonian(gue_hamiltonian(64, seed=50)), [0.0, 1.7]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_series_cos2_matches_dense_decomposition(case):
+    setup, source, times = cos2_cases()[case]
+    series = correlator_series(setup, source, times)
+    assert series.cos2.shape == (len(times), setup.d_eta)
+    assert np.all(np.diff(series.cos2, axis=1) >= 0)
+    assert_angle_route_agrees(setup, source, times, series, tol=1e-12)
+
+
+@pytest.mark.parametrize("split", [(6, 1, 3), (6, 1, 6), (6, 3, 3), (6, 2, 2)])
+def test_time_zero_angles_vanish_and_every_axis_is_thermal(split):
+    # the core contains the observed qubits, so ran(P_rho) lies in ran(P_R)
+    setup = default_setup(*split)
+    for source in (UnitarySource.hamiltonian(gue_hamiltonian(64, seed=51)),
+                   UnitarySource.haar_cue(64, seed=52),
+                   UnitarySource.circuit(6, seed=53)):
+        series = correlator_series(setup, source, [0])
+        np.testing.assert_allclose(series.cos2[0], 1.0, rtol=0, atol=1e-12)
+        for lam in (1e-9, 0.05, 0.5):
+            assert np.count_nonzero(thermal_axes(series.cos2[0], lam)) == setup.d_rho
+
+
 @pytest.mark.parametrize("case", range(6))
 def test_evolve_basis_matches_dense_unitary(case):
     setup, source, times = oracle_cases()[case]
@@ -244,13 +302,6 @@ def test_haar_columns_are_the_leading_columns_of_the_full_draw():
         assert np.array_equal(full, _haar_columns(dim, dim, np.random.default_rng(dim)))
         np.testing.assert_allclose(_haar_columns(dim, m, np.random.default_rng(dim)),
                                    full[:, :m], rtol=0, atol=1e-12)
-
-
-def test_series_cross_check_raises_value_error(monkeypatch):
-    monkeypatch.setattr(dynamics, "correlator_from_angles", lambda geom, n: 2.0)
-    source = UnitarySource.haar_cue(16, seed=0)
-    with pytest.raises(ValueError, match="cross-check"):
-        correlator_series(default_setup(4, 1, 2), source, [1], cross_check=True)
 
 
 # ---------------------------------------------------------------------------

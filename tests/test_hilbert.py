@@ -8,6 +8,7 @@ from otoc_thermalize.hilbert import (
     ManyBodySetup,
     Projector,
     UnitarySource,
+    _site_permutation,
     conjugate,
     derive_rng,
     embed_isometry,
@@ -151,6 +152,24 @@ def test_embed_isometry_columns_orthonormal():
         v = embed_isometry(s, which)
         n = v.shape[1]
         assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-12
+
+
+def test_embed_isometry_equals_the_kron_construction():
+    # the scattered isometry equals |state> (x) 1 with the site permutation
+    # applied to its rows (kron leaves -0.0 where the scatter writes +0.0)
+    rng = np.random.default_rng(9)
+    setups = [
+        ManyBodySetup(5, 1, 2, sample_haar_state(2, rng=rng), sample_haar_state(4, rng=rng)),
+        ManyBodySetup(6, 2, 4, sample_haar_state(4, rng=rng), sample_haar_state(16, rng=rng),
+                      observed_sites=(3, 1), core_sites=(0, 5, 2, 4)),
+        ManyBodySetup(4, 4, 4, sample_haar_state(16, rng=rng), sample_haar_state(16, rng=rng)),
+    ]
+    for s in setups:
+        for which, state, sites in (("observable", s.observed_state, s.observed_sites),
+                                    ("core", s.core_state, s.core_sites)):
+            block = np.kron(state[:, None], np.eye(s.dim // len(state)))
+            expected = block[_site_permutation(sites, s.n_total)]
+            assert np.array_equal(embed_isometry(s, which), expected)
 
 
 def test_embed_rejects_dimension_over_cap():

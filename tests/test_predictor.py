@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from otoc_thermalize import predictor
 from otoc_thermalize.hilbert import (
     ManyBodySetup,
     UnitarySource,
@@ -176,6 +177,13 @@ def test_autocorrelator_average_is_nonnegative_for_cp_window():
     for _ in range(5):
         a_eig = to_eigenbasis(vecs, _random_hermitian(24, rng))
         assert weighted_autocorrelator(evals, a_eig, tent) >= -BOUND_SLACK
+
+
+def test_autocorrelator_rejects_a_complex_average(monkeypatch):
+    monkeypatch.setattr(predictor, "weighted_correlator",
+                        lambda *args: 0.5 + 1e-6j)
+    with pytest.raises(ValueError, match="not real"):
+        weighted_autocorrelator(np.zeros(2), np.eye(2), WeightingFunction.tent(4.0))
 
 
 # ---------------------------------------------------------------------------

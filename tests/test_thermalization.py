@@ -18,6 +18,7 @@ from otoc_thermalize.thermalization import (
     empirical_nonthermal_fraction,
     haar_rotated_basis,
     nonthermal_witness_bound,
+    thermal_axes,
     thermal_subspace,
     thermalization_report,
     worst_case_basis,
@@ -111,6 +112,14 @@ def test_dimension_bound_vs_fraction_bound_crossover():
 # ---------------------------------------------------------------------------
 # Thermal subspace.
 # ---------------------------------------------------------------------------
+
+def test_thermal_axes_counts_ties_as_thermal():
+    cos2 = np.array([0.0, 0.5, 1.0])  # mean 0.5
+    assert thermal_axes(cos2, 0.5).tolist() == [True, True, True]
+    assert thermal_axes(cos2, 0.25).tolist() == [False, True, False]
+    with pytest.raises(ValueError, match="positive"):
+        thermal_axes(cos2, 0.0)
+
 
 def test_thermal_subspace_full_when_variance_zero():
     p_r = Projector.coordinate(6, 4)
