@@ -338,6 +338,8 @@ def _run_haar_typicality(cfg: ExperimentConfig):
     n_samples = _take_int(params, "n_samples", 200, minimum=2)
     kappa = _take_float(params, "kappa", 3.0)
     _reject_leftovers(cfg.experiment, params)
+    if not kappa > 0:
+        raise ConfigError(f"kappa must be positive, got {kappa}")
     d, d_s, d_sigma = 2 ** n, 2 ** n_s, 2 ** n_sigma
     result = typicality_experiment(d, d_s, d_sigma, n_samples, seed=cfg.seed,
                                    kappa=kappa, keep_samples=True)
@@ -393,6 +395,8 @@ def _run_many_body_sweep(cfg: ExperimentConfig):
     _reject_leftovers(cfg.experiment, params)
     if any(lam <= 0 for lam in lambdas):
         raise ConfigError("lambda_grid values must be positive")
+    if source_kind == "circuit" and n < 2:
+        raise ConfigError(f"source 'circuit' needs n >= 2 qubits, got {n}")
     setup = _product_setup(n, n_s, n_sigma)
     d = setup.dim
 

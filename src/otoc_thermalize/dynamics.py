@@ -237,16 +237,30 @@ def typicality_experiment(d: int, d_s: int, d_sigma: int, n_samples: int,
     kappa times the concentration scale fluctuation_scale(n), n = 1 for G^2
     and 2 for G^4. With ``keep_samples`` the result also carries the raw
     per-sample arrays.
+
+    Sample i conjugates the coordinate projectors by the Haar unitary
+    drawn from ``derive_rng(seed, "typicality", i)``. Only its leading
+    D_rho columns enter the correlators (G^2 and G^4 read the
+    D_R x D_rho corner), so each sample draws just those columns, at
+    O(D D_rho^2) instead of O(D^3), from the same random stream.
+
+    Raises
+    ------
+    ValueError
+        If ``n_samples < 2`` or ``kappa <= 0``.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     pred = haar_prediction(d, d_s, d_sigma)
     d_r, d_rho = pred.d_r, pred.d_rho
     g2s = np.empty(n_samples)
     g4s = np.empty(n_samples)
     for i in range(n_samples):
-        q = sample_haar_unitary(d, rng=derive_rng(seed, "typicality", i))
-        c = q[:d_r, :d_rho]
+        q = sample_haar_unitary(d, rng=derive_rng(seed, "typicality", i),
+                                columns=d_rho)
+        c = q[:d_r]
         m = c.conj().T @ c
         g2s[i] = np.trace(m).real / d_rho
         g4s[i] = np.sum(np.abs(m) ** 2) / d_rho

@@ -216,7 +216,7 @@ def thermalization_report(p_r: Projector, p_rho: Projector, lam: float,
     g4 = correlator_trace(p_r, p_rho, 2)
     sigma2 = max(0.0, g4 - g2 * g2)
     f_bound, vacuous = bound_nonthermal_fraction(sigma2, lam)
-    _, dim_achieved = thermal_subspace(geom, lam)
+    dim_achieved = int(np.count_nonzero(thermal_axes(geom.cos2, lam)))
     worst_f = empirical_nonthermal_fraction(p_r, worst_case_basis(geom), g2, lam)
     rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed, "report-bases")
     empirical = [

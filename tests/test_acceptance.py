@@ -216,7 +216,8 @@ def test_haar_typicality_reference_statistics():
 def test_concentration_envelope_at_large_dimension():
     # 300 Haar samples at dim 1024: at most 1% of the samples fall outside
     # three fluctuation scales of the mean, for both the second and fourth
-    # moments.  (This is the suite's long pole: ~2 minutes of QR draws.)
+    # moments.  (Each sample draws 1024 x 1024 Gaussians but thin-QRs only
+    # the 32 columns it reads: about 14 s in all on 2 cores.)
     result = typicality_experiment(1024, 2, 32, 300, seed=1205, kappa=3.0)
     assert result.tail_frac_g2 <= 0.01
     assert result.tail_frac_g4 <= 0.01

@@ -207,6 +207,15 @@ def test_many_body_sweep_rejects_fractional_ensemble_times(tmp_path, capsys):
     assert "integer times" in capsys.readouterr().err
 
 
+def test_many_body_sweep_rejects_one_qubit_circuit(tmp_path, capsys):
+    cfg = write_config(tmp_path, "experiment = many-body-sweep\nn = 1\n"
+                                 "n_s = 1\nn_sigma = 1\nsource = circuit\n"
+                                 "times = 0, 1\n")
+    assert cli.main(["run", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "circuit" in err
+
+
 def _sweep_source(kind, seed, i, n):
     """The source many-body-sweep builds for instance i."""
     if kind == "gue":
@@ -269,6 +278,15 @@ def test_haar_typicality_one_dimensional_core_passes(tmp_path, n, n_s):
     assert len(verdicts) == 5
     for v in verdicts:
         assert v["passed"] == (v["slack"] >= 0), v
+
+
+@pytest.mark.parametrize("kappa", ["0", "-1.5"])
+def test_haar_typicality_rejects_nonpositive_kappa(tmp_path, capsys, kappa):
+    cfg = write_config(tmp_path, "experiment = haar-typicality\n"
+                                 f"n = 4\nn_samples = 10\nkappa = {kappa}\n")
+    assert cli.main(["run", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "kappa" in err
 
 
 def test_negative_demo_note_and_row(tmp_path, capsys):

@@ -39,6 +39,28 @@ def test_sampler_rejects_bad_dim():
         sample_haar_unitary(0)
 
 
+@pytest.mark.parametrize("dim, m", [(1, 1), (16, 16), (64, 1), (100, 7),
+                                    (256, 16), (256, 128)])
+def test_sampler_columns_are_the_leading_columns_of_the_full_draw(dim, m):
+    rng_thin, rng_full = np.random.default_rng(dim), np.random.default_rng(dim)
+    thin = sample_haar_unitary(dim, rng=rng_thin, columns=m)
+    full = sample_haar_unitary(dim, rng=rng_full)
+    assert thin.shape == (dim, m)
+    if m == dim:
+        assert np.array_equal(thin, full)
+    else:
+        # the thin and the full QR may round differently in the last ulp
+        np.testing.assert_allclose(thin, full[:, :m], rtol=0, atol=1e-12)
+    # the whole Gaussian stream was drawn either way
+    assert rng_thin.standard_normal() == rng_full.standard_normal()
+
+
+@pytest.mark.parametrize("columns", [0, -1, 9])
+def test_sampler_rejects_columns_out_of_range(columns):
+    with pytest.raises(ValueError, match="columns"):
+        sample_haar_unitary(8, seed=0, columns=columns)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=1, max_value=24), st.integers(0, 2 ** 31))
 def test_sampler_unitary_any_dim(dim, seed):

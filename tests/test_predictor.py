@@ -13,6 +13,7 @@ from otoc_thermalize.hilbert import (
     derive_rng,
     evolve,
     gue_hamiltonian,
+    sample_haar_unitary,
     tensor_embed,
 )
 from otoc_thermalize.dynamics import correlator_series
@@ -389,6 +390,28 @@ def test_negative_demo_ratio_tracks_heuristic():
     for rep in (small, large):
         # order-of-magnitude anchor only: stay within a decade
         assert 0.1 <= rep.measured_rms / rep.heuristic_scale <= 10.0
+
+
+def _full_draw_negative_demo_rms(d, d_sigma, n_samples, seed):
+    """Oracle: the premise RMS from the corner of each full Haar unitary."""
+    d_rho = d // d_sigma
+    dev = np.empty(n_samples)
+    for i in range(n_samples):
+        u = sample_haar_unitary(d, rng=derive_rng(seed, "negative-demo", i))
+        g = np.sum(np.abs(u[:d_rho, :d_rho]) ** 2) / d_rho
+        dev[i] = g * g - 1.0 / d_sigma ** 2
+    return float(np.sqrt(np.mean(dev ** 2)))
+
+
+def test_negative_demo_matches_the_full_draw():
+    report = fourth_order_negative_demo(256, 2, 16, n_samples=6, seed=31)
+    oracle = _full_draw_negative_demo_rms(256, 16, 6, 31)
+    assert abs(report.measured_rms - oracle) <= 1e-12
+
+
+def test_negative_demo_equals_the_full_draw_for_a_trivial_core():
+    report = fourth_order_negative_demo(32, 2, 1, n_samples=4, seed=2)
+    assert report.measured_rms == _full_draw_negative_demo_rms(32, 1, 4, 2)
 
 
 def test_negative_demo_deterministic_and_validated():
