@@ -33,7 +33,6 @@ from .hilbert import (
     ManyBodySetup,
     Projector,
     UnitarySource,
-    conjugate,
     derive_rng,
     gue_hamiltonian,
     sample_haar_unitary,
@@ -308,8 +307,8 @@ def _run_verify_theorem(cfg: ExperimentConfig):
 
     def one_instance(i):
         rng = derive_rng(cfg.seed, "verify-theorem", i)
-        p_r = conjugate(Projector.coordinate(d, d_r), sample_haar_unitary(d, rng=rng))
-        p_rho = conjugate(Projector.coordinate(d, d_rho), sample_haar_unitary(d, rng=rng))
+        p_r = Projector.from_isometry(sample_haar_unitary(d, rng=rng, columns=d_r))
+        p_rho = Projector.from_isometry(sample_haar_unitary(d, rng=rng, columns=d_rho))
         return [thermalization_report(p_r, p_rho, lam, n_bases=n_bases, seed=rng)
                 for lam in lambdas]
 
@@ -342,7 +341,7 @@ def _run_haar_typicality(cfg: ExperimentConfig):
         raise ConfigError(f"kappa must be positive, got {kappa}")
     d, d_s, d_sigma = 2 ** n, 2 ** n_s, 2 ** n_sigma
     result = typicality_experiment(d, d_s, d_sigma, n_samples, seed=cfg.seed,
-                                   kappa=kappa, keep_samples=True)
+                                   kappa=kappa)
     pred = result.prediction
     scale = kappa * pred.fluctuation_scale(1)
     rows = []

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Sequence
+from typing import Dict, NamedTuple, Sequence
 
 import numpy as np
 
@@ -213,8 +213,8 @@ class TypicalityResult:
     tail_frac_g4: float
     prediction: HaarPrediction
     checks: Dict[str, Check]  # each tolerance; the *_ok flags read them
-    samples_g2: Optional[np.ndarray] = None
-    samples_g4: Optional[np.ndarray] = None
+    samples_g2: np.ndarray
+    samples_g4: np.ndarray
 
     mean_g2_ok = property(lambda self: self.checks["mean_g2"].ok)
     mean_g4_ok = property(lambda self: self.checks["mean_g4"].ok)
@@ -225,8 +225,7 @@ class TypicalityResult:
 
 
 def typicality_experiment(d: int, d_s: int, d_sigma: int, n_samples: int,
-                          seed=None, kappa: float = 3.0,
-                          keep_samples: bool = False) -> TypicalityResult:
+                          seed=None, kappa: float = 3.0) -> TypicalityResult:
     """Sample Haar-conjugated coordinate projectors and test the predictions.
 
     Tolerances: sample means of G^2 and G^4 within 4 standard errors (the
@@ -235,14 +234,13 @@ def typicality_experiment(d: int, d_s: int, d_sigma: int, n_samples: int,
     or at most ``ROUNDOFF**2`` when var_g2 = 0 (G^2 is then constant); the
     mean sigma^2 within 20% of sigma2_typ; and at most 1% of samples outside
     kappa times the concentration scale fluctuation_scale(n), n = 1 for G^2
-    and 2 for G^4. With ``keep_samples`` the result also carries the raw
-    per-sample arrays.
+    and 2 for G^4. The result also carries the per-sample G^2 and G^4.
 
     Sample i conjugates the coordinate projectors by the Haar unitary
     drawn from ``derive_rng(seed, "typicality", i)``. Only its leading
     D_rho columns enter the correlators (G^2 and G^4 read the
-    D_R x D_rho corner), so each sample draws just those columns, at
-    O(D D_rho^2) instead of O(D^3), from the same random stream.
+    D_R x D_rho corner), so each sample draws just those columns: D x D_rho
+    Gaussians and a thin QR, O(D D_rho^2) instead of O(D^3).
 
     Raises
     ------
@@ -296,8 +294,7 @@ def typicality_experiment(d: int, d_s: int, d_sigma: int, n_samples: int,
             "tails": Check("tail fraction beyond kappa*concentration scale <= 0.01",
                            max(tail_g2, tail_g4), 0.01),
         },
-        samples_g2=g2s if keep_samples else None,
-        samples_g4=g4s if keep_samples else None,
+        samples_g2=g2s, samples_g4=g4s,
     )
 
 

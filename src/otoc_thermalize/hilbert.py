@@ -61,19 +61,19 @@ def sample_haar_unitary(dim: int, seed=None, rng=None,
                         columns: Optional[int] = None) -> np.ndarray:
     """Draw a unitary from the Haar measure on U(dim), or its leading columns.
 
-    Uses the Ginibre + QR construction: QR of a complex Gaussian matrix,
-    with the diagonal of R rotated onto the positive real axis. Without that
-    phase correction the QR decomposition is not unique and the distribution
-    of Q would not be Haar.
+    Uses the Ginibre + QR construction (Mezzadri 2007): QR of a complex
+    Gaussian matrix, with the diagonal of R rotated onto the positive real
+    axis. Without that phase correction the QR decomposition is not unique
+    and the distribution of Q would not be Haar.
 
-    With ``columns = m`` only the leading m columns of the Ginibre matrix
-    enter a thin QR, at O(D m^2) instead of O(D^3): the result is the
-    D x m Haar isometry made of the leading m columns of the unitary the
-    same generator would give in full. The whole Gaussian stream is still
-    drawn, so the generator ends in the same state either way. With
-    ``m = dim`` the output is bit-identical to the full draw; otherwise it
-    agrees with the full draw's leading columns to roundoff (the two QRs
-    may round differently).
+    The Ginibre matrix is generated column by column: column j is row j of
+    an ``m x 2D`` standard normal draw, read as D interleaved (real,
+    imaginary) pairs. Column j of Q depends on columns <= j alone, so with
+    ``columns = m`` only the D x m Gaussians of the leading columns are drawn
+    and a thin QR costs O(D m^2) instead of O(D^3). The result is the D x m
+    Haar isometry made of the leading m columns of the unitary the same
+    generator would give in full, to roundoff (the thin and the full QR may
+    round differently); with ``m = dim`` it is the full draw.
 
     Parameters
     ----------
@@ -94,27 +94,8 @@ def sample_haar_unitary(dim: int, seed=None, rng=None,
     m = dim if columns is None else columns
     if not 1 <= m <= dim:
         raise ValueError(f"columns must be in [1, {dim}], got {columns}")
-    return _haar_columns(dim, m, _resolve_rng(seed, rng))
-
-
-def _haar_columns(dim: int, m: int, rng) -> np.ndarray:
-    """Leading ``m`` columns of the Haar unitary ``sample_haar_unitary`` draws.
-
-    The Ginibre matrix comes from the same random stream as the full D x D
-    draw (its real part, then its imaginary part, row by row), but only its
-    leading ``m`` columns are kept, ``m`` rows of the draw at a time. Column j
-    of the QR factor Q depends on columns <= j alone, so the thin QR of those
-    columns with the same phase fix gives the leading columns of the full
-    unitary; with ``m = dim`` the output is bit-identical to it.
-    """
-    parts = []
-    for _ in range(2):
-        part = np.empty((dim, m))
-        for start in range(0, dim, m):
-            part[start:start + m] = rng.standard_normal(
-                (min(m, dim - start), dim))[:, :m]
-        parts.append(part)
-    a = (parts[0] + 1j * parts[1]) / math.sqrt(2.0)
+    rng = _resolve_rng(seed, rng)
+    a = rng.standard_normal((m, 2 * dim)).view(complex).T / math.sqrt(2.0)
     q, r = np.linalg.qr(a)
     diag = np.diagonal(r).copy()
     # map zero pivots (probability zero, but finite-precision safe) to phase 1
@@ -124,10 +105,8 @@ def _haar_columns(dim: int, m: int, rng) -> np.ndarray:
 
 
 def sample_haar_state(dim: int, seed=None, rng=None) -> np.ndarray:
-    """Draw a Haar-random unit vector in C^dim (normalized complex Gaussian)."""
-    rng = _resolve_rng(seed, rng)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    """Draw a Haar-random unit vector in C^dim: the one-column Haar draw."""
+    return sample_haar_unitary(dim, seed=seed, rng=rng, columns=1)[:, 0]
 
 
 def gue_hamiltonian(dim: int, seed=None, rng=None) -> np.ndarray:
@@ -449,10 +428,11 @@ def evolve_basis(source: UnitarySource, k: np.ndarray, t: float) -> np.ndarray:
 
     Hamiltonian sources accept any real t (with U(t1) U(t2) = U(t1+t2));
     the ensemble variants accept nonnegative integers, t = 0 giving K.
-    Costs: O(D^2 r) for a Hamiltonian; a thin QR of the leading m columns
-    of the Ginibre draw for CUE, where m is one plus the index of the last
-    nonzero row of K; O(t D r) for a circuit (``evolve_basis_series`` makes
-    a whole ascending grid cost what its last time does).
+    Costs: O(D^2 r) for a Hamiltonian; for CUE, the leading m columns of
+    the Haar unitary (D x m Gaussians and a thin QR, O(D m^2)), where m is
+    one plus the index of the last nonzero row of K; O(t D r) for a circuit
+    (``evolve_basis_series`` makes a whole ascending grid cost what its last
+    time does).
     """
     k = np.asarray(k, dtype=complex)
     if k.ndim != 2 or k.shape[0] != source.dim:
@@ -470,7 +450,8 @@ def evolve_basis(source: UnitarySource, k: np.ndarray, t: float) -> np.ndarray:
         return k.copy()
     if source.kind == "haar_cue":
         m = int(np.max(np.flatnonzero(np.any(k != 0, axis=1)), initial=0)) + 1
-        q = _haar_columns(source.dim, m, derive_rng(source.seed, "cue", step))
+        q = sample_haar_unitary(source.dim, rng=derive_rng(source.seed, "cue", step),
+                                columns=m)
         return q @ k[:m]
     if source.kind == "circuit":
         return _apply_circuit(source, k, 0, step)

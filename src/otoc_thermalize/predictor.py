@@ -351,9 +351,8 @@ def fourth_order_negative_demo(d: int, d_s: int, d_sigma: int,
     and the premise holds trivially.
 
     G_rho-rho^2 reads the D_rho x D_rho corner of the sample unitary, so
-    each sample draws only its leading D_rho columns (a thin QR at
-    O(D D_rho^2) instead of O(D^3)), from the same random stream as the
-    full unitary.
+    each sample draws only its leading D_rho columns: D x D_rho Gaussians
+    and a thin QR, O(D D_rho^2) instead of O(D^3).
     """
     from .hilbert import derive_rng, sample_haar_unitary  # local to avoid cycle
 

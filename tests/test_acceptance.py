@@ -194,9 +194,7 @@ def test_haar_typicality_reference_statistics():
     # the sample mean of G4 within 4 standard errors of the Weingarten
     # value, and the mean variance within 20% of 1/64.
     n_samples = 500
-    result = typicality_experiment(
-        256, 2, 16, n_samples, seed=1204, keep_samples=True
-    )
+    result = typicality_experiment(256, 2, 16, n_samples, seed=1204)
     pred = result.prediction
 
     exact_var_g2 = 15.0 / ((256**2 - 1) * 4)
@@ -216,8 +214,8 @@ def test_haar_typicality_reference_statistics():
 def test_concentration_envelope_at_large_dimension():
     # 300 Haar samples at dim 1024: at most 1% of the samples fall outside
     # three fluctuation scales of the mean, for both the second and fourth
-    # moments.  (Each sample draws 1024 x 1024 Gaussians but thin-QRs only
-    # the 32 columns it reads: about 14 s in all on 2 cores.)
+    # moments.  (Each sample draws and thin-QRs only the 1024 x 32
+    # Gaussians of the columns it reads: about 1.3 s in all on 2 cores.)
     result = typicality_experiment(1024, 2, 32, 300, seed=1205, kappa=3.0)
     assert result.tail_frac_g2 <= 0.01
     assert result.tail_frac_g4 <= 0.01

@@ -13,7 +13,6 @@ from otoc_thermalize.hilbert import (
     ManyBodySetup,
     Projector,
     UnitarySource,
-    _haar_columns,
     conjugate,
     derive_rng,
     embed_isometry,
@@ -297,14 +296,6 @@ def test_evolve_basis_rejects_dimension_mismatch():
         evolve_basis(UnitarySource.haar_cue(8, seed=0), np.eye(4), 1)
 
 
-def test_haar_columns_are_the_leading_columns_of_the_full_draw():
-    for dim, m in ((1, 1), (64, 64), (256, 16), (100, 7)):
-        full = sample_haar_unitary(dim, seed=dim)
-        assert np.array_equal(full, _haar_columns(dim, dim, np.random.default_rng(dim)))
-        np.testing.assert_allclose(_haar_columns(dim, m, np.random.default_rng(dim)),
-                                   full[:, :m], rtol=0, atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # Typicality Monte Carlo.
 # ---------------------------------------------------------------------------
@@ -350,8 +341,7 @@ def _full_draw_typicality_samples(d, d_s, d_sigma, n_samples, seed):
 
 
 def test_typicality_samples_match_the_full_draw():
-    result = typicality_experiment(256, 2, 16, n_samples=6, seed=23,
-                                   keep_samples=True)
+    result = typicality_experiment(256, 2, 16, n_samples=6, seed=23)
     g2s, g4s = _full_draw_typicality_samples(256, 2, 16, 6, 23)
     np.testing.assert_allclose(result.samples_g2, g2s, rtol=0, atol=1e-12)
     np.testing.assert_allclose(result.samples_g4, g4s, rtol=0, atol=1e-12)
@@ -359,8 +349,7 @@ def test_typicality_samples_match_the_full_draw():
 
 def test_typicality_samples_equal_the_full_draw_for_a_trivial_core():
     # D_sigma = 1 reads every column, so the draw is the full unitary
-    result = typicality_experiment(32, 2, 1, n_samples=4, seed=8,
-                                   keep_samples=True)
+    result = typicality_experiment(32, 2, 1, n_samples=4, seed=8)
     g2s, g4s = _full_draw_typicality_samples(32, 2, 1, 4, 8)
     assert np.array_equal(result.samples_g2, g2s)
     assert np.array_equal(result.samples_g4, g4s)

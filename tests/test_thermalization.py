@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from otoc_thermalize.hilbert import Projector, conjugate, sample_haar_unitary
 from otoc_thermalize.geometry import (
@@ -220,11 +220,12 @@ def test_worst_basis_dominates_sampled_bases():
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 31))
+@example(12)  # dim 32, d_r 9, full-rank P_rho
 def test_forward_bounds_sound_on_random_instances(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.choice([16, 32, 64]))
-    d_r = int(rng.integers(1, dim))
-    d_rho = int(rng.integers(1, dim))
+    d_r = int(rng.integers(1, dim + 1))
+    d_rho = int(rng.integers(1, dim + 1))
     p_r, p_rho = random_pair(dim, d_r, d_rho, seed)
     geom = halmos_decompose(p_r, p_rho)
     g2 = correlator_trace(p_r, p_rho, 1)
@@ -242,13 +243,14 @@ def test_forward_bounds_sound_on_random_instances(seed):
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2 ** 31))
+@example(82)  # d_r 18, full-rank P_rho
 def test_converse_bound_sound(seed):
     # If every tested basis has fraction <= f_max at resolution lambda, then
     # sigma2 <= lambda^2 + (1 - lambda^2) f_max.
     rng = np.random.default_rng(seed)
     dim = 24
-    p_r, p_rho = random_pair(dim, int(rng.integers(1, dim)),
-                             int(rng.integers(1, dim)), seed)
+    p_r, p_rho = random_pair(dim, int(rng.integers(1, dim + 1)),
+                             int(rng.integers(1, dim + 1)), seed)
     geom = halmos_decompose(p_r, p_rho)
     g2 = correlator_trace(p_r, p_rho, 1)
     sigma2 = angle_variance(p_r, p_rho)
