@@ -183,11 +183,16 @@ def _take_int(params, key, default, minimum=None):
     return value
 
 
-def _take_float(params, key, default):
-    value = params.pop(key, default)
+def _finite_float(key, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
     return float(value)
+
+
+def _take_float(params, key, default):
+    return _finite_float(key, params.pop(key, default))
 
 
 def _take_str(params, key, default, choices=None):
@@ -205,12 +210,7 @@ def _take_float_list(params, key, default):
         value = [value]
     if not isinstance(value, list):
         raise ConfigError(f"{key} must be a number or comma list, got {value!r}")
-    out = []
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"{key} entries must be numbers, got {item!r}")
-        out.append(float(item))
-    return out
+    return [_finite_float(f"{key} entries", item) for item in value]
 
 
 def _reject_leftovers(experiment, params):
@@ -359,8 +359,7 @@ def _run_haar_typicality(cfg: ExperimentConfig):
 
 
 def _time_grid(params, source_kind):
-    times = params.pop("times", None)
-    if times is None:
+    if "times" not in params:
         t_start = _take_float(params, "t_start", 0.0)
         t_stop = _take_float(params, "t_stop", 10.0)
         t_count = _take_int(params, "t_count", 21, minimum=1)
@@ -368,11 +367,9 @@ def _time_grid(params, source_kind):
             raise ConfigError(f"t_stop {t_stop} < t_start {t_start}")
         grid = np.linspace(t_start, t_stop, t_count)
     else:
-        if isinstance(times, (int, float)) and not isinstance(times, bool):
-            times = [times]
-        if not isinstance(times, list) or not times:
-            raise ConfigError(f"times must be a nonempty comma list, got {times!r}")
-        grid = np.asarray([float(t) for t in times])
+        grid = np.asarray(_take_float_list(params, "times", None))
+        if grid.size == 0:
+            raise ConfigError("times must be a nonempty comma list")
     if source_kind in ("cue", "circuit"):
         rounded = np.rint(grid)
         if np.any(np.abs(grid - rounded) > 0) or np.any(rounded < 0):

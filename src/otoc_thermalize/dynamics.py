@@ -2,12 +2,15 @@
 
 ``correlator_series`` evaluates G^2(t), G^4(t), sigma^2(t) and the normalized
 commutator norm for a many-body setup under a unitary source. It evolves only
-the D x D_eta core basis K (``evolve_basis_series``), never the full unitary:
-G^2, G^4 and the principal cos^2 spectrum come from the D_eta x D_eta Gram
-matrix m = c^dag c of the cross-Gram c = L^dag K_t (its eigenvalues are the
-cos^2 of the principal angles, Bjorck & Golub 1973), and the commutator norm
-from the residual (1 - P_R) K_t in C^D, through
-||[P_R, P_t]||_F^2 = 2 ||(1 - P_R) P_t P_R||_F^2, independently of G^2 - G^4.
+the D x D_eta core basis K (``evolve_basis_series``), never the full unitary,
+and applies the observable P_R = |chi><chi| (x) 1 on its own qubits: the
+cross-Gram c = L^dag K_t (D/D_S x D_eta) is <chi| contracted into the observed
+legs of K_t, so the D x D/D_S isometry L is never formed. G^2, G^4 and the
+principal cos^2 spectrum come from the D_eta x D_eta Gram matrix m = c^dag c
+(its eigenvalues are the cos^2 of the principal angles, Bjorck & Golub 1973),
+and the commutator norm from the residual R = (1 - P_R) K_t = K_t - chi (x) c,
+through ||[P_R, P_t]||_F^2 = 2 ||(1 - P_R) P_t P_R||_F^2 = 2 tr(R^dag R m),
+independently of G^2 - G^4. Peak memory is a few D x D_eta blocks.
 ``haar_prediction`` carries the exact Weingarten moments of the correlators
 over the Haar measure, and ``typicality_experiment`` tests them by Monte
 Carlo. ``swap_representation_check`` evaluates the OTOC a second way, as a
@@ -140,6 +143,23 @@ class CorrelatorSeries:
                 f"commutator identity violated: max gap {gap.max():.3e}")
 
 
+def _observed_split(setup: ManyBodySetup, kt: np.ndarray):
+    """Split K_t by the observable P_R = |chi><chi| (x) 1 on its own qubits.
+
+    Returns c = L^dag K_t (D/D_S x D_eta) and the D_eta x D_eta Gram matrix
+    R^dag R of the residual R = (1 - P_R) K_t = K_t - chi (x) c. c is <chi|
+    contracted into the observed legs of K_t's row index, which leaves the
+    environment legs in ascending qubit order, as in ``embed_isometry``.
+    """
+    chi = setup.observed_state.reshape((2,) * setup.n_observed)
+    observed = tuple(range(setup.n_observed))
+    tensor = kt.reshape((2,) * setup.n_total + (kt.shape[1],))
+    c = np.tensordot(chi.conj(), tensor, axes=(observed, setup.observed_sites))
+    residual = (tensor - np.moveaxis(np.multiply.outer(chi, c), observed,
+                                     setup.observed_sites)).reshape(kt.shape)
+    return c.reshape(setup.d_env, -1), residual.conj().T @ residual
+
+
 def correlator_series(setup: ManyBodySetup, source: UnitarySource,
                       times: Sequence[float]) -> CorrelatorSeries:
     """Evaluate the correlator series for ``setup`` under ``source``.
@@ -162,7 +182,6 @@ def correlator_series(setup: ManyBodySetup, source: UnitarySource,
         raise ValueError(
             f"source dimension {source.dim} does not match setup {setup.dim}")
     k = embed_isometry(setup, "core")          # D x D_eta
-    l = embed_isometry(setup, "observable")    # D x D_E
     d_eta = setup.d_eta
     times = np.asarray([float(t) for t in times])
     g2 = np.empty(times.shape)
@@ -171,15 +190,15 @@ def correlator_series(setup: ManyBodySetup, source: UnitarySource,
     cos2 = np.empty(times.shape + (d_eta,))
     evolved = evolve_basis_series(source, k, times)
     for i, kt in enumerate(evolved):
-        c = l.conj().T @ kt
+        c, gram = _observed_split(setup, kt)
         m = c.conj().T @ c
         g2[i] = np.trace(m).real / d_eta
         g4[i] = np.sum(np.abs(m) ** 2) / d_eta
         cos2[i] = np.clip(np.linalg.eigvalsh(m), 0.0, 1.0)
-        # (1 - P_R) P_t P_R = (K_t - L c) c^dag L^dag, and L^dag drops out of
-        # the Frobenius norm because L is an isometry
-        residual = (kt - l @ c) @ c.conj().T
-        comm[i] = np.sum(np.abs(residual) ** 2) / d_eta
+        # (1 - P_R) P_t P_R = R c^dag L^dag, so its squared Frobenius norm is
+        # tr(R^dag R c^dag c). R^dag R comes from R, not from 1 - m, so the
+        # identity check in validate still tests that K_t is an isometry
+        comm[i] = np.sum(gram * m.T).real / d_eta
     sigma2 = np.clip(g4 - g2 ** 2, 0.0, None)
     series = CorrelatorSeries(times=times, g2=g2, g4=g4, sigma2=sigma2,
                               commutator_norm=comm, cos2=cos2)

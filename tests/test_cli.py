@@ -216,6 +216,29 @@ def test_many_body_sweep_rejects_one_qubit_circuit(tmp_path, capsys):
     assert "config error" in err and "circuit" in err
 
 
+@pytest.mark.parametrize("timing, message", [
+    ("t_stop = nan", "finite"), ("t_start = -inf", "finite"),
+    ("times = 0, inf", "finite"), ("times = 0, x", "number"),
+])
+def test_many_body_sweep_time_grid_needs_finite_numbers(tmp_path, capsys,
+                                                        timing, message):
+    cfg = write_config(tmp_path, "experiment = many-body-sweep\n"
+                                 f"n = 4\nn_instances = 1\n{timing}\n")
+    assert cli.main(["run", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
+@pytest.mark.parametrize("grid", ["0.1, nan", "inf"])
+def test_verify_theorem_rejects_non_finite_lambda(tmp_path, capsys, grid):
+    cfg = write_config(tmp_path, "experiment = verify-theorem\nn = 4\n"
+                                 "n_sigma = 2\nn_instances = 2\nn_bases = 1\n"
+                                 f"lambda_grid = {grid}\n")
+    assert cli.main(["run", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "lambda_grid" in err
+
+
 def _sweep_source(kind, seed, i, n):
     """The source many-body-sweep builds for instance i."""
     if kind == "gue":

@@ -1,9 +1,11 @@
 """Tests for correlator time series, Haar predictions, and the swap check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from otoc_thermalize import hilbert
+from otoc_thermalize import dynamics, hilbert
 from otoc_thermalize.geometry import (
     correlator_from_angles,
     correlator_trace,
@@ -211,9 +213,36 @@ def test_spread_setup_core_basis_has_full_support():
     assert np.any(embed_isometry(spread_setup(), "core")[-1] != 0)
 
 
-@pytest.mark.parametrize("case", range(6))
+def entangled_pair_setup():
+    """D = 128 with an entangled two-site |chi> on out-of-order, non-leading
+    observed sites, nested inside a spread core."""
+    return ManyBodySetup(7, 2, 3, sample_haar_state(4, seed=32),
+                         sample_haar_state(8, seed=33),
+                         observed_sites=(4, 1), core_sites=(1, 6, 4))
+
+
+def series_cases():
+    """oracle_cases plus D_eta = 1 (N_sigma = N) and N_S = N_sigma splits and
+    an entangled |chi> on out-of-order sites, each for every source kind."""
+    return oracle_cases() + [
+        (default_setup(6, 1, 6),
+         UnitarySource.hamiltonian(gue_hamiltonian(64, seed=47)), [0.0, 0.9]),
+        (default_setup(6, 3, 6), UnitarySource.haar_cue(64, seed=48), [0, 2]),
+        (default_setup(6, 2, 2), UnitarySource.circuit(6, seed=49), [0, 1, 3]),
+        (default_setup(6, 3, 3),
+         UnitarySource.hamiltonian(gue_hamiltonian(64, seed=50)), [0.0, 1.7]),
+        (default_setup(6, 2, 6), UnitarySource.circuit(6, seed=59), [0, 1, 4]),
+        (default_setup(6, 2, 2), UnitarySource.haar_cue(64, seed=61), [0, 3]),
+        (entangled_pair_setup(),
+         UnitarySource.hamiltonian(gue_hamiltonian(128, seed=54)), [0.0, 0.8]),
+        (entangled_pair_setup(), UnitarySource.haar_cue(128, seed=55), [0, 1, 2]),
+        (entangled_pair_setup(), UnitarySource.circuit(7, seed=56), [0, 2, 5]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(15))
 def test_series_matches_dense_evolution_oracle(case):
-    setup, source, times = oracle_cases()[case]
+    setup, source, times = series_cases()[case]
     series = correlator_series(setup, source, times)
     p_r = tensor_embed(setup, "observable")
     p_rho = tensor_embed(setup, "core")
@@ -226,21 +255,39 @@ def test_series_matches_dense_evolution_oracle(case):
         assert abs(series.commutator_norm[i] - comm) <= 1e-12
 
 
-def cos2_cases():
-    """oracle_cases plus D_eta = 1 (N_sigma = N) and N_S = N_sigma splits."""
-    return oracle_cases() + [
-        (default_setup(6, 1, 6),
-         UnitarySource.hamiltonian(gue_hamiltonian(64, seed=47)), [0.0, 0.9]),
-        (default_setup(6, 3, 6), UnitarySource.haar_cue(64, seed=48), [0, 2]),
-        (default_setup(6, 2, 2), UnitarySource.circuit(6, seed=49), [0, 1, 3]),
-        (default_setup(6, 3, 3),
-         UnitarySource.hamiltonian(gue_hamiltonian(64, seed=50)), [0.0, 1.7]),
-    ]
+@pytest.mark.parametrize("source, times", [
+    (UnitarySource.hamiltonian(gue_hamiltonian(64, seed=63)), [1.5, 3.0]),
+    (UnitarySource.haar_cue(64, seed=64), [1, 2]),
+    (UnitarySource.circuit(6, seed=65), [4, 6]),
+])
+def test_commutator_norm_reads_the_residual(monkeypatch, source, times):
+    # a basis scaled by 1.01 keeps the chain G2 >= G4 >= G2^2 at these
+    # scrambled times but is no isometry; R^dag R = 1 - m would hide that
+    evolve_series = dynamics.evolve_basis_series
+    monkeypatch.setattr(dynamics, "evolve_basis_series", lambda *a: (
+        1.01 * kt for kt in evolve_series(*a)))
+    with pytest.raises(ValueError, match="commutator identity"):
+        correlator_series(default_setup(6, 1, 3), source, times)
 
 
-@pytest.mark.parametrize("case", range(10))
+@pytest.mark.parametrize("kind", ["circuit", "cue"])
+def test_series_peak_memory_scales_with_the_core_basis(kind):
+    # no D x D/D_S array: the n = 10 peak stays within 12 D x D_eta blocks
+    setup = default_setup(10, 1, 4)
+    source = (UnitarySource.circuit(10, seed=66) if kind == "circuit"
+              else UnitarySource.haar_cue(setup.dim, seed=67))
+    tracemalloc.start()
+    try:
+        correlator_series(setup, source, range(11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * setup.dim * setup.d_eta * 16
+
+
+@pytest.mark.parametrize("case", range(15))
 def test_series_cos2_matches_dense_decomposition(case):
-    setup, source, times = cos2_cases()[case]
+    setup, source, times = series_cases()[case]
     series = correlator_series(setup, source, times)
     assert series.cos2.shape == (len(times), setup.d_eta)
     assert np.all(np.diff(series.cos2, axis=1) >= 0)
