@@ -232,7 +232,7 @@ def _qubit_counts(params, n_default, n_s_default, n_sigma_default, nested):
     if not nested and (n_s > n or n_sigma > n):
         raise ConfigError(
             f"need N_S <= N and N_sigma <= N, got ({n_s}, {n_sigma}, {n})")
-    return n, n_s, n_sigma
+    return n, n_s, n_sigma, dim_cap
 
 
 def _product_setup(n, n_s, n_sigma) -> ManyBodySetup:
@@ -282,10 +282,10 @@ class _Worst:
         if rhs - lhs < self.slack:
             self.lhs, self.rhs, self.slack = float(lhs), float(rhs), rhs - lhs
 
-    def verdict(self, tolerance: float = SOUND_SLACK) -> Verdict:
+    def verdict(self) -> Verdict:
         if not self.seen:
             return Verdict(self.anchor, self.kind, True, 0.0, 0.0)
-        return Verdict(self.anchor, self.kind, self.slack >= -tolerance,
+        return Verdict(self.anchor, self.kind, self.slack >= -SOUND_SLACK,
                        self.lhs, self.rhs)
 
 
@@ -295,7 +295,7 @@ class _Worst:
 
 def _run_verify_theorem(cfg: ExperimentConfig):
     params = dict(cfg.params)
-    n, n_s, n_sigma = _qubit_counts(params, 7, 1, 4, nested=False)
+    n, n_s, n_sigma, _ = _qubit_counts(params, 7, 1, 4, nested=False)
     n_instances = _take_int(params, "n_instances", 50, minimum=1)
     n_bases = _take_int(params, "n_bases", 20, minimum=0)
     lambdas = _take_float_list(params, "lambda_grid", [0.05, 0.1, 0.2, 0.5])
@@ -333,7 +333,7 @@ def _run_verify_theorem(cfg: ExperimentConfig):
 
 def _run_haar_typicality(cfg: ExperimentConfig):
     params = dict(cfg.params)
-    n, n_s, n_sigma = _qubit_counts(params, 6, 1, 4, nested=False)
+    n, n_s, n_sigma, _ = _qubit_counts(params, 6, 1, 4, nested=False)
     n_samples = _take_int(params, "n_samples", 200, minimum=2)
     kappa = _take_float(params, "kappa", 3.0)
     _reject_leftovers(cfg.experiment, params)
@@ -382,7 +382,7 @@ def _time_grid(params, source_kind):
 
 def _run_many_body_sweep(cfg: ExperimentConfig):
     params = dict(cfg.params)
-    n, n_s, n_sigma = _qubit_counts(params, 8, 1, 4, nested=True)
+    n, n_s, n_sigma, _ = _qubit_counts(params, 8, 1, 4, nested=True)
     source_kind = _take_str(params, "source", "gue",
                             choices=("gue", "cue", "circuit"))
     n_instances = _take_int(params, "n_instances", 3, minimum=1)
@@ -442,7 +442,7 @@ def _run_many_body_sweep(cfg: ExperimentConfig):
 
 def _run_predictor_demo(cfg: ExperimentConfig):
     params = dict(cfg.params)
-    n, n_s, n_sigma = _qubit_counts(params, 7, 1, 4, nested=True)
+    n, n_s, n_sigma, dim_cap = _qubit_counts(params, 7, 1, 4, nested=True)
     n_instances = _take_int(params, "n_instances", 5, minimum=1)
     n_windows = _take_int(params, "n_windows", 10, minimum=1)
     t0 = _take_float(params, "t0", 0.0)
@@ -465,8 +465,8 @@ def _run_predictor_demo(cfg: ExperimentConfig):
         raise ConfigError("lambda_grid values must be positive")
     setup = _product_setup(n, n_s, n_sigma)
     d, d_s, d_sigma = setup.dim, setup.d_s, setup.d_sigma
-    a2 = tensor_embed(setup, "observable").entries - np.eye(d) / d_s
-    b2 = d_sigma * tensor_embed(setup, "core").entries - np.eye(d)
+    a2 = tensor_embed(setup, "observable", dim_cap=dim_cap).entries - np.eye(d) / d_s
+    b2 = d_sigma * tensor_embed(setup, "core", dim_cap=dim_cap).entries - np.eye(d)
     norm_a = hs_inner(a2, a2).real
     norm_b = hs_inner(b2, b2).real
     pairs = [canonical_window_pair(t0 + k * t_obs, t_horizon, t_obs, xi=xi)
@@ -546,7 +546,7 @@ def _run_sizing_table(cfg: ExperimentConfig):
 
 def _run_negative_demo(cfg: ExperimentConfig):
     params = dict(cfg.params)
-    n, n_s, n_sigma = _qubit_counts(params, 8, 1, 4, nested=False)
+    n, n_s, n_sigma, _ = _qubit_counts(params, 8, 1, 4, nested=False)
     n_samples = _take_int(params, "n_samples", 200, minimum=2)
     _reject_leftovers(cfg.experiment, params)
     d, d_sigma = 2 ** n, 2 ** n_sigma
@@ -652,11 +652,10 @@ def _print_verdicts(experiment: str, verdicts: Sequence[Verdict],
         print(f"{experiment}: {note}", file=sys.stderr)
 
 
-def run(config) -> int:
-    """Execute one experiment; returns the process exit code."""
+def run(config: Dict[str, object]) -> int:
+    """Execute the experiment a config mapping names; returns the exit code."""
     try:
-        cfg = (config if isinstance(config, ExperimentConfig)
-               else ExperimentConfig.from_mapping(dict(config)))
+        cfg = ExperimentConfig.from_mapping(dict(config))
         runner, _ = EXPERIMENTS[cfg.experiment]
         result = runner(cfg)
     except ConfigError as exc:
@@ -716,18 +715,17 @@ def main(argv=None) -> int:
 
     try:
         mapping = load_config(args.config)
-        # flags win over config-file values
-        if args.seed is not None:
-            mapping["seed"] = args.seed
-        if args.out is not None:
-            mapping["out"] = args.out
-        if args.fmt is not None:
-            mapping["format"] = args.fmt
-        cfg = ExperimentConfig.from_mapping(mapping)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return run(cfg)
+    # flags win over config-file values
+    if args.seed is not None:
+        mapping["seed"] = args.seed
+    if args.out is not None:
+        mapping["out"] = args.out
+    if args.fmt is not None:
+        mapping["format"] = args.fmt
+    return run(mapping)
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from .hilbert import (
     ManyBodySetup,
     Projector,
     UnitarySource,
+    _on_sites,
     derive_rng,
     embed_isometry,
     evolve_basis_series,
@@ -132,13 +133,13 @@ class CorrelatorSeries:
     commutator_norm: np.ndarray
     cos2: np.ndarray
 
-    def validate(self, tol: float = SERIES_TOL) -> None:
-        """Check the pointwise chain and the commutator identity; raise on failure."""
+    def validate(self) -> None:
+        """Check the chain and the identity to ``SERIES_TOL``; raise on failure."""
         g2, g4 = self.g2, self.g4
-        if np.any(g4 > g2 + tol) or np.any(g2 ** 2 > g4 + tol):
+        if np.any(g4 > g2 + SERIES_TOL) or np.any(g2 ** 2 > g4 + SERIES_TOL):
             raise ValueError("inequality chain G2 >= G4 >= (G2)^2 violated")
         gap = np.abs((g2 - g4) - self.commutator_norm)
-        if np.any(gap > tol):
+        if np.any(gap > SERIES_TOL):
             raise ValueError(
                 f"commutator identity violated: max gap {gap.max():.3e}")
 
@@ -149,15 +150,15 @@ def _observed_split(setup: ManyBodySetup, kt: np.ndarray):
     Returns c = L^dag K_t (D/D_S x D_eta) and the D_eta x D_eta Gram matrix
     R^dag R of the residual R = (1 - P_R) K_t = K_t - chi (x) c. c is <chi|
     contracted into the observed legs of K_t's row index, which leaves the
-    environment legs in ascending qubit order, as in ``embed_isometry``.
+    environment legs in ascending qubit order, as ``_on_sites`` expects.
     """
-    chi = setup.observed_state.reshape((2,) * setup.n_observed)
+    chi = setup.observed_state
     observed = tuple(range(setup.n_observed))
     tensor = kt.reshape((2,) * setup.n_total + (kt.shape[1],))
-    c = np.tensordot(chi.conj(), tensor, axes=(observed, setup.observed_sites))
-    residual = (tensor - np.moveaxis(np.multiply.outer(chi, c), observed,
-                                     setup.observed_sites)).reshape(kt.shape)
-    return c.reshape(setup.d_env, -1), residual.conj().T @ residual
+    c = np.tensordot(chi.conj().reshape((2,) * setup.n_observed), tensor,
+                     axes=(observed, setup.observed_sites)).reshape(setup.d_env, -1)
+    residual = kt - _on_sites(chi, setup.observed_sites, setup.n_total, c)
+    return c, residual.conj().T @ residual
 
 
 def correlator_series(setup: ManyBodySetup, source: UnitarySource,
@@ -317,14 +318,13 @@ def typicality_experiment(d: int, d_s: int, d_sigma: int, n_samples: int,
     )
 
 
-def swap_representation_check(p_r: Projector, p_rho_t: Projector,
-                              dsq_cap: int = DIM_CAP_DEFAULT):
+def swap_representation_check(p_r: Projector, p_rho_t: Projector):
     """Evaluate the OTOC two ways: direct trace vs swap-operator form.
 
     The swap form is Tr[(P_R (x) P_R) . SWAP . (P (x) P)] / D_rho, contracted
     as the four-tensor network sum_{abcd} R_ab R_cd P_da P_bc without forming
     the direct product matrices. The doubled space squares the dimension, so
-    the check requires D^2 <= ``dsq_cap``.
+    the check requires D^2 <= ``DIM_CAP_DEFAULT``.
 
     Returns
     -------
@@ -332,9 +332,9 @@ def swap_representation_check(p_r: Projector, p_rho_t: Projector,
         Direct trace, swap form, and |lhs - rhs|.
     """
     d = p_r.dim
-    if d * d > dsq_cap:
+    if d * d > DIM_CAP_DEFAULT:
         raise ValueError(
-            f"doubled dimension {d * d} exceeds cap {dsq_cap}")
+            f"doubled dimension {d * d} exceeds cap {DIM_CAP_DEFAULT}")
     lhs = correlator_trace(p_r, p_rho_t, 2)
     r, p = p_r.entries, p_rho_t.entries
     rhs_c = np.einsum("ab,cd,da,bc->", r, r, p, p, optimize=True)

@@ -1,12 +1,15 @@
 """Complex linear algebra substrate.
 
-Operators and projectors on C^D, tensor embeddings of subsystem states into a
-qubit register, Haar-random unitary sampling, and time evolution from several
+Projectors on C^D, tensor embeddings of subsystem states into a qubit
+register, Haar-random unitary sampling, and time evolution from several
 unitary sources (Hamiltonian, circular unitary ensemble, brickwork circuit).
-Operators and projectors are dense D x D matrices. Time evolution acts on a
-D x r basis: ``evolve_basis`` returns U(t) K without forming U(t), and
-``evolve`` is its special case K = 1; ``evolve_basis_series`` walks a time
-grid, carrying a circuit's block forward. The default dimension cap is 2**14.
+Projectors are dense D x D matrices. Time evolution acts on a D x r basis K
+and goes through ``evolve_basis_series``, the one routine that knows each
+source: it yields U(t) K on a time grid without forming U(t), carrying a
+circuit's block forward; ``evolve_basis`` is its one-time case and
+``evolve`` its case K = 1. A state is placed on its qubits in one way
+(``_on_sites``), and a brickwork gate is a 4 x 4 matmul on a
+(2^a, 4, rest) view of the block. The default dimension cap is 2**14.
 """
 
 from __future__ import annotations
@@ -121,10 +124,18 @@ def gue_hamiltonian(dim: int, seed=None, rng=None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Operator:
-    """A dense D x D complex matrix with finite entries."""
+class Projector:
+    """An orthogonal projector: a dense D x D complex matrix and its integer rank.
+
+    The constructor checks that the matrix is square, nonempty and finite and
+    that the rank lies in [0, D]. ``validate`` checks hermiticity, idempotence
+    and the trace/rank match at the module tolerances; constructors in this
+    package call it so that numerical degradation surfaces as an error
+    instead of propagating.
+    """
 
     entries: np.ndarray
+    rank: int = 0
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=complex)
@@ -135,27 +146,12 @@ class Operator:
         if not np.all(np.isfinite(entries.view(float))):
             raise ValueError("operator entries must be finite")
         object.__setattr__(self, "entries", entries)
+        if not (0 <= self.rank <= self.dim):
+            raise ValueError(f"rank {self.rank} out of range for dim {self.dim}")
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class Projector(Operator):
-    """An orthogonal projector with its integer rank.
-
-    ``validate`` checks hermiticity, idempotence and the trace/rank match at
-    the module tolerances; constructors in this package call it so that
-    numerical degradation surfaces as an error instead of propagating.
-    """
-
-    rank: int = 0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (0 <= self.rank <= self.dim):
-            raise ValueError(f"rank {self.rank} out of range for dim {self.dim}")
 
     def validate(self) -> None:
         """Raise ValueError if the projector invariants fail at tolerance."""
@@ -290,18 +286,19 @@ class ManyBodySetup:
         return self.d_env
 
 
-def _site_permutation(sites: Sequence[int], n_total: int) -> np.ndarray:
-    """Map canonical basis index j to the index in (sites, others) block order.
+def _on_sites(state: np.ndarray, sites: Sequence[int], n_total: int,
+              block: np.ndarray) -> np.ndarray:
+    """Return |state> on ``sites`` tensored with ``block`` on the other qubits.
 
-    Qubit 0 is the leftmost (most significant) tensor factor.
+    ``block`` is (2^n_total / len(state)) x r, its rows indexing the
+    remaining qubits in ascending order; the result is the 2^n_total x r
+    block with qubit 0 the leftmost (most significant) tensor factor.
     """
-    order = list(sites) + [q for q in range(n_total) if q not in sites]
-    j = np.arange(2 ** n_total)
-    out = np.zeros_like(j)
-    for k, q in enumerate(order):
-        bit = (j >> (n_total - 1 - q)) & 1
-        out |= bit << (n_total - 1 - k)
-    return out
+    n_sites = len(sites)
+    outer = np.multiply.outer(state.reshape((2,) * n_sites),
+                              block.reshape((2,) * (n_total - n_sites) + (-1,)))
+    return np.moveaxis(outer, tuple(range(n_sites)), sites).reshape(
+        2 ** n_total, -1)
 
 
 def embed_isometry(setup: ManyBodySetup, which: str) -> np.ndarray:
@@ -318,13 +315,7 @@ def embed_isometry(setup: ManyBodySetup, which: str) -> np.ndarray:
         state, sites = setup.core_state, setup.core_sites
     else:
         raise ValueError(f"which must be 'observable' or 'core', got {which!r}")
-    d = setup.dim
-    d_rest = d // len(state)
-    # row j carries (site block a, rest index e): the entry state[a] at column e
-    a, e = divmod(_site_permutation(sites, setup.n_total), d_rest)
-    block = np.zeros((d, d_rest), dtype=complex)
-    block[np.arange(d), e] = state[a]
-    return block
+    return _on_sites(state, sites, setup.n_total, np.eye(setup.dim // len(state)))
 
 
 def tensor_embed(setup: ManyBodySetup, which: str,
@@ -399,86 +390,74 @@ def _apply_circuit(source: UnitarySource, k: np.ndarray, start: int,
                    stop: int) -> np.ndarray:
     """Apply brickwork layers ``start .. stop-1`` to the columns of ``k``.
 
-    Each two-qubit gate is contracted into legs (a, a+1) of the row index of
-    the D x r block, as in a state-vector simulation; layer l acts on the
-    pairs starting at qubit l mod 2.
+    Layer l acts on the qubit pairs (a, a+1) starting at a = l mod 2. Qubit
+    a is the (a+1)-th most significant bit of the row index, so its gate is
+    a 4 x 4 matmul on the middle axis of the (2^a, 4, rest) view of the
+    D x r block.
     """
-    n = source.n_sites
-    tensor = k.reshape((2,) * n + (k.shape[1],))
     for layer in range(start, stop):
-        for slot, a in enumerate(range(layer % 2, n - 1, 2)):
+        for slot, a in enumerate(range(layer % 2, source.n_sites - 1, 2)):
             gate = sample_haar_unitary(4, rng=derive_rng(source.seed, "layer", layer, slot))
-            tensor = np.tensordot(gate.reshape(2, 2, 2, 2), tensor,
-                                  axes=[(2, 3), (a, a + 1)])
-            tensor = np.moveaxis(tensor, (0, 1), (a, a + 1))
-    return tensor.reshape(k.shape)
+            k = (gate @ k.reshape(2 ** a, 4, -1)).reshape(k.shape)
+    return k
 
 
-def _integer_time(source: UnitarySource, t: float) -> int:
-    """The step index of an ensemble source's time ``t``."""
-    step = int(round(t)) if np.isfinite(t) else -1
-    if step < 0 or abs(t - step) > 1e-12:
-        raise ValueError(
-            f"{source.kind} sources are defined on nonnegative integer times, got {t}")
-    return step
+def evolve_basis_series(source: UnitarySource, k: np.ndarray,
+                        times: Sequence[float]) -> Iterator[np.ndarray]:
+    """Yield U(t) K for each t in ``times``, in order, never forming U(t).
 
-
-def evolve_basis(source: UnitarySource, k: np.ndarray, t: float) -> np.ndarray:
-    """Return U(t) K for a D x r matrix K without forming the D x D U(t).
-
-    Hamiltonian sources accept any real t (with U(t1) U(t2) = U(t1+t2));
-    the ensemble variants accept nonnegative integers, t = 0 giving K.
-    Costs: O(D^2 r) for a Hamiltonian; for CUE, the leading m columns of
-    the Haar unitary (D x m Gaussians and a thin QR, O(D m^2)), where m is
-    one plus the index of the last nonzero row of K; O(t D r) for a circuit
-    (``evolve_basis_series`` makes a whole ascending grid cost what its last
-    time does).
+    K is a D x r matrix. Hamiltonian sources accept any real t (with
+    U(t1) U(t2) = U(t1+t2)); the ensemble variants accept nonnegative
+    integers, t = 0 giving a copy of K. Costs per time: O(D^2 r) for a
+    Hamiltonian, whose V^dag K is formed once per series; for CUE, the
+    leading m columns of the Haar unitary (D x m Gaussians and a thin QR,
+    O(D m^2)), where m is one plus the index of the last nonzero row of K.
+    A circuit carries its block forward while the times do not decrease,
+    applying only the layers between consecutive times at O(D r) each, so a
+    grid t = 0..T costs T layers rather than T(T+1)/2; a decreasing time
+    starts again from K.
     """
     k = np.asarray(k, dtype=complex)
     if k.ndim != 2 or k.shape[0] != source.dim:
         raise ValueError(
             f"dimension mismatch: source acts on {source.dim}, K is {k.shape}")
-    if not np.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
     if source.kind == "hamiltonian":
-        phases = np.exp(-1j * float(t) * source.evals)
         # V^dag K as conj(V^T conj(K)): V^T is a view, V.conj() a D x D copy
         coeffs = (source.evecs.T @ k.conj()).conj()
-        return source.evecs @ (phases[:, None] * coeffs)
-    step = _integer_time(source, t)
-    if step == 0:
-        return k.copy()
-    if source.kind == "haar_cue":
+    elif source.kind == "haar_cue":
         m = int(np.max(np.flatnonzero(np.any(k != 0, axis=1)), initial=0)) + 1
-        q = sample_haar_unitary(source.dim, rng=derive_rng(source.seed, "cue", step),
-                                columns=m)
-        return q @ k[:m]
-    if source.kind == "circuit":
-        return _apply_circuit(source, k, 0, step)
-    raise ValueError(f"unknown source kind {source.kind!r}")
-
-
-def evolve_basis_series(source: UnitarySource, k: np.ndarray,
-                        times: Sequence[float]) -> Iterator[np.ndarray]:
-    """Yield ``evolve_basis(source, k, t)`` for each t in ``times``, in order.
-
-    A circuit source carries the evolved block forward while the times do
-    not decrease, applying only the layers between consecutive times, so a
-    grid t = 0..T costs T layers rather than T(T+1)/2. A decreasing time
-    starts again from K. Other sources evolve K afresh at every time.
-    """
+    elif source.kind != "circuit":
+        raise ValueError(f"unknown source kind {source.kind!r}")
     depth, kt = None, None
     for t in times:
-        if source.kind != "circuit":
-            yield evolve_basis(source, k, t)
+        if not np.isfinite(t):
+            raise ValueError(f"time must be finite, got {t}")
+        if source.kind == "hamiltonian":
+            phases = np.exp(-1j * float(t) * source.evals)
+            yield source.evecs @ (phases[:, None] * coeffs)
             continue
-        step = _integer_time(source, t)
-        if depth is None or step < depth:
-            kt = evolve_basis(source, k, t)
+        step = int(round(t))
+        if step < 0 or abs(t - step) > 1e-12:
+            raise ValueError(
+                f"{source.kind} sources are defined on nonnegative integer times, got {t}")
+        if step == 0:
+            yield k.copy()
+        elif source.kind == "haar_cue":
+            # no name binds the D x m draw, so it is freed before the yield
+            yield sample_haar_unitary(source.dim, rng=derive_rng(source.seed, "cue", step),
+                                      columns=m) @ k[:m]
         else:
+            if depth is None or step < depth:
+                # layer 0 has a gate, so the block yielded is never K itself
+                depth, kt = 0, k
             kt = _apply_circuit(source, kt, depth, step)
-        depth = step
-        yield kt
+            depth = step
+            yield kt
+
+
+def evolve_basis(source: UnitarySource, k: np.ndarray, t: float) -> np.ndarray:
+    """Return U(t) K for a D x r matrix K: ``evolve_basis_series`` at one time."""
+    return next(evolve_basis_series(source, k, [t]))
 
 
 def evolve(source: UnitarySource, t: float) -> np.ndarray:

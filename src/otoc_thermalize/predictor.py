@@ -19,6 +19,8 @@ from typing import Optional
 
 import numpy as np
 
+from .hilbert import derive_rng, sample_haar_unitary
+
 #: sin(xi) closer to zero than this makes the window constants singular.
 SIN_XI_TOL = 1e-12
 
@@ -354,8 +356,6 @@ def fourth_order_negative_demo(d: int, d_s: int, d_sigma: int,
     each sample draws only its leading D_rho columns: D x D_rho Gaussians
     and a thin QR, O(D D_rho^2) instead of O(D^3).
     """
-    from .hilbert import derive_rng, sample_haar_unitary  # local to avoid cycle
-
     if d % d_s != 0 or d % d_sigma != 0:
         raise ValueError("d_s and d_sigma must divide d")
     if n_samples < 2:

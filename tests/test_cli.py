@@ -375,3 +375,14 @@ def test_run_accepts_plain_mapping(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == ",".join(CSV_COLUMNS)
     assert len(out.splitlines()) == 2
+
+
+def test_predictor_demo_passes_dim_cap_to_the_embedding(monkeypatch, capsys):
+    caps = []
+    embed = cli.tensor_embed
+    monkeypatch.setattr(cli, "tensor_embed", lambda setup, which, **kw: (
+        caps.append(kw.get("dim_cap")) or embed(setup, which, **kw)))
+    code = cli.run({"experiment": "predictor-demo", "n": 5, "n_sigma": 3,
+                    "n_instances": 1, "n_windows": 1, "dim_cap": 64})
+    assert code == EXIT_PASS, capsys.readouterr().err
+    assert caps == [64, 64]

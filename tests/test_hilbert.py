@@ -8,11 +8,12 @@ from otoc_thermalize.hilbert import (
     ManyBodySetup,
     Projector,
     UnitarySource,
-    _site_permutation,
     conjugate,
     derive_rng,
     embed_isometry,
     evolve,
+    evolve_basis,
+    evolve_basis_series,
     gue_hamiltonian,
     sample_haar_state,
     sample_haar_unitary,
@@ -179,9 +180,23 @@ def test_embed_isometry_columns_orthonormal():
         assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-12
 
 
+def _site_permutation(sites, n_total):
+    """Map canonical basis index j to the index in (sites, others) block order.
+
+    Qubit 0 is the leftmost (most significant) tensor factor.
+    """
+    order = list(sites) + [q for q in range(n_total) if q not in sites]
+    j = np.arange(2 ** n_total)
+    out = np.zeros_like(j)
+    for k, q in enumerate(order):
+        bit = (j >> (n_total - 1 - q)) & 1
+        out |= bit << (n_total - 1 - k)
+    return out
+
+
 def test_embed_isometry_equals_the_kron_construction():
-    # the scattered isometry equals |state> (x) 1 with the site permutation
-    # applied to its rows (kron leaves -0.0 where the scatter writes +0.0)
+    # the embedded isometry equals |state> (x) 1 with the site permutation
+    # applied to its rows (the two may differ in the sign of a zero)
     rng = np.random.default_rng(9)
     setups = [
         ManyBodySetup(5, 1, 2, sample_haar_state(2, rng=rng), sample_haar_state(4, rng=rng)),
@@ -257,6 +272,33 @@ class TestEvolve:
         src = UnitarySource.circuit(5, seed=7)
         u = evolve(src, 4)
         assert np.linalg.norm(u.conj().T @ u - np.eye(32)) <= UNITARITY_TOL * 32
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_circuit_equals_the_kron_brickwork(self, n):
+        # independent oracle: layer l is the product of kron(1_{2^a}, gate,
+        # 1_rest) over its pairs (a, a+1), a = l mod 2, l mod 2 + 2, ...
+        seed = 40 + n
+        u = np.eye(2 ** n, dtype=complex)
+        for t in range(5):
+            np.testing.assert_allclose(evolve(UnitarySource.circuit(n, seed), t), u,
+                                       rtol=0, atol=1e-12)
+            for slot, a in enumerate(range(t % 2, n - 1, 2)):
+                gate = sample_haar_unitary(4, rng=derive_rng(seed, "layer", t, slot))
+                u = np.kron(np.kron(np.eye(2 ** a), gate), np.eye(2 ** (n - a - 2))) @ u
+
+    @pytest.mark.parametrize("source", [
+        UnitarySource.hamiltonian(gue_hamiltonian(16, seed=2)),
+        UnitarySource.haar_cue(16, seed=3),
+        UnitarySource.circuit(4, seed=4),
+    ], ids=lambda s: s.kind)
+    def test_time_zero_block_is_a_copy_of_k(self, source):
+        k = sample_haar_unitary(16, seed=5, columns=3)
+        k_before = k.copy()
+        for block in (evolve_basis(source, k, 0),
+                      next(evolve_basis_series(source, k, [0, 2, 1]))):
+            np.testing.assert_allclose(block, k, rtol=0, atol=1e-12)
+            block[...] = 7.0
+            assert np.array_equal(k, k_before)
 
 
 def test_conjugate_preserves_rank_and_trace():
