@@ -661,6 +661,9 @@ def run(config: Dict[str, object]) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ArithmeticError as exc:  # a finite config number overflowed a formula
+        print(f"config error: {exc}: a value is out of numeric range", file=sys.stderr)
+        return EXIT_CONFIG
     except (AssertionError, ValueError) as exc:
         # post-validation failures are soundness bugs in the checked math
         print(f"soundness failure: {exc}", file=sys.stderr)

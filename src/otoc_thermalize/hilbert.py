@@ -415,7 +415,8 @@ def evolve_basis_series(source: UnitarySource, k: np.ndarray,
     A circuit carries its block forward while the times do not decrease,
     applying only the layers between consecutive times at O(D r) each, so a
     grid t = 0..T costs T layers rather than T(T+1)/2; a decreasing time
-    starts again from K.
+    starts again from K. Circuit blocks for t > 0 are read-only: the next
+    block is computed from the last, which a time with no new gate yields again.
     """
     k = np.asarray(k, dtype=complex)
     if k.ndim != 2 or k.shape[0] != source.dim:
@@ -452,6 +453,7 @@ def evolve_basis_series(source: UnitarySource, k: np.ndarray,
                 depth, kt = 0, k
             kt = _apply_circuit(source, kt, depth, step)
             depth = step
+            kt.flags.writeable = False
             yield kt
 
 

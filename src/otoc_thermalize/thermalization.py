@@ -7,7 +7,8 @@ bounds: the guaranteed dimension of the thermal subspace, the upper bound on
 the fraction of nonthermal basis states (valid for *every* orthonormal basis
 of the range), the converse variance bound, the witness lower bound achieved
 by the principal-axes basis, and the core-sizing arithmetic that turns a
-target resolution and fraction into a minimum core dimension.
+target resolution and fraction into a minimum core dimension. Basis probes
+are taken in the principal-axes frame, where P_R on range(P_rho) is diag(cos^2).
 """
 
 from __future__ import annotations
@@ -81,35 +82,27 @@ def thermal_subspace(g: SubspaceGeometry, lam: float):
     return Projector.from_isometry(basis), int(np.count_nonzero(keep))
 
 
-def empirical_nonthermal_fraction(p_r: Projector, basis: np.ndarray,
+def empirical_nonthermal_fraction(cos2: np.ndarray, q: np.ndarray,
                                   g2: float, lam: float) -> float:
-    """Measured fraction of basis states with |<b|P_R|b> - G^2| > lambda.
+    """Measured fraction of probe states with |<b|P_R|b> - G^2| > lambda.
 
-    The inequality is strict, so boundary ties count as thermal. The columns
-    of ``basis`` must be orthonormal (checked; violation raises).
+    ``q`` (d_rho x n) holds a basis of range(P_rho) in the principal axes, so
+    state j has <b|P_R|b> = sum_k cos2_k |q_kj|^2; ``q = 1`` is the
+    principal-axes basis. The inequality is strict, so boundary ties count as
+    thermal. The columns of ``q`` must be orthonormal (checked; violation
+    raises).
     """
-    basis = np.asarray(basis, dtype=complex)
-    if basis.ndim != 2 or basis.shape[0] != p_r.dim:
-        raise ValueError(f"basis shape {basis.shape} incompatible with dim {p_r.dim}")
-    n = basis.shape[1]
+    q = np.asarray(q, dtype=complex)
+    if q.ndim != 2 or q.shape[0] != cos2.size:
+        raise ValueError(f"basis shape {q.shape} incompatible with d_rho {cos2.size}")
+    n = q.shape[1]
     if n < 1:
         raise ValueError("basis must contain at least one column")
-    defect = np.linalg.norm(basis.conj().T @ basis - np.eye(n))
+    defect = np.linalg.norm(q.conj().T @ q - np.eye(n))
     if defect > BASIS_TOL:
         raise ValueError(f"basis not orthonormal: defect {defect:.3e}")
-    expect = np.einsum("ij,ij->j", basis.conj(), p_r.entries @ basis).real
+    expect = cos2 @ np.abs(q) ** 2
     return float(np.count_nonzero(np.abs(expect - g2) > lam)) / n
-
-
-def worst_case_basis(g: SubspaceGeometry) -> np.ndarray:
-    """The principal axes |w_k>: the adversarial basis witnessing nonthermality."""
-    return g.axes_w
-
-
-def haar_rotated_basis(g: SubspaceGeometry, seed=None, rng=None) -> np.ndarray:
-    """A Haar-random orthonormal basis of range(P_rho)."""
-    q = sample_haar_unitary(g.d_rho, seed=seed, rng=rng)
-    return g.axes_w @ q
 
 
 def converse_variance_bound(lam: float, f_max: float) -> float:
@@ -216,12 +209,13 @@ def thermalization_report(p_r: Projector, p_rho: Projector, lam: float,
     g4 = correlator_trace(p_r, p_rho, 2)
     sigma2 = max(0.0, g4 - g2 * g2)
     f_bound, vacuous = bound_nonthermal_fraction(sigma2, lam)
-    dim_achieved = int(np.count_nonzero(thermal_axes(geom.cos2, lam)))
-    worst_f = empirical_nonthermal_fraction(p_r, worst_case_basis(geom), g2, lam)
+    cos2 = geom.cos2
+    dim_achieved = int(np.count_nonzero(thermal_axes(cos2, lam)))
+    worst_f = empirical_nonthermal_fraction(cos2, np.eye(geom.d_rho), g2, lam)
     rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed, "report-bases")
     empirical = [
         empirical_nonthermal_fraction(
-            p_r, haar_rotated_basis(geom, rng=rng), g2, lam)
+            cos2, sample_haar_unitary(geom.d_rho, rng=rng), g2, lam)
         for _ in range(n_bases)
     ]
     f_max = max([worst_f, *empirical], default=worst_f)

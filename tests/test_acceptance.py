@@ -47,7 +47,6 @@ from otoc_thermalize.thermalization import (
     empirical_nonthermal_fraction,
     nonthermal_witness_bound,
     thermalization_report,
-    worst_case_basis,
 )
 
 BOUND_SLACK = 1e-9
@@ -176,12 +175,12 @@ def test_worst_basis_achieves_witness_floor():
         geom = halmos_decompose(p_r, p_rho)
         g2 = correlator_from_angles(geom, 1)
         gamma2 = angle_variance(p_r, p_rho)  # use the measured variance
-        basis = worst_case_basis(geom)
+        basis = np.eye(geom.d_rho)
         for lam in lambdas:
             if lam**2 >= gamma2:
                 continue  # witness floor is non-positive: nothing to check
             floor = nonthermal_witness_bound(gamma2, lam)
-            f = empirical_nonthermal_fraction(p_r, basis, g2, lam)
+            f = empirical_nonthermal_fraction(geom.cos2, basis, g2, lam)
             if f < floor - BOUND_SLACK:
                 violations += 1
     assert violations == 0

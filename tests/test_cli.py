@@ -368,6 +368,27 @@ def test_sizing_table_out_of_range_grid_is_config_error(tmp_path, capsys,
     assert "config error" in err and message in err
 
 
+@pytest.mark.parametrize("config", [
+    "experiment = verify-theorem\nn = 4\nn_sigma = 2\nn_instances = 1\n"
+    "n_bases = 1\nlambda_grid = 1e200\n",
+    "experiment = many-body-sweep\nn = 4\nn_sigma = 2\nn_instances = 1\n"
+    "t_count = 2\nlambda_grid = 1e200\n",
+    "experiment = predictor-demo\nn = 4\nn_sigma = 2\nn_instances = 1\n"
+    "n_windows = 2\nlambda_grid = 1e-200\n",
+    "experiment = predictor-demo\nn = 4\nn_sigma = 2\nn_instances = 1\n"
+    "n_windows = 2\nepsilon = 1e200\nlambda_grid = 0.5\n",
+    "experiment = sizing-table\nlambda_rel_grid = 1e-120\n",
+], ids=["verify-lambda", "sweep-lambda", "predictor-lambda",
+        "predictor-epsilon", "sizing-lambda"])
+def test_finite_config_number_out_of_float_range_is_config_error(
+        tmp_path, capsys, config):
+    cfg = write_config(tmp_path, config)
+    assert cli.main(["run", "--config", cfg]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error") and "out of numeric range" in err
+
+
 def test_run_accepts_plain_mapping(capsys):
     code = cli.run({"experiment": "sizing-table",
                     "lambda_rel_grid": [0.5], "f_grid": [0.5]})

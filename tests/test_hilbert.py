@@ -300,6 +300,18 @@ class TestEvolve:
             block[...] = 7.0
             assert np.array_equal(k, k_before)
 
+    @pytest.mark.parametrize("n, times", [(2, [1, 2]), (4, [1, 1, 3])])
+    def test_carried_circuit_blocks_are_read_only(self, n, times):
+        # n = 2 has no gate in odd layers and a repeated time applies none,
+        # so the series may yield one block object twice
+        source = UnitarySource.circuit(n, seed=1 if n == 2 else 3)
+        k = sample_haar_unitary(2 ** n, seed=5, columns=2)
+        expected = [evolve_basis(source, k, t) for t in times]
+        for block, want in zip(evolve_basis_series(source, k, times), expected):
+            with pytest.raises(ValueError, match="read-only"):
+                block[...] = 0.0
+            np.testing.assert_allclose(block, want, rtol=0, atol=1e-12)
+
 
 def test_conjugate_preserves_rank_and_trace():
     rng = np.random.default_rng(17)

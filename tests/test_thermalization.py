@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from _dense import dense_expectations, dense_nonthermal_fraction
+from otoc_thermalize import thermalization
 from otoc_thermalize.hilbert import Projector, conjugate, sample_haar_unitary
 from otoc_thermalize.geometry import (
     angle_variance,
@@ -16,12 +18,10 @@ from otoc_thermalize.thermalization import (
     converse_variance_bound,
     core_sizing,
     empirical_nonthermal_fraction,
-    haar_rotated_basis,
     nonthermal_witness_bound,
     thermal_axes,
     thermal_subspace,
     thermalization_report,
-    worst_case_basis,
 )
 
 FLOAT_SLACK = 1e-9
@@ -166,30 +166,94 @@ def test_empirical_fraction_zero_for_aligned_pair():
     p_r = Projector.coordinate(6, 4)
     p_rho = Projector.coordinate(6, 2)
     geom = halmos_decompose(p_r, p_rho)
-    f = empirical_nonthermal_fraction(p_r, worst_case_basis(geom), 1.0, 0.05)
+    f = empirical_nonthermal_fraction(geom.cos2, np.eye(geom.d_rho), 1.0, 0.05)
     assert f == 0.0
 
 
 def test_empirical_fraction_one_for_maximal_variance():
     p_r, p_rho = maximal_variance_pair()
     geom = halmos_decompose(p_r, p_rho)
-    f = empirical_nonthermal_fraction(p_r, worst_case_basis(geom), 0.5, 0.3)
+    f = empirical_nonthermal_fraction(geom.cos2, np.eye(geom.d_rho), 0.5, 0.3)
     assert f == 1.0
 
 
 def test_empirical_fraction_rejects_nonorthonormal_basis():
-    p_r, p_rho = maximal_variance_pair()
-    bad = np.ones((4, 2), dtype=complex)
+    geom = halmos_decompose(*maximal_variance_pair())
+    bad = np.ones((2, 2), dtype=complex)
     with pytest.raises(ValueError, match="orthonormal"):
-        empirical_nonthermal_fraction(p_r, bad, 0.5, 0.1)
+        empirical_nonthermal_fraction(geom.cos2, bad, 0.5, 0.1)
 
 
 def test_strict_inequality_boundary_counts_as_thermal():
     # expectation deviates by exactly lambda: strict ">" keeps it thermal
-    p_r = Projector.coordinate(2, 1)
-    basis = np.eye(2, dtype=complex)[:, :1]
-    f = empirical_nonthermal_fraction(p_r, basis, 0.5, 0.5)
+    geom = halmos_decompose(Projector.coordinate(2, 1), Projector.coordinate(2, 1))
+    f = empirical_nonthermal_fraction(geom.cos2, np.eye(1), 0.5, 0.5)
     assert f == 0.0
+
+
+def _coordinate_pair(dim, r_cols, rho_cols):
+    e = np.eye(dim, dtype=complex)
+    return Projector.from_isometry(e[:, r_cols]), Projector.from_isometry(e[:, rho_cols])
+
+
+@pytest.mark.parametrize("pair", [
+    _coordinate_pair(8, [0, 1, 2, 3, 4], [1, 2]),        # nested: zero angles
+    _coordinate_pair(8, [0, 1], [2, 3, 4]),              # orthogonal ranges
+    random_pair(16, 3, 9, seed=21),                      # d_rho > d_r
+    random_pair(16, 5, 16, seed=22),                     # full-rank P_rho
+    random_pair(16, 6, 1, seed=23),                      # d_rho = 1
+    random_pair(32, 12, 8, seed=24),
+    random_pair(32, 20, 12, seed=25),
+], ids=["nested", "orthogonal", "d_rho>d_r", "full-rank", "d_rho=1",
+        "random-a", "random-b"])
+def test_principal_axes_probes_match_the_dense_oracle(pair):
+    # In the principal axes P_R restricted to range(P_rho) is diag(cos^2):
+    # the coordinates q probe the same states as the D x n basis w q.
+    p_r, p_rho = pair
+    geom = halmos_decompose(p_r, p_rho)
+    g2 = correlator_trace(p_r, p_rho, 1)
+    rng = np.random.default_rng(31)
+    probes = [np.eye(geom.d_rho)]
+    probes += [sample_haar_unitary(geom.d_rho, rng=rng) for _ in range(5)]
+    compared = 0
+    for q in probes:
+        dense = dense_expectations(p_r, geom.axes_w @ q)
+        np.testing.assert_allclose(geom.cos2 @ np.abs(q) ** 2, dense,
+                                   rtol=0, atol=1e-12)
+        for lam in (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7):
+            if np.min(np.abs(np.abs(dense - g2) - lam)) <= 1e-9:
+                continue  # a tie: the two routes may round to either side
+            compared += 1
+            assert (empirical_nonthermal_fraction(geom.cos2, q, g2, lam)
+                    == dense_nonthermal_fraction(p_r, geom.axes_w @ q, g2, lam))
+    assert compared >= 30
+
+
+def test_report_draws_one_d_rho_unitary_per_basis(monkeypatch):
+    # the probe bases come from the generator passed in, n_bases draws of
+    # size d_rho in order, and the fractions match the dense oracle on them
+    p_r, p_rho = random_pair(32, 12, 8, seed=26)
+    calls, qs = [], []
+    draw = thermalization.sample_haar_unitary
+
+    def recorder(dim, seed=None, rng=None, columns=None):
+        calls.append((dim, seed, rng, columns))
+        qs.append(draw(dim, seed=seed, rng=rng, columns=columns))
+        return qs[-1]
+
+    monkeypatch.setattr(thermalization, "sample_haar_unitary", recorder)
+    gen = np.random.default_rng(41)
+    report = thermalization_report(p_r, p_rho, lam=0.05, n_bases=7, seed=gen)
+    assert calls == [(8, None, gen, None)] * 7
+    replay = np.random.default_rng(41)
+    for q in qs:
+        np.testing.assert_array_equal(q, draw(8, rng=replay))
+    assert gen.bit_generator.state == replay.bit_generator.state
+    geom = halmos_decompose(p_r, p_rho)
+    assert report.worst_basis_f == dense_nonthermal_fraction(
+        p_r, geom.axes_w, report.g2, 0.05)
+    assert list(report.empirical_f) == [
+        dense_nonthermal_fraction(p_r, geom.axes_w @ q, report.g2, 0.05) for q in qs]
 
 
 def test_worst_basis_dominates_sampled_bases():
@@ -203,11 +267,11 @@ def test_worst_basis_dominates_sampled_bases():
         g2 = correlator_trace(p_r, p_rho, 1)
         sigma2 = angle_variance(p_r, p_rho)
         lam = 0.7 * np.sqrt(sigma2)  # resolution inside the angle spread
-        f_worst = empirical_nonthermal_fraction(p_r, worst_case_basis(geom), g2, lam)
+        f_worst = empirical_nonthermal_fraction(geom.cos2, np.eye(geom.d_rho), g2, lam)
         rng = np.random.default_rng(seed)
         f_sampled = max(
             empirical_nonthermal_fraction(
-                p_r, haar_rotated_basis(geom, rng=rng), g2, lam)
+                geom.cos2, sample_haar_unitary(geom.d_rho, rng=rng), g2, lam)
             for _ in range(50))
         if f_worst >= f_sampled:
             wins += 1
@@ -234,10 +298,10 @@ def test_forward_bounds_sound_on_random_instances(seed):
         f_bound, _ = bound_nonthermal_fraction(sigma2, lam)
         _, dim_th = thermal_subspace(geom, lam)
         assert dim_th >= bound_thermal_dimension(sigma2, lam, d_rho) - FLOAT_SLACK
-        f_worst = empirical_nonthermal_fraction(p_r, worst_case_basis(geom), g2, lam)
+        f_worst = empirical_nonthermal_fraction(geom.cos2, np.eye(geom.d_rho), g2, lam)
         assert f_worst <= f_bound + FLOAT_SLACK
         f_rot = empirical_nonthermal_fraction(
-            p_r, haar_rotated_basis(geom, rng=rng), g2, lam)
+            geom.cos2, sample_haar_unitary(geom.d_rho, rng=rng), g2, lam)
         assert f_rot <= f_bound + FLOAT_SLACK
 
 
@@ -256,9 +320,9 @@ def test_converse_bound_sound(seed):
     sigma2 = angle_variance(p_r, p_rho)
     for lam in (0.1, 0.3, 0.6):
         fractions = [empirical_nonthermal_fraction(
-            p_r, worst_case_basis(geom), g2, lam)]
+            geom.cos2, np.eye(geom.d_rho), g2, lam)]
         fractions += [empirical_nonthermal_fraction(
-            p_r, haar_rotated_basis(geom, rng=rng), g2, lam) for _ in range(5)]
+            geom.cos2, sample_haar_unitary(geom.d_rho, rng=rng), g2, lam) for _ in range(5)]
         f_max = max(fractions)
         assert sigma2 <= converse_variance_bound(lam, f_max) + FLOAT_SLACK
 
@@ -273,7 +337,7 @@ def test_witness_bound_achieved_by_worst_basis():
     lam = 0.3
     bound = nonthermal_witness_bound(sigma2, lam)
     assert abs(bound - (0.25 - 0.09) / 0.91) <= 1e-12
-    f = empirical_nonthermal_fraction(p_r, worst_case_basis(geom), g2, lam)
+    f = empirical_nonthermal_fraction(geom.cos2, np.eye(geom.d_rho), g2, lam)
     assert f >= bound - FLOAT_SLACK
 
 
@@ -288,7 +352,7 @@ def test_witness_bound_sound_on_random_instances(seed):
     g2 = correlator_trace(p_r, p_rho, 1)
     sigma2 = angle_variance(p_r, p_rho)
     for lam in (0.1, 0.3):
-        f = empirical_nonthermal_fraction(p_r, worst_case_basis(geom), g2, lam)
+        f = empirical_nonthermal_fraction(geom.cos2, np.eye(geom.d_rho), g2, lam)
         assert f >= nonthermal_witness_bound(sigma2, lam) - FLOAT_SLACK
 
 
