@@ -9,6 +9,12 @@ delta_e = 2 xi / T_obs, W = sinc^2(xi), w0 = T_obs/(xi T). For autonomous
 dynamics, time averages are evaluated exactly as sums over Bohr frequencies
 in the Hamiltonian eigenbasis; for general dynamics a Gram-matrix
 Cauchy-Schwarz bound on an explicit time grid is provided instead.
+
+Windows that differ only by a start shift s share one Bohr sum: moving a
+window multiplies its transform by exp(-i omega s), which splits over the
+eigenvalues as exp(-i E_n s) exp(+i E_m s). ``weighted_correlator`` forms
+the D x D grid conj(B) A w~(omega) once and reads each shift off it with
+one D-vector matvec; a single window is the shift-0 case.
 """
 
 from __future__ import annotations
@@ -184,16 +190,28 @@ def to_eigenbasis(vecs: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def weighted_correlator(evals: np.ndarray, a_eig: np.ndarray,
-                        b_eig: np.ndarray, w: WeightingFunction) -> complex:
+                        b_eig: np.ndarray, w: WeightingFunction,
+                        shifts=0.0):
     """Exact window average of <B, U_t(A)> for autonomous dynamics.
 
     A and B are supplied in the Hamiltonian eigenbasis; the time integral
     becomes a sum over Bohr frequencies omega_nm = E_n - E_m:
     integral w(t) <B, U_t(A)> dt = (1/D) sum_nm conj(B_nm) A_nm w~(omega_nm).
+
+    ``shifts`` moves the window to w(t - s). Its transform gains the phase
+    exp(-i omega_nm s) = p_n conj(p_m) with p = exp(-iEs), so the D x D
+    grid x = conj(B) A w~(omega) is formed once and each shift costs the
+    matvec p^T x conj(p); memory stays O(D^2) for any number of shifts. A
+    scalar shift returns a complex number, a sequence an array of them.
     """
     d = evals.shape[0]
     omega = evals[:, None] - evals[None, :]
-    return complex(np.sum(b_eig.conj() * a_eig * w.fourier(omega)) / d)
+    x = b_eig.conj() * a_eig * w.fourier(omega)
+    values = np.empty(np.size(shifts), dtype=complex)
+    for k, s in enumerate(np.ravel(shifts)):
+        p = np.exp(-1j * s * evals)
+        values[k] = p @ (x @ p.conj()) / d
+    return complex(values[0]) if np.ndim(shifts) == 0 else values
 
 
 def weighted_autocorrelator(evals: np.ndarray, a_eig: np.ndarray,
@@ -254,11 +272,13 @@ def time_interval_bound(epsilon: float, kappa_rr: float, xi: float,
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
+    if epsilon < 0 or kappa_rr < 0:
+        raise ValueError("epsilon and kappa_rr must be nonnegative")
     if xi <= 0 or abs(math.sin(xi)) <= SIN_XI_TOL:
         raise ValueError(f"invalid xi={xi}")
     if t_obs <= 0 or t_horizon <= 0:
         raise ValueError("t_obs and t_horizon must be positive")
-    inner = ((xi / abs(math.sin(xi))) * math.sqrt(max(0.0, epsilon ** 2 + 2.0 * kappa_rr))
+    inner = ((xi / abs(math.sin(xi))) * math.sqrt(epsilon ** 2 + 2.0 * kappa_rr)
              + t_obs / (xi * t_horizon))
     raw = (d_sigma / (lam ** 2 * d_s)) * inner
     return min(1.0, max(0.0, raw)), raw > 1.0

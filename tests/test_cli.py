@@ -1,6 +1,7 @@
 """Tests for the experiment runner: config parsing, determinism, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -387,6 +388,68 @@ def test_finite_config_number_out_of_float_range_is_config_error(
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("config error") and "out of numeric range" in err
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"t0": 1e308, "t_obs": 1e307, "t_horizon": 1e308, "n_windows": 12},
+     "last window"),
+    ({"t0": 1e308, "t_obs": 1e308, "t_horizon": 1.5e308}, "xi*t_horizon"),
+    ({"t0": 1e308, "t_obs": 1e300, "t_horizon": 1e307, "n_windows": 3},
+     "numeric range"),
+    ({"epsilon": -0.1, "lambda_grid": [0.5]}, "epsilon"),
+    ({"kappa_rr": -1.0, "lambda_grid": [0.5]}, "kappa_rr"),
+], ids=["window-end-overflow", "horizon-overflow", "phase-overflow",
+        "negative-epsilon", "negative-kappa-rr"])
+def test_predictor_demo_window_and_bound_config_errors(capsys, config, message):
+    code = cli.run({"experiment": "predictor-demo", "n": 5,
+                    "n_instances": 1, **config})
+    out, err = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("config error") and message in err
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    (math.nan, 1.0), (0.0, math.nan), (math.inf, math.inf),
+])
+def test_worst_fails_on_a_nan_slack(lhs, rhs):
+    worst = cli._Worst("lhs <= rhs", "sound")
+    worst.update(0.0, 1.0)
+    worst.update(lhs, rhs)
+    worst.update(0.5, 0.75)
+    verdict = worst.verdict()
+    assert not verdict.passed
+    assert (verdict.lhs, verdict.rhs) == pytest.approx((lhs, rhs), nan_ok=True)
+
+
+DETERMINISM_CONFIGS = {
+    "verify-theorem": {"n": 4, "n_sigma": 2, "n_instances": 3, "n_bases": 2},
+    "haar-typicality": {"n": 5, "n_sigma": 2, "n_samples": 20},
+    "many-body-sweep": {"n": 5, "n_sigma": 2, "n_instances": 3,
+                        "t_count": 4, "lambda_grid": [0.1, 0.5]},
+    "predictor-demo": {"n": 5, "n_sigma": 2, "n_instances": 3,
+                       "n_windows": 4, "lambda_grid": [0.5]},
+    "sizing-table": {},
+    "negative-demo": {"n": 5, "n_sigma": 2, "n_samples": 20},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
+def test_stdout_is_byte_identical_on_repeat_and_serial_runs(
+        monkeypatch, capsys, experiment):
+    config = {"experiment": experiment, "seed": 5,
+              **DETERMINISM_CONFIGS[experiment]}
+
+    def stdout_of_run():
+        code = cli.run(config)
+        return code, capsys.readouterr().out
+
+    first = stdout_of_run()
+    assert first == stdout_of_run()
+    monkeypatch.setattr(cli, "_map_instances",
+                        lambda fn, count: [fn(i) for i in range(count)])
+    assert first == stdout_of_run()
+    assert first[1].startswith(",".join(CSV_COLUMNS))
 
 
 def test_run_accepts_plain_mapping(capsys):

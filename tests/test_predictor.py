@@ -2,6 +2,7 @@
 fourth-order obstruction demo."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,74 @@ def test_weighted_correlator_matches_time_quadrature():
     assert abs(bohr - direct) <= 1e-5
 
 
+def _direct_shifted_correlator(evals, a_eig, b_eig, w, s):
+    """Oracle: the Bohr sum with the moved window's transform exp(-i omega s) w~."""
+    omega = evals[:, None] - evals[None, :]
+    phased = w.fourier(omega) * np.exp(-1j * omega * s)
+    return np.sum(b_eig.conj() * a_eig * phased) / evals.size
+
+
+_TAB_TIMES = np.linspace(-1.0, 3.0, 41)
+_TAB_WEIGHTS = np.exp(-(_TAB_TIMES - 0.8) ** 2)
+
+# each window with the per-window construction of its copy moved by s;
+# a tent is centred at 0 and has none, so only the oracle checks it
+SHIFTED_WINDOWS = {
+    "box": (WeightingFunction.box(1.5, 7.0),
+            lambda s: WeightingFunction.box(1.5 + s, 7.0)),
+    "tent": (WeightingFunction.tent(2.5), None),
+    "tabulated": (WeightingFunction.tabulated(_TAB_TIMES, _TAB_WEIGHTS),
+                  lambda s: WeightingFunction.tabulated(_TAB_TIMES + s,
+                                                        _TAB_WEIGHTS)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SHIFTED_WINDOWS))
+def test_shifted_windows_match_per_window_evaluation(kind):
+    w, moved = SHIFTED_WINDOWS[kind]
+    rng = derive_rng(17, "shifted-windows")
+    # repeated eigenvalues put omega = 0 entries off the diagonal
+    evals = np.array([-1.3, -1.3, -0.4, 0.2, 0.2, 0.2, 0.9, 1.7, 1.7, 2.1])
+    d = evals.size
+    a_eig = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    b_eig = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    shifts = np.array([-6.25, -0.5, 0.0, 0.75, 3.0, 40.0])
+    values = weighted_correlator(evals, a_eig, b_eig, w, shifts)
+    assert values.shape == shifts.shape
+    for s, value in zip(shifts, values):
+        oracle = _direct_shifted_correlator(evals, a_eig, b_eig, w, s)
+        assert abs(value - oracle) <= 1e-12 * abs(oracle)
+        if moved is not None:
+            single = weighted_correlator(evals, a_eig, b_eig, moved(s))
+            assert isinstance(single, complex)
+            assert abs(value - single) <= 1e-12 * abs(single)
+    assert weighted_correlator(evals, a_eig, b_eig, w) == values[2]
+
+
+def _peak_traced_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_shifted_windows_keep_memory_independent_of_the_shift_count():
+    rng = derive_rng(3, "shift-memory")
+    d = 256
+    evals = np.sort(rng.standard_normal(d))
+    a_eig = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    b_eig = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    w = WeightingFunction.box(0.0, 50.0)
+    one = _peak_traced_bytes(
+        lambda: weighted_correlator(evals, a_eig, b_eig, w, [0.0]))
+    many = _peak_traced_bytes(
+        lambda: weighted_correlator(evals, a_eig, b_eig, w,
+                                    np.linspace(0.0, 400.0, 200)))
+    assert many - one < d * d * np.dtype(complex).itemsize
+
+
 def test_autocorrelator_average_is_nonnegative_for_cp_window():
     rng = derive_rng(7, "cp-positive")
     evals, vecs = np.linalg.eigh(gue_hamiltonian(24, rng=rng))
@@ -288,6 +357,9 @@ def test_time_interval_bound_limits_and_vacuity():
         time_interval_bound(0.0, 0.0, 1.0, 1.0, 1.0, 2, 2, 0.0)
     with pytest.raises(ValueError, match="xi"):
         time_interval_bound(0.0, 0.0, math.pi, 1.0, 1.0, 2, 2, 0.5)
+    for epsilon, kappa_rr in ((-0.1, 0.0), (0.0, -1.0)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            time_interval_bound(epsilon, kappa_rr, 1.0, 1.0, 10.0, 2, 2, 0.5)
 
 
 def test_cloned_equilibrium_bound_values():
