@@ -2,10 +2,13 @@
 
 The decomposition of a pair of projectors into principal angles follows the
 two-subspace normal form: angles come from the SVD of the cross-Gram matrix
-of orthonormal range bases, with singular values clamped into [0, 1]. The
-trace route (1/D_rho) Tr[(P_R P_rho)^n] and the angle route
-(1/D_rho) sum_k cos^(2n) theta_k are kept as two independent evaluation paths
-and cross-checked against each other throughout the test suite.
+of orthonormal range bases (Bjorck & Golub 1973), with singular values
+clamped into [0, 1]. A projector built from an isometry carries its range
+basis; only a projector given as a matrix has its basis recovered by a
+Hermitian eigendecomposition. The trace route (1/D_rho) Tr[(P_R P_rho)^n]
+and the angle route (1/D_rho) sum_k cos^(2n) theta_k are kept as two
+independent evaluation paths and cross-checked against each other
+throughout the test suite.
 """
 
 from __future__ import annotations
@@ -68,12 +71,17 @@ class SubspaceGeometry:
 
 
 def orthonormal_range_basis(p: Projector) -> np.ndarray:
-    """Orthonormal basis of range(P) as columns, via Hermitian eigendecomposition.
+    """Orthonormal basis of range(P) as columns.
 
-    Keeps eigenvectors with eigenvalue > 1/2, which is exact for projectors
-    and robust to tolerance-level noise. Raises if the count disagrees with
+    A projector built by ``Projector.from_isometry`` returns the isometry it
+    keeps, at no cost. Any other projector (a raw matrix, ``coordinate``,
+    ``conjugate``) goes through a Hermitian eigendecomposition that keeps the
+    eigenvectors with eigenvalue > 1/2, which is exact for projectors and
+    robust to tolerance-level noise; it raises if that count disagrees with
     the stated rank (a projector-invariant violation).
     """
+    if p.isometry is not None:
+        return p.isometry
     evals, vecs = np.linalg.eigh(p.entries)
     mask = evals > 0.5
     found = int(np.count_nonzero(mask))
@@ -129,18 +137,27 @@ def halmos_decompose(p_r: Projector, p_rho: Projector) -> SubspaceGeometry:
 
 
 def correlator_trace(p_r: Projector, p_rho: Projector, n: int) -> float:
-    """G^(2n) = (1/D_rho) Tr[(P_R P_rho)^n] by direct dense products."""
+    """G^(2n) = (1/D_rho) Tr[(P_R P_rho)^n] by direct dense products.
+
+    With A = P_R P_rho, the trace is read as Tr(X Y) = sum(X * Y^T) for
+    X = A^floor(n/2) and Y = A^ceil(n/2) (X = P_R, Y = P_rho when n = 1), so
+    order n costs at most ceil(n/2) D x D products.
+    """
     if p_r.dim != p_rho.dim:
         raise ValueError(f"dimension mismatch: {p_r.dim} vs {p_rho.dim}")
     if not (1 <= n <= MAX_CORRELATOR_ORDER):
         raise ValueError(f"order n must be in [1, {MAX_CORRELATOR_ORDER}], got {n}")
     if p_rho.rank < 1:
         raise ValueError("P_rho must have rank >= 1")
-    a = p_r.entries @ p_rho.entries
-    acc = a
-    for _ in range(n - 1):
-        acc = acc @ a
-    tr = np.trace(acc)
+    if n == 1:
+        x, y = p_r.entries, p_rho.entries
+    else:
+        a = p_r.entries @ p_rho.entries
+        x = a
+        for _ in range(n // 2 - 1):
+            x = x @ a
+        y = x @ a if n % 2 else x
+    tr = np.sum(x * y.T)
     if abs(tr.imag) > 1e-9 * p_r.dim:
         raise ValueError("correlator trace was not real")
     return float(np.clip(tr.real / p_rho.rank, 0.0, 1.0))

@@ -3,13 +3,15 @@
 Projectors on C^D, tensor embeddings of subsystem states into a qubit
 register, Haar-random unitary sampling, and time evolution from several
 unitary sources (Hamiltonian, circular unitary ensemble, brickwork circuit).
-Projectors are dense D x D matrices. Time evolution acts on a D x r basis K
-and goes through ``evolve_basis_series``, the one routine that knows each
-source: it yields U(t) K on a time grid without forming U(t), carrying a
-circuit's block forward; ``evolve_basis`` is its one-time case and
-``evolve`` its case K = 1. A state is placed on its qubits in one way
-(``_on_sites``), and a brickwork gate is a 4 x 4 matmul on a
-(2^a, 4, rest) view of the block. The default dimension cap is 2**14.
+Projectors are dense D x D matrices; one built from an isometry also keeps
+that isometry as its range basis, so no eigendecomposition has to recover
+it. Time evolution acts on a D x r basis K and goes through
+``evolve_basis_series``, the one routine that knows each source: it yields
+U(t) K on a time grid without forming U(t), carrying a circuit's block
+forward; ``evolve_basis`` is its one-time case and ``evolve`` its case
+K = 1. A state is placed on its qubits in one way (``_on_sites``), and a
+brickwork gate is a 4 x 4 matmul on a (2^a, 4, rest) view of the block. The
+default dimension cap is 2**14.
 """
 
 from __future__ import annotations
@@ -132,10 +134,16 @@ class Projector:
     and the trace/rank match at the module tolerances; constructors in this
     package call it so that numerical degradation surfaces as an error
     instead of propagating.
+
+    ``isometry`` is the D x rank orthonormal basis of the range that
+    ``from_isometry`` was given, kept as a read-only copy; it is ``None`` for
+    a projector given as a matrix.
     """
 
     entries: np.ndarray
     rank: int = 0
+    isometry: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=complex)
@@ -170,10 +178,18 @@ class Projector:
 
     @classmethod
     def from_isometry(cls, v: np.ndarray) -> "Projector":
-        """Projector V V^dag onto the column span of an isometry V."""
-        v = np.asarray(v, dtype=complex)
+        """Projector V V^dag onto the column span of an isometry V.
+
+        The projector keeps a read-only copy of V as ``isometry``, so later
+        writes to the caller's array do not reach it.
+        """
+        v = np.array(v, dtype=complex)
+        if v.ndim != 2:
+            raise ValueError(f"isometry must be a 2-D D x rank array, got shape {v.shape}")
         p = cls(v @ v.conj().T, rank=v.shape[1])
         p.validate()
+        v.flags.writeable = False
+        object.__setattr__(p, "isometry", v)
         return p
 
     @classmethod

@@ -8,6 +8,7 @@ import warnings
 
 import pytest
 
+from _dense import recording_eigh
 from otoc_thermalize import cli, hilbert
 from otoc_thermalize.geometry import halmos_decompose
 from otoc_thermalize.hilbert import (
@@ -450,6 +451,19 @@ def test_stdout_is_byte_identical_on_repeat_and_serial_runs(
                         lambda fn, count: [fn(i) for i in range(count)])
     assert first == stdout_of_run()
     assert first[1].startswith(",".join(CSV_COLUMNS))
+
+
+def test_verify_theorem_runs_without_an_eigendecomposition(capsys):
+    # the projector pairs are drawn as isometries, so no eigh recovers a basis
+    config = {"experiment": "verify-theorem", "seed": 3, "n": 4, "n_sigma": 2,
+              "n_instances": 3, "lambda_grid": [0.1, 0.5]}
+    with recording_eigh() as calls:
+        code = cli.run(config)
+    recorded = capsys.readouterr().out
+    assert code == EXIT_PASS
+    assert calls == []
+    assert cli.run(config) == EXIT_PASS
+    assert capsys.readouterr().out == recorded
 
 
 def test_run_accepts_plain_mapping(capsys):

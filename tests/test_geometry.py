@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _dense import recording_eigh
 from otoc_thermalize.hilbert import Projector, conjugate, sample_haar_unitary
 from otoc_thermalize.geometry import (
+    MAX_CORRELATOR_ORDER,
     angle_variance,
     correlator_from_angles,
     correlator_trace,
@@ -190,3 +192,88 @@ def test_correlator_trace_rejects_complex_trace():
     p_rho = Projector(np.diag([1.0, 0.0]), rank=1)
     with pytest.raises(ValueError, match="not real"):
         correlator_trace(p_r, p_rho, 1)
+
+
+def isometry_pair(case, dim=12, seed=20):
+    """Isometries (V_r, V_rho) for the degenerate geometries and a generic pair."""
+    rng = np.random.default_rng(seed)
+    u = sample_haar_unitary(dim, rng=rng)
+    v = sample_haar_unitary(dim, rng=rng)
+    if case == "nested":  # ran(P_rho) inside ran(P_R): every angle is zero
+        return u[:, :7], u[:, :7] @ sample_haar_unitary(7, rng=rng, columns=3)
+    if case == "orthogonal":
+        return u[:, :5], u[:, 5:9]
+    if case == "excess-rank":  # d_rho > d_r
+        return u[:, :3], v[:, :8]
+    if case == "full-rank":  # P_rho = 1
+        return u[:, :5], v
+    if case == "rank-one":  # d_rho = 1
+        return u[:, :6], v[:, :1]
+    return u[:, :6], v[:, :4]
+
+
+CASES = ["nested", "orthogonal", "excess-rank", "full-rank", "rank-one", "generic"]
+
+
+def assert_routes_agree(v_r, v_rho):
+    """The kept-isometry and the eigh route give the same decomposition."""
+    p_r, p_rho = Projector.from_isometry(v_r), Projector.from_isometry(v_rho)
+    with recording_eigh() as calls:
+        kept = halmos_decompose(p_r, p_rho)
+    assert calls == []
+    with recording_eigh() as calls:
+        dense = halmos_decompose(Projector(p_r.entries, rank=p_r.rank),
+                                 Projector(p_rho.entries, rank=p_rho.rank))
+    assert calls == [p_r.entries.shape, p_rho.entries.shape]
+    np.testing.assert_allclose(kept.cos2, dense.cos2, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(kept.u_defined, dense.u_defined)
+    np.testing.assert_array_equal(kept.v_defined, dense.v_defined)
+    w_kept, w_dense = kept.axes_w, dense.axes_w
+    assert np.linalg.norm(w_kept @ w_kept.conj().T
+                          - w_dense @ w_dense.conj().T) <= 1e-10
+    return kept
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_kept_isometry_and_eigh_routes_agree(case):
+    geom = assert_routes_agree(*isometry_pair(case))
+    if case == "nested":
+        np.testing.assert_allclose(geom.cos2, 1.0, atol=1e-12)
+        assert not geom.v_defined.any()
+    elif case == "orthogonal":
+        np.testing.assert_allclose(geom.cos2, 0.0, atol=1e-12)
+        assert not geom.u_defined.any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 31), st.sampled_from([4, 8, 16, 24]))
+def test_kept_isometry_and_eigh_routes_agree_on_random_pairs(seed, dim):
+    rng = np.random.default_rng(seed)
+    d_r = int(rng.integers(1, dim + 1))
+    d_rho = int(rng.integers(1, dim + 1))
+    assert_routes_agree(sample_haar_unitary(dim, rng=rng, columns=d_r),
+                        sample_haar_unitary(dim, rng=rng, columns=d_rho))
+
+
+def test_decomposition_ignores_later_writes_to_the_callers_isometry():
+    v_r, v_rho = isometry_pair("generic")
+    v_r, v_rho = v_r.copy(), v_rho.copy()
+    p_r, p_rho = Projector.from_isometry(v_r), Projector.from_isometry(v_rho)
+    before = halmos_decompose(p_r, p_rho)
+    v_r[:] = 0.0
+    v_rho[:] = 1.0
+    after = halmos_decompose(p_r, p_rho)
+    np.testing.assert_array_equal(before.angles, after.angles)
+    np.testing.assert_array_equal(before.axes_w, after.axes_w)
+    basis = orthonormal_range_basis(p_rho)
+    with pytest.raises(ValueError, match="read-only"):
+        basis[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("case", ["nested", "orthogonal", "generic", "excess-rank"])
+def test_correlator_trace_matches_matrix_power_oracle(case):
+    p_r, p_rho = (Projector.from_isometry(v) for v in isometry_pair(case, dim=16))
+    a = p_r.entries @ p_rho.entries
+    for n in range(1, MAX_CORRELATOR_ORDER + 1):
+        oracle = np.trace(np.linalg.matrix_power(a, n)).real / p_rho.rank
+        assert abs(correlator_trace(p_r, p_rho, n) - oracle) <= 1e-12 * p_r.dim

@@ -1,5 +1,7 @@
 """Unit tests for the Hilbert-space substrate."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,6 +123,22 @@ class TestProjector:
         p = Projector.from_isometry(v)
         assert p.rank == 2
         p.validate()
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 6, 1)])
+    def test_from_isometry_rejects_non_matrix_input(self, shape):
+        v = np.zeros(shape, dtype=complex)
+        v.flat[0] = 1.0
+        with pytest.raises(ValueError, match=f"2-D.*{re.escape(str(shape))}"):
+            Projector.from_isometry(v)
+
+    def test_from_isometry_keeps_a_copy_of_the_basis(self):
+        v = np.linalg.qr(np.random.default_rng(1).standard_normal((6, 2)))[0]
+        p = Projector.from_isometry(v)
+        np.testing.assert_array_equal(p.isometry, v)
+        assert not np.shares_memory(p.isometry, v)
+        # the basis is not part of the projector's value
+        assert Projector(p.entries, rank=2) == p
+        assert Projector(p.entries, rank=2).isometry is None
 
 
 class TestManyBodySetup:
