@@ -33,19 +33,17 @@ from .hilbert import (
     ManyBodySetup,
     Projector,
     UnitarySource,
+    contract_isometry,
     derive_rng,
     gue_hamiltonian,
     sample_haar_unitary,
-    tensor_embed,
 )
 from .predictor import (
     canonical_window_pair,
     fourth_order_negative_demo,
-    hs_inner,
     synopsis_bound,
     theorem_bound,
     time_interval_bound,
-    to_eigenbasis,
     weighted_autocorrelator,
     weighted_correlator,
 )
@@ -232,7 +230,7 @@ def _qubit_counts(params, n_default, n_s_default, n_sigma_default, nested):
     if not nested and (n_s > n or n_sigma > n):
         raise ConfigError(
             f"need N_S <= N and N_sigma <= N, got ({n_s}, {n_sigma}, {n})")
-    return n, n_s, n_sigma, dim_cap
+    return n, n_s, n_sigma
 
 
 def _product_setup(n, n_s, n_sigma) -> ManyBodySetup:
@@ -298,7 +296,7 @@ class _Worst:
 
 def _run_verify_theorem(cfg: ExperimentConfig):
     params = dict(cfg.params)
-    n, n_s, n_sigma, _ = _qubit_counts(params, 7, 1, 4, nested=False)
+    n, n_s, n_sigma = _qubit_counts(params, 7, 1, 4, nested=False)
     n_instances = _take_int(params, "n_instances", 50, minimum=1)
     n_bases = _take_int(params, "n_bases", 20, minimum=0)
     lambdas = _take_float_list(params, "lambda_grid", [0.05, 0.1, 0.2, 0.5])
@@ -336,7 +334,7 @@ def _run_verify_theorem(cfg: ExperimentConfig):
 
 def _run_haar_typicality(cfg: ExperimentConfig):
     params = dict(cfg.params)
-    n, n_s, n_sigma, _ = _qubit_counts(params, 6, 1, 4, nested=False)
+    n, n_s, n_sigma = _qubit_counts(params, 6, 1, 4, nested=False)
     n_samples = _take_int(params, "n_samples", 200, minimum=2)
     kappa = _take_float(params, "kappa", 3.0)
     _reject_leftovers(cfg.experiment, params)
@@ -385,7 +383,7 @@ def _time_grid(params, source_kind):
 
 def _run_many_body_sweep(cfg: ExperimentConfig):
     params = dict(cfg.params)
-    n, n_s, n_sigma, _ = _qubit_counts(params, 8, 1, 4, nested=True)
+    n, n_s, n_sigma = _qubit_counts(params, 8, 1, 4, nested=True)
     source_kind = _take_str(params, "source", "gue",
                             choices=("gue", "cue", "circuit"))
     n_instances = _take_int(params, "n_instances", 3, minimum=1)
@@ -445,7 +443,7 @@ def _run_many_body_sweep(cfg: ExperimentConfig):
 
 def _run_predictor_demo(cfg: ExperimentConfig):
     params = dict(cfg.params)
-    n, n_s, n_sigma, dim_cap = _qubit_counts(params, 7, 1, 4, nested=True)
+    n, n_s, n_sigma = _qubit_counts(params, 7, 1, 4, nested=True)
     n_instances = _take_int(params, "n_instances", 5, minimum=1)
     n_windows = _take_int(params, "n_windows", 10, minimum=1)
     t0 = _take_float(params, "t0", 0.0)
@@ -479,10 +477,9 @@ def _run_predictor_demo(cfg: ExperimentConfig):
         raise ConfigError("lambda_grid values must be positive")
     setup = _product_setup(n, n_s, n_sigma)
     d, d_s, d_sigma = setup.dim, setup.d_s, setup.d_sigma
-    a2 = tensor_embed(setup, "observable", dim_cap=dim_cap).entries - np.eye(d) / d_s
-    b2 = d_sigma * tensor_embed(setup, "core", dim_cap=dim_cap).entries - np.eye(d)
-    norm_a = hs_inner(a2, a2).real
-    norm_b = hs_inner(b2, b2).real
+    # A2 = P_R - 1/D_S and B2 = D_sigma P_rho - 1 are never formed
+    norm_a = (1.0 / d_s) * (1.0 - 1.0 / d_s)
+    norm_b = d_sigma - 1.0
     # the windows share one length and differ only in their start, so each
     # is the first one shifted by k*t_obs; w0 and W do not depend on t0
     pair = canonical_window_pair(t0, t_horizon, t_obs, xi=xi)
@@ -491,8 +488,11 @@ def _run_predictor_demo(cfg: ExperimentConfig):
     def one_instance(i):
         h = gue_hamiltonian(d, rng=derive_rng(cfg.seed, "predictor-gue", i))
         evals, vecs = np.linalg.eigh(h)
-        a_eig = to_eigenbasis(vecs, a2)
-        b_eig = to_eigenbasis(vecs, b2)
+        # V^dag P V = (L^dag V)^dag (L^dag V) for P = L L^dag
+        c_r = contract_isometry(setup, "observable", vecs)
+        c_rho = contract_isometry(setup, "core", vecs)
+        a_eig = c_r.conj().T @ c_r - np.eye(d) / d_s
+        b_eig = d_sigma * (c_rho.conj().T @ c_rho) - np.eye(d)
         # a finite window time can still overflow a phase E*t; that is a
         # config out of numeric range, not a NaN row
         with np.errstate(over="raise"):
@@ -565,7 +565,7 @@ def _run_sizing_table(cfg: ExperimentConfig):
 
 def _run_negative_demo(cfg: ExperimentConfig):
     params = dict(cfg.params)
-    n, n_s, n_sigma, _ = _qubit_counts(params, 8, 1, 4, nested=False)
+    n, n_s, n_sigma = _qubit_counts(params, 8, 1, 4, nested=False)
     n_samples = _take_int(params, "n_samples", 200, minimum=2)
     _reject_leftovers(cfg.experiment, params)
     d, d_sigma = 2 ** n, 2 ** n_sigma

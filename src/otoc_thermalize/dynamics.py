@@ -4,17 +4,17 @@
 commutator norm for a many-body setup under a unitary source. It evolves only
 the D x D_eta core basis K (``evolve_basis_series``), never the full unitary,
 and applies the observable P_R = |chi><chi| (x) 1 on its own qubits: the
-cross-Gram c = L^dag K_t (D/D_S x D_eta) is <chi| contracted into the observed
-legs of K_t, so the D x D/D_S isometry L is never formed. G^2, G^4 and the
-principal cos^2 spectrum come from the D_eta x D_eta Gram matrix m = c^dag c
-(its eigenvalues are the cos^2 of the principal angles, Bjorck & Golub 1973),
-and the commutator norm from the residual R = (1 - P_R) K_t = K_t - chi (x) c,
-through ||[P_R, P_t]||_F^2 = 2 ||(1 - P_R) P_t P_R||_F^2 = 2 tr(R^dag R m),
+cross-Gram c = L^dag K_t (D/D_S x D_eta) is <chi| contracted into the
+observed legs of K_t (``contract_isometry``), so the D x D/D_S isometry L is
+never formed. G^2, G^4 and the principal cos^2 spectrum come from the
+D_eta x D_eta Gram matrix m = c^dag c (its eigenvalues are the cos^2 of the
+principal angles, Bjorck & Golub 1973), and the commutator norm from the
+residual R = (1 - P_R) K_t = K_t - chi (x) c, through
+||[P_R, P_t]||_F^2 = 2 ||(1 - P_R) P_t P_R||_F^2 = 2 tr(R^dag R m),
 independently of G^2 - G^4. Peak memory is a few D x D_eta blocks.
 ``haar_prediction`` carries the exact Weingarten moments of the correlators
 over the Haar measure, and ``typicality_experiment`` tests them by Monte
-Carlo. ``swap_representation_check`` evaluates the OTOC a second way, as a
-swap-operator expectation on the doubled space.
+Carlo.
 """
 
 from __future__ import annotations
@@ -25,13 +25,11 @@ from typing import Dict, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import correlator_trace
 from .hilbert import (
-    DIM_CAP_DEFAULT,
     ManyBodySetup,
-    Projector,
     UnitarySource,
     _on_sites,
+    contract_isometry,
     derive_rng,
     embed_isometry,
     evolve_basis_series,
@@ -147,17 +145,12 @@ class CorrelatorSeries:
 def _observed_split(setup: ManyBodySetup, kt: np.ndarray):
     """Split K_t by the observable P_R = |chi><chi| (x) 1 on its own qubits.
 
-    Returns c = L^dag K_t (D/D_S x D_eta) and the D_eta x D_eta Gram matrix
-    R^dag R of the residual R = (1 - P_R) K_t = K_t - chi (x) c. c is <chi|
-    contracted into the observed legs of K_t's row index, which leaves the
-    environment legs in ascending qubit order, as ``_on_sites`` expects.
+    Returns c = L^dag K_t (D/D_S x D_eta, by ``contract_isometry``) and the
+    Gram matrix R^dag R of the residual R = (1 - P_R) K_t = K_t - chi (x) c.
     """
-    chi = setup.observed_state
-    observed = tuple(range(setup.n_observed))
-    tensor = kt.reshape((2,) * setup.n_total + (kt.shape[1],))
-    c = np.tensordot(chi.conj().reshape((2,) * setup.n_observed), tensor,
-                     axes=(observed, setup.observed_sites)).reshape(setup.d_env, -1)
-    residual = kt - _on_sites(chi, setup.observed_sites, setup.n_total, c)
+    c = contract_isometry(setup, "observable", kt)
+    residual = kt - _on_sites(setup.observed_state, setup.observed_sites,
+                              setup.n_total, c)
     return c, residual.conj().T @ residual
 
 
@@ -317,28 +310,3 @@ def typicality_experiment(d: int, d_s: int, d_sigma: int, n_samples: int,
         samples_g2=g2s, samples_g4=g4s,
     )
 
-
-def swap_representation_check(p_r: Projector, p_rho_t: Projector):
-    """Evaluate the OTOC two ways: direct trace vs swap-operator form.
-
-    The swap form is Tr[(P_R (x) P_R) . SWAP . (P (x) P)] / D_rho, contracted
-    as the four-tensor network sum_{abcd} R_ab R_cd P_da P_bc without forming
-    the direct product matrices. The doubled space squares the dimension, so
-    the check requires D^2 <= ``DIM_CAP_DEFAULT``.
-
-    Returns
-    -------
-    (lhs, rhs, gap) : floats
-        Direct trace, swap form, and |lhs - rhs|.
-    """
-    d = p_r.dim
-    if d * d > DIM_CAP_DEFAULT:
-        raise ValueError(
-            f"doubled dimension {d * d} exceeds cap {DIM_CAP_DEFAULT}")
-    lhs = correlator_trace(p_r, p_rho_t, 2)
-    r, p = p_r.entries, p_rho_t.entries
-    rhs_c = np.einsum("ab,cd,da,bc->", r, r, p, p, optimize=True)
-    if abs(rhs_c.imag) > 1e-10 * d:
-        raise ValueError("swap-form OTOC was not real")
-    rhs = float(np.clip(rhs_c.real / p_rho_t.rank, 0.0, 1.0))
-    return lhs, rhs, abs(lhs - rhs)

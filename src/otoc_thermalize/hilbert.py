@@ -1,17 +1,17 @@
 """Complex linear algebra substrate.
 
-Projectors on C^D, tensor embeddings of subsystem states into a qubit
-register, Haar-random unitary sampling, and time evolution from several
-unitary sources (Hamiltonian, circular unitary ensemble, brickwork circuit).
-Projectors are dense D x D matrices; one built from an isometry also keeps
-that isometry as its range basis, so no eigendecomposition has to recover
-it. Time evolution acts on a D x r basis K and goes through
+Projectors on C^D, product states on the qubits of a register, Haar-random
+unitary sampling, and time evolution from several unitary sources
+(Hamiltonian, circular unitary ensemble, brickwork circuit). A ``Projector``
+is a dense D x D matrix that keeps the isometry it was built from. A product
+state |s><s| (x) 1 is never formed as one: ``embed_isometry`` is its
+isometry L, and ``contract_isometry`` applies L^dag by contracting <s| into
+the factor's qubits. Time evolution acts on a D x r basis K through
 ``evolve_basis_series``, the one routine that knows each source: it yields
 U(t) K on a time grid without forming U(t), carrying a circuit's block
 forward; ``evolve_basis`` is its one-time case and ``evolve`` its case
 K = 1. A state is placed on its qubits in one way (``_on_sites``), and a
-brickwork gate is a 4 x 4 matmul on a (2^a, 4, rest) view of the block. The
-default dimension cap is 2**14.
+brickwork gate is a 4 x 4 matmul on a (2^a, 4, rest) view of the block.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-#: Default hard cap on the Hilbert-space dimension for dense embeddings.
+#: Default cap on the register dimension that the command line accepts.
 DIM_CAP_DEFAULT = 2 ** 14
 
 #: Frobenius-norm tolerances, scaled by the dimension where noted.
@@ -131,13 +131,12 @@ class Projector:
 
     The constructor checks that the matrix is square, nonempty and finite and
     that the rank lies in [0, D]. ``validate`` checks hermiticity, idempotence
-    and the trace/rank match at the module tolerances; constructors in this
-    package call it so that numerical degradation surfaces as an error
-    instead of propagating.
+    and the trace/rank match at the module tolerances; ``conjugate`` calls
+    it, and ``from_isometry`` checks the isometry instead, so that numerical
+    degradation surfaces as an error instead of propagating.
 
-    ``isometry`` is the D x rank orthonormal basis of the range that
-    ``from_isometry`` was given, kept as a read-only copy; it is ``None`` for
-    a projector given as a matrix.
+    ``isometry`` is the read-only D x rank range basis that ``from_isometry``
+    was given; it is ``None`` for a projector given as a matrix.
     """
 
     entries: np.ndarray
@@ -180,14 +179,18 @@ class Projector:
     def from_isometry(cls, v: np.ndarray) -> "Projector":
         """Projector V V^dag onto the column span of an isometry V.
 
-        The projector keeps a read-only copy of V as ``isometry``, so later
-        writes to the caller's array do not reach it.
+        ||V^dag V - 1||_F <= min(IDEMPOTENCE_TOL D, RANK_TOL/sqrt(r)) is checked
+        at O(D r^2); it bounds the trace and idempotence defects ``validate``
+        checks. A read-only copy of V is kept as ``isometry``.
         """
         v = np.array(v, dtype=complex)
         if v.ndim != 2:
             raise ValueError(f"isometry must be a 2-D D x rank array, got shape {v.shape}")
-        p = cls(v @ v.conj().T, rank=v.shape[1])
-        p.validate()
+        d, r = v.shape
+        defect = np.linalg.norm(v.conj().T @ v - np.eye(r))
+        if not defect <= min(IDEMPOTENCE_TOL * d, RANK_TOL / math.sqrt(max(r, 1))):
+            raise ValueError(f"isometry columns not orthonormal: defect {defect:.3e}")
+        p = cls(v @ v.conj().T, rank=r)
         v.flags.writeable = False
         object.__setattr__(p, "isometry", v)
         return p
@@ -317,6 +320,15 @@ def _on_sites(state: np.ndarray, sites: Sequence[int], n_total: int,
         2 ** n_total, -1)
 
 
+def _factor(setup: ManyBodySetup, which: str):
+    """The state and sites of the observable or core factor of ``setup``."""
+    if which == "observable":
+        return setup.observed_state, setup.observed_sites
+    if which == "core":
+        return setup.core_state, setup.core_sites
+    raise ValueError(f"which must be 'observable' or 'core', got {which!r}")
+
+
 def embed_isometry(setup: ManyBodySetup, which: str) -> np.ndarray:
     """Isometry from the complement factor into the full register.
 
@@ -325,33 +337,24 @@ def embed_isometry(setup: ManyBodySetup, which: str) -> np.ndarray:
     |psi> tensor |e_m> over the bath (shape D x D_rho). The columns are an
     orthonormal basis of the corresponding embedded projector's range.
     """
-    if which == "observable":
-        state, sites = setup.observed_state, setup.observed_sites
-    elif which == "core":
-        state, sites = setup.core_state, setup.core_sites
-    else:
-        raise ValueError(f"which must be 'observable' or 'core', got {which!r}")
+    state, sites = _factor(setup, which)
     return _on_sites(state, sites, setup.n_total, np.eye(setup.dim // len(state)))
 
 
-def tensor_embed(setup: ManyBodySetup, which: str,
-                 dim_cap: int = DIM_CAP_DEFAULT) -> Projector:
-    """Embed the observed or core state projector into the full register.
+def contract_isometry(setup: ManyBodySetup, which: str,
+                      block: np.ndarray) -> np.ndarray:
+    """``embed_isometry(setup, which)^dag @ block`` for a D x r block, at O(D r).
 
-    Returns |chi><chi| (x) 1_E for ``which='observable'`` (rank D/D_S) or
-    |psi><psi| (x) 1_eta for ``which='core'`` (rank D/D_sigma), with the
-    site layout of ``setup`` applied.
-
-    Raises
-    ------
-    ValueError
-        If the full dimension exceeds ``dim_cap``.
+    <chi| or <psi| is contracted into that factor's own qubits, and the rows
+    left index the other qubits in order: this undoes ``_on_sites``.
     """
-    if setup.dim > dim_cap:
-        raise ValueError(
-            f"dimension {setup.dim} exceeds cap {dim_cap}; "
-            "raise dim_cap explicitly to allow this allocation")
-    return Projector.from_isometry(embed_isometry(setup, which))
+    state, sites = _factor(setup, which)
+    if block.ndim != 2 or block.shape[0] != setup.dim:
+        raise ValueError(f"block must be {setup.dim} x r, got shape {block.shape}")
+    tensor = block.reshape((2,) * setup.n_total + (block.shape[1],))
+    return np.tensordot(state.conj().reshape((2,) * len(sites)), tensor,
+                        axes=(tuple(range(len(sites))), sites)).reshape(
+                            setup.dim // len(state), -1)
 
 
 @dataclass(frozen=True)

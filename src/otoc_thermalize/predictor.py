@@ -184,11 +184,6 @@ def hs_inner(x: np.ndarray, y: np.ndarray) -> complex:
     return complex(np.sum(x.conj() * y) / x.shape[0])
 
 
-def to_eigenbasis(vecs: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Matrix elements of A in the eigenbasis given by the columns of vecs."""
-    return vecs.conj().T @ a @ vecs
-
-
 def weighted_correlator(evals: np.ndarray, a_eig: np.ndarray,
                         b_eig: np.ndarray, w: WeightingFunction,
                         shifts=0.0):

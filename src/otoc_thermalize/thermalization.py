@@ -202,7 +202,8 @@ def thermalization_report(p_r: Projector, p_rho: Projector, lam: float,
     Measures the nonthermal fraction on the principal-axes basis and on
     ``n_bases`` Haar-rotated orthonormal bases of range(P_rho), and packages
     them with the forward bounds and the converse bound computed from the
-    largest measured fraction.
+    largest measured fraction. Probes read the angle-route G^2 of
+    ``thermal_axes``, so a tie counts alike in the dimension and the fraction.
     """
     geom = halmos_decompose(p_r, p_rho)
     g2 = correlator_trace(p_r, p_rho, 1)
@@ -210,12 +211,13 @@ def thermalization_report(p_r: Projector, p_rho: Projector, lam: float,
     sigma2 = max(0.0, g4 - g2 * g2)
     f_bound, vacuous = bound_nonthermal_fraction(sigma2, lam)
     cos2 = geom.cos2
+    g2_angles = float(np.sum(cos2)) / cos2.size  # as thermal_axes computes it
     dim_achieved = int(np.count_nonzero(thermal_axes(cos2, lam)))
-    worst_f = empirical_nonthermal_fraction(cos2, np.eye(geom.d_rho), g2, lam)
+    worst_f = empirical_nonthermal_fraction(cos2, np.eye(geom.d_rho), g2_angles, lam)
     rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed, "report-bases")
     empirical = [
         empirical_nonthermal_fraction(
-            cos2, sample_haar_unitary(geom.d_rho, rng=rng), g2, lam)
+            cos2, sample_haar_unitary(geom.d_rho, rng=rng), g2_angles, lam)
         for _ in range(n_bases)
     ]
     f_max = max([worst_f, *empirical], default=worst_f)

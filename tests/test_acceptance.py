@@ -10,11 +10,13 @@ import math
 
 import numpy as np
 
-from otoc_thermalize.dynamics import (
-    correlator_series,
+from _dense import (
+    dense_embed,
     swap_representation_check,
-    typicality_experiment,
+    to_eigenbasis,
+    two_point_operators,
 )
+from otoc_thermalize.dynamics import correlator_series, typicality_experiment
 from otoc_thermalize.geometry import (
     angle_variance,
     correlator_from_angles,
@@ -31,14 +33,12 @@ from otoc_thermalize.hilbert import (
     evolve_basis,
     gue_hamiltonian,
     sample_haar_unitary,
-    tensor_embed,
 )
 from otoc_thermalize.predictor import (
     canonical_window_pair,
     fourth_order_negative_demo,
     synopsis_bound,
     theorem_bound,
-    to_eigenbasis,
     weighted_autocorrelator,
     weighted_correlator,
 )
@@ -252,8 +252,7 @@ def test_window_bounds_sound_for_gue_ensemble():
 
     # traceless observable-side and core-side operators of the two-point
     # specialisation, with their exact squared Hilbert-Schmidt norms
-    a2 = tensor_embed(setup, "observable").entries - np.eye(dim) / d_s
-    b2 = d_sigma * tensor_embed(setup, "core").entries - np.eye(dim)
+    a2, b2 = two_point_operators(setup)
     norm_a = (d_s - 1.0) / d_s**2
     norm_b = d_sigma - 1.0
 
@@ -318,7 +317,7 @@ def test_series_chain_and_commutator_identity():
     for setup, source, times in cases:
         series = correlator_series(setup, source, times)
         # the angle route on dense projectors agrees with the series to 1e-9
-        p_r = tensor_embed(setup, "observable")
+        p_r = dense_embed(setup, "observable")
         k = embed_isometry(setup, "core")
         for i, t in enumerate(times):
             p_t = Projector.from_isometry(evolve_basis(source, k, t))

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from _dense import recording_eigh
+from _dense import dense_embed, predictor_demo_rows, recording_eigh
 from otoc_thermalize import cli, hilbert
 from otoc_thermalize.geometry import halmos_decompose
 from otoc_thermalize.hilbert import (
@@ -17,7 +17,6 @@ from otoc_thermalize.hilbert import (
     derive_rng,
     evolve,
     gue_hamiltonian,
-    tensor_embed,
 )
 from otoc_thermalize.thermalization import thermal_subspace
 from otoc_thermalize.cli import (
@@ -263,8 +262,8 @@ def test_many_body_sweep_thermal_dimensions_match_dense_route(tmp_path, source):
     assert cli.main(["run", "--config", cfg, "--seed", str(seed),
                      "--out", str(out)]) == EXIT_PASS
     setup = cli._product_setup(n, 1, 2)
-    p_r = tensor_embed(setup, "observable")
-    p_rho = tensor_embed(setup, "core")
+    p_r = dense_embed(setup, "observable")
+    p_rho = dense_embed(setup, "core")
     expected = []
     for i in range(2):
         src = _sweep_source(source, seed, i, n)
@@ -475,12 +474,48 @@ def test_run_accepts_plain_mapping(capsys):
     assert len(out.splitlines()) == 2
 
 
-def test_predictor_demo_passes_dim_cap_to_the_embedding(monkeypatch, capsys):
-    caps = []
-    embed = cli.tensor_embed
-    monkeypatch.setattr(cli, "tensor_embed", lambda setup, which, **kw: (
-        caps.append(kw.get("dim_cap")) or embed(setup, which, **kw)))
-    code = cli.run({"experiment": "predictor-demo", "n": 5, "n_sigma": 3,
+def test_predictor_demo_rejects_a_register_over_dim_cap(capsys):
+    code = cli.run({"experiment": "predictor-demo", "n": 7, "n_sigma": 3,
                     "n_instances": 1, "n_windows": 1, "dim_cap": 64})
-    assert code == EXIT_PASS, capsys.readouterr().err
-    assert caps == [64, 64]
+    out, err = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "exceeds dim_cap 64" in err
+
+
+@pytest.mark.parametrize("n, n_s, n_sigma", [(5, 1, 2), (6, 2, 3), (7, 1, 4)])
+def test_predictor_demo_rows_match_the_dense_operators(tmp_path, n, n_s, n_sigma):
+    # the CLI applies A2 and B2 by contraction; the oracle forms them densely
+    # and rotates them as V^dag A V, one window pair per row
+    window = {"t0": 1.0, "t_horizon": 40.0, "t_obs": 1.5, "xi": 1.2}
+    out = tmp_path / "pd.csv"
+    code = cli.run({"experiment": "predictor-demo", "seed": 8, "n": n,
+                    "n_s": n_s, "n_sigma": n_sigma, "n_instances": 2,
+                    "n_windows": 3, "out": str(out), **window})
+    assert code == EXIT_PASS
+    rows = read_rows(out)
+    expected = predictor_demo_rows(cli._product_setup(n, n_s, n_sigma), 8,
+                                   n_instances=2, n_windows=3, **window)
+    assert len(rows) == len(expected) == 6
+    for row, (bound, measured) in zip(rows, expected):
+        assert float(row["bound"]) == pytest.approx(bound, rel=1e-12, abs=0)
+        assert float(row["measured"]) == pytest.approx(measured, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("experiment, source", [
+    ("haar-typicality", None), ("many-body-sweep", "gue"),
+    ("many-body-sweep", "cue"), ("many-body-sweep", "circuit"),
+    ("predictor-demo", None), ("sizing-table", None), ("negative-demo", None)])
+def test_experiments_other_than_verify_theorem_build_no_projector(
+        monkeypatch, capsys, experiment, source):
+    config = {"experiment": experiment, "seed": 5, **DETERMINISM_CONFIGS[experiment]}
+    if source is not None:
+        del config["t_count"]
+        config.update(source=source, times=[0, 1, 2])
+    built = []
+    post_init = hilbert.Projector.__post_init__
+    monkeypatch.setattr(hilbert.Projector, "__post_init__",
+                        lambda self: built.append(self.rank) or post_init(self))
+    assert cli.run(config) == EXIT_PASS
+    capsys.readouterr()
+    assert built == []

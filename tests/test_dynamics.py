@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _dense import dense_embed, swap_representation_check
 from otoc_thermalize import dynamics, hilbert
 from otoc_thermalize.geometry import (
     correlator_from_angles,
@@ -24,14 +25,12 @@ from otoc_thermalize.hilbert import (
     gue_hamiltonian,
     sample_haar_state,
     sample_haar_unitary,
-    tensor_embed,
 )
 from otoc_thermalize.thermalization import thermal_axes
 from otoc_thermalize.dynamics import (
     CorrelatorSeries,
     correlator_series,
     haar_prediction,
-    swap_representation_check,
     typicality_experiment,
 )
 
@@ -53,7 +52,7 @@ def assert_angle_route_agrees(setup, source, times, series, tol=SERIES_TOL):
     The sorted cos^2 spectrum, and G^2 and G^4 through the angle route, must
     match the series to ``tol``.
     """
-    p_r = tensor_embed(setup, "observable")
+    p_r = dense_embed(setup, "observable")
     k = embed_isometry(setup, "core")
     for i, t in enumerate(times):
         geom = halmos_decompose(p_r, Projector.from_isometry(evolve_basis(source, k, t)))
@@ -244,8 +243,8 @@ def series_cases():
 def test_series_matches_dense_evolution_oracle(case):
     setup, source, times = series_cases()[case]
     series = correlator_series(setup, source, times)
-    p_r = tensor_embed(setup, "observable")
-    p_rho = tensor_embed(setup, "core")
+    p_r = dense_embed(setup, "observable")
+    p_rho = dense_embed(setup, "core")
     for i, t in enumerate(times):
         p_t = conjugate(p_rho, evolve(source, t))
         delta = p_r.entries @ p_t.entries - p_t.entries @ p_r.entries

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _dense import dense_embed
 from otoc_thermalize.hilbert import (
     ManyBodySetup,
     Projector,
     UnitarySource,
+    _on_sites,
     conjugate,
+    contract_isometry,
     derive_rng,
     embed_isometry,
     evolve,
@@ -19,7 +22,6 @@ from otoc_thermalize.hilbert import (
     gue_hamiltonian,
     sample_haar_state,
     sample_haar_unitary,
-    tensor_embed,
 )
 
 UNITARITY_TOL = 1e-10  # times the dimension
@@ -131,6 +133,24 @@ class TestProjector:
         with pytest.raises(ValueError, match=f"2-D.*{re.escape(str(shape))}"):
             Projector.from_isometry(v)
 
+    @pytest.mark.parametrize("dim, rank", [(8, 2), (1024, 4)])
+    def test_from_isometry_rejects_a_trace_off_by_2e_8(self, dim, rank):
+        # E = V^dag V - 1 = diag(2e-8, 0, ...), past both the old trace check
+        # and min(IDEMPOTENCE_TOL * D, RANK_TOL / sqrt(r))
+        v = np.eye(dim, rank, dtype=complex)
+        v[0, 0] = np.sqrt(1.0 + 2e-8)
+        with pytest.raises(ValueError, match="orthonormal"):
+            Projector.from_isometry(v)
+
+    @pytest.mark.parametrize("dim, rank", [(8, 2), (1024, 4)])
+    def test_from_isometry_accepts_a_defect_just_inside_the_bound(self, dim, rank):
+        bound = min(1e-10 * dim, 1e-8 / np.sqrt(rank))
+        v = np.eye(dim, rank, dtype=complex)
+        v[0, 0] = np.sqrt(1.0 + 0.9 * bound)
+        p = Projector.from_isometry(v)
+        assert np.linalg.norm(v.conj().T @ v - np.eye(rank)) <= bound
+        p.validate()
+
     def test_from_isometry_keeps_a_copy_of_the_basis(self):
         v = np.linalg.qr(np.random.default_rng(1).standard_normal((6, 2)))[0]
         p = Projector.from_isometry(v)
@@ -173,7 +193,7 @@ def test_embed_full_register_is_rank_one():
     chi = np.zeros(4)
     chi[2] = 1.0
     s = ManyBodySetup(2, 2, 2, chi, chi)
-    p = tensor_embed(s, "observable")
+    p = dense_embed(s, "observable")
     assert p.rank == 1
     np.testing.assert_allclose(p.entries, np.outer(chi, chi), atol=1e-14)
 
@@ -181,7 +201,7 @@ def test_embed_full_register_is_rank_one():
 def test_embed_entangled_core_is_projector():
     phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     s = ManyBodySetup(3, 1, 2, np.array([1.0, 0.0]), phi)
-    p = tensor_embed(s, "core")
+    p = dense_embed(s, "core")
     assert p.rank == 2
     p.validate()
     assert abs(np.trace(p.entries).real - 2.0) <= 1e-12
@@ -230,16 +250,52 @@ def test_embed_isometry_equals_the_kron_construction():
             assert np.array_equal(embed_isometry(s, which), expected)
 
 
-def test_embed_rejects_dimension_over_cap():
-    s = ManyBodySetup(6, 1, 1, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="cap"):
-        tensor_embed(s, "observable", dim_cap=2 ** 5)
-
-
 def test_embed_rejects_unknown_factor():
     s = ManyBodySetup(2, 1, 1, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="which"):
-        tensor_embed(s, "bath")
+        embed_isometry(s, "bath")
+    with pytest.raises(ValueError, match="which"):
+        contract_isometry(s, "bath", np.eye(4))
+
+
+def _random_setups(rng):
+    """Setups at D <= 2^7 with non-leading and non-contiguous factor sites."""
+    return [
+        ManyBodySetup(5, 1, 3, sample_haar_state(2, rng=rng), sample_haar_state(8, rng=rng),
+                      observed_sites=(3,), core_sites=(4, 1, 3)),
+        ManyBodySetup(6, 2, 4, sample_haar_state(4, rng=rng), sample_haar_state(16, rng=rng),
+                      observed_sites=(5, 2), core_sites=(0, 5, 2, 4)),
+        ManyBodySetup(7, 2, 2, sample_haar_state(4, rng=rng), sample_haar_state(4, rng=rng),
+                      observed_sites=(1, 6), core_sites=(6, 3)),
+    ]
+
+
+@pytest.mark.parametrize("which", ["observable", "core"])
+def test_contract_isometry_equals_the_adjoint_isometry_product(which):
+    rng = np.random.default_rng(21)
+    for s in _random_setups(rng):
+        block = rng.standard_normal((s.dim, 3)) + 1j * rng.standard_normal((s.dim, 3))
+        expected = embed_isometry(s, which).conj().T @ block
+        np.testing.assert_allclose(contract_isometry(s, which, block), expected,
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["observable", "core"])
+def test_contract_isometry_undoes_the_site_placement(which):
+    rng = np.random.default_rng(22)
+    for s in _random_setups(rng):
+        state, sites = ((s.observed_state, s.observed_sites) if which == "observable"
+                        else (s.core_state, s.core_sites))
+        x = rng.standard_normal((s.dim // len(state), 5)) + 0j
+        placed = _on_sites(state, sites, s.n_total, x)
+        np.testing.assert_allclose(contract_isometry(s, which, placed), x,
+                                   rtol=0, atol=1e-12)
+
+
+def test_contract_isometry_rejects_a_block_of_the_wrong_height():
+    s = ManyBodySetup(3, 1, 2, np.array([1.0, 0.0]), np.eye(4)[:, 0])
+    with pytest.raises(ValueError, match="8 x r"):
+        contract_isometry(s, "core", np.eye(4))
 
 
 class TestEvolve:

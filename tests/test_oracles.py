@@ -16,6 +16,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
+from _dense import dense_embed, swap_representation_check
 from otoc_thermalize.hilbert import (
     ManyBodySetup,
     Projector,
@@ -24,7 +25,6 @@ from otoc_thermalize.hilbert import (
     evolve,
     gue_hamiltonian,
     sample_haar_unitary,
-    tensor_embed,
 )
 from otoc_thermalize.geometry import (
     angle_variance,
@@ -32,7 +32,7 @@ from otoc_thermalize.geometry import (
     correlator_trace,
     halmos_decompose,
 )
-from otoc_thermalize.dynamics import haar_prediction, swap_representation_check
+from otoc_thermalize.dynamics import haar_prediction
 from otoc_thermalize.predictor import WeightingFunction, fourier_weight
 from otoc_thermalize.thermalization import core_sizing
 
@@ -62,7 +62,7 @@ def test_embed_observable_two_qubits_is_diag_1100():
     psi[0] = 1.0
     setup = ManyBodySetup(n_total=2, n_observed=1, n_core=2,
                           observed_state=chi, core_state=psi)
-    p = tensor_embed(setup, "observable")
+    p = dense_embed(setup, "observable")
     assert p.rank == 2
     np.testing.assert_allclose(p.entries, np.diag([1.0, 1.0, 0.0, 0.0]),
                                atol=1e-14)
@@ -78,7 +78,7 @@ def test_embed_observable_middle_site_matches_kron():
     setup = ManyBodySetup(n_total=3, n_observed=1, n_core=3,
                           observed_state=chi, core_state=psi,
                           observed_sites=(1,))
-    p = tensor_embed(setup, "observable")
+    p = dense_embed(setup, "observable")
     ref = np.kron(np.kron(np.eye(2), np.outer(chi, chi.conj())), np.eye(2))
     np.testing.assert_allclose(p.entries, ref, atol=1e-12)
     assert p.rank == 4
@@ -92,7 +92,7 @@ def test_embed_core_entangled_state_matches_kron():
     chi = np.array([1.0, 0.0])
     setup = ManyBodySetup(n_total=3, n_observed=1, n_core=2,
                           observed_state=chi, core_state=phi)
-    p = tensor_embed(setup, "core")
+    p = dense_embed(setup, "core")
     ref = np.kron(np.outer(phi, phi.conj()), np.eye(2))
     np.testing.assert_allclose(p.entries, ref, atol=1e-12)
     assert p.rank == 2

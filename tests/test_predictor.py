@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _dense import to_eigenbasis, two_point_operators
 from otoc_thermalize import predictor
 from otoc_thermalize.hilbert import (
     ManyBodySetup,
@@ -15,7 +16,6 @@ from otoc_thermalize.hilbert import (
     evolve,
     gue_hamiltonian,
     sample_haar_unitary,
-    tensor_embed,
 )
 from otoc_thermalize.dynamics import correlator_series
 from otoc_thermalize.predictor import (
@@ -29,7 +29,6 @@ from otoc_thermalize.predictor import (
     synopsis_bound,
     theorem_bound,
     time_interval_bound,
-    to_eigenbasis,
     weighted_autocorrelator,
     weighted_correlator,
 )
@@ -303,8 +302,7 @@ def test_two_point_specialization_norms_and_identity():
     psi[0] = 1.0
     setup = ManyBodySetup(6, 1, 3, chi, psi)
     d = setup.dim
-    a2 = tensor_embed(setup, "observable").entries - np.eye(d) / setup.d_s
-    b2 = setup.d_sigma * tensor_embed(setup, "core").entries - np.eye(d)
+    a2, b2 = two_point_operators(setup)
     assert hs_inner(a2, a2).real == pytest.approx(
         (setup.d_s - 1) / setup.d_s ** 2, abs=1e-12)
     assert hs_inner(b2, b2).real == pytest.approx(setup.d_sigma - 1.0, abs=1e-12)
@@ -404,9 +402,7 @@ def test_cauchy_schwarz_bound_sound_for_circuit_dynamics():
     psi = np.zeros(16)
     psi[0] = 1.0
     setup = ManyBodySetup(8, 1, 4, chi, psi)
-    d = setup.dim
-    a = tensor_embed(setup, "observable").entries - np.eye(d) / setup.d_s
-    b = setup.d_sigma * tensor_embed(setup, "core").entries - np.eye(d)
+    a, b = two_point_operators(setup)
     norm_b = hs_inner(b, b).real
     source = UnitarySource.circuit(8, seed=6)
     times = np.arange(12.0)

@@ -6,7 +6,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from _dense import dense_expectations, dense_nonthermal_fraction
 from otoc_thermalize import thermalization
-from otoc_thermalize.hilbert import Projector, conjugate, sample_haar_unitary
+from otoc_thermalize.hilbert import (
+    Projector,
+    conjugate,
+    derive_rng,
+    sample_haar_unitary,
+)
 from otoc_thermalize.geometry import (
     angle_variance,
     correlator_trace,
@@ -401,3 +406,19 @@ def test_report_is_sound_and_self_consistent():
     # deterministic under the same seed
     again = thermalization_report(p_r, p_rho, lam=0.25, n_bases=10, seed=3)
     assert again.empirical_f == report.empirical_f
+
+
+@pytest.mark.parametrize("n_sigma", [0, 2])
+def test_every_principal_axis_is_thermal_or_counted_nonthermal(n_sigma):
+    # the pairs verify-theorem draws at n = 4, n_s = 1; with n_sigma = 0,
+    # P_rho = 1 and every cos^2 is 0 or 1 about G2 = 1/2, an exact tie at
+    # lambda = 0.5 that the fraction and the dimension must decide alike
+    for i in range(10):
+        rng = derive_rng(1, "verify-theorem", i)
+        p_r = Projector.from_isometry(sample_haar_unitary(16, rng=rng, columns=8))
+        p_rho = Projector.from_isometry(
+            sample_haar_unitary(16, rng=rng, columns=16 >> n_sigma))
+        for lam in (0.05, 0.1, 0.2, 0.5):
+            report = thermalization_report(p_r, p_rho, lam, n_bases=2, seed=rng)
+            assert (report.worst_basis_f * p_rho.rank + report.dim_thermal_achieved
+                    == p_rho.rank)
