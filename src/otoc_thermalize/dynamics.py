@@ -134,10 +134,10 @@ class CorrelatorSeries:
     def validate(self) -> None:
         """Check the chain and the identity to ``SERIES_TOL``; raise on failure."""
         g2, g4 = self.g2, self.g4
-        if np.any(g4 > g2 + SERIES_TOL) or np.any(g2 ** 2 > g4 + SERIES_TOL):
+        if not (np.all(g4 <= g2 + SERIES_TOL) and np.all(g2 ** 2 <= g4 + SERIES_TOL)):
             raise ValueError("inequality chain G2 >= G4 >= (G2)^2 violated")
         gap = np.abs((g2 - g4) - self.commutator_norm)
-        if np.any(gap > SERIES_TOL):
+        if not np.all(gap <= SERIES_TOL):
             raise ValueError(
                 f"commutator identity violated: max gap {gap.max():.3e}")
 

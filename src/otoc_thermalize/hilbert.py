@@ -17,6 +17,7 @@ brickwork gate is a 4 x 4 matmul on a (2^a, 4, rest) view of the block.
 from __future__ import annotations
 
 import math
+import numbers
 import zlib
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
@@ -63,7 +64,8 @@ def _resolve_rng(seed=None, rng=None):
 
 
 def sample_haar_unitary(dim: int, seed=None, rng=None,
-                        columns: Optional[int] = None) -> np.ndarray:
+                        columns: Optional[int] = None,
+                        count: Optional[int] = None) -> np.ndarray:
     """Draw a unitary from the Haar measure on U(dim), or its leading columns.
 
     Uses the Ginibre + QR construction (Mezzadri 2007): QR of a complex
@@ -80,6 +82,10 @@ def sample_haar_unitary(dim: int, seed=None, rng=None,
     generator would give in full, to roundoff (the thin and the full QR may
     round differently); with ``m = dim`` it is the full draw.
 
+    With ``count = k`` the k draws come from one ``k x m x 2D`` normal draw
+    and one stacked QR. The stack equals k consecutive single draws from the
+    same generator, bit for bit, and leaves the generator in the same state.
+
     Parameters
     ----------
     dim : int
@@ -88,24 +94,30 @@ def sample_haar_unitary(dim: int, seed=None, rng=None,
         Either a seed for a fresh generator or an existing generator.
     columns : int, optional
         Number of leading columns m, 1 <= m <= D; default D.
+    count : int, optional
+        Number k >= 0 of draws to stack; default one unstacked draw.
 
     Returns
     -------
     numpy.ndarray
-        D x m complex isometry, ``U^dag U = 1`` to ``1e-10 * D``.
+        D x m complex isometry, ``U^dag U = 1`` to ``1e-10 * D``, or a
+        k x D x m stack of them.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     m = dim if columns is None else columns
     if not 1 <= m <= dim:
         raise ValueError(f"columns must be in [1, {dim}], got {columns}")
+    if count is not None and not (isinstance(count, numbers.Integral) and count >= 0):
+        raise ValueError(f"count must be a nonnegative integer, got {count!r}")
     rng = _resolve_rng(seed, rng)
-    a = rng.standard_normal((m, 2 * dim)).view(complex).T / math.sqrt(2.0)
+    shape = (m, 2 * dim) if count is None else (count, m, 2 * dim)
+    a = rng.standard_normal(shape).view(complex).swapaxes(-1, -2) / math.sqrt(2.0)
     q, r = np.linalg.qr(a)
-    diag = np.diagonal(r).copy()
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     # map zero pivots (probability zero, but finite-precision safe) to phase 1
     diag[diag == 0] = 1.0
-    q *= diag / np.abs(diag)
+    q *= (diag / np.abs(diag))[..., None, :]
     return q
 
 
@@ -262,7 +274,7 @@ class ManyBodySetup:
             vec = np.asarray(vec, dtype=complex).ravel()
             if vec.shape != (2 ** n,):
                 raise ValueError(f"{name} must have length {2 ** n}, got {vec.shape}")
-            if abs(np.linalg.norm(vec) - 1.0) > STATE_NORM_TOL:
+            if not abs(np.linalg.norm(vec) - 1.0) <= STATE_NORM_TOL:
                 raise ValueError(f"{name} is not unit-norm to {STATE_NORM_TOL}")
             object.__setattr__(self, name, vec)
         obs = (tuple(range(self.n_observed)) if self.observed_sites is None
@@ -387,7 +399,7 @@ class UnitarySource:
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError(f"Hamiltonian must be square, got {h.shape}")
         defect = np.linalg.norm(h - h.conj().T)
-        if defect > HERMITICITY_TOL * h.shape[0]:
+        if not defect <= HERMITICITY_TOL * h.shape[0]:
             raise ValueError(f"Hamiltonian not Hermitian: defect {defect:.3e}")
         evals, evecs = np.linalg.eigh(h)
         return cls(kind="hamiltonian", dim=h.shape[0], evals=evals, evecs=evecs)
@@ -430,7 +442,8 @@ def evolve_basis_series(source: UnitarySource, k: np.ndarray,
     integers, t = 0 giving a copy of K. Costs per time: O(D^2 r) for a
     Hamiltonian, whose V^dag K is formed once per series; for CUE, the
     leading m columns of the Haar unitary (D x m Gaussians and a thin QR,
-    O(D m^2)), where m is one plus the index of the last nonzero row of K.
+    O(D m^2)), where m is one plus the index of the last nonzero row of K,
+    times K[:m] unless K[:m] is the identity (checked once per series).
     A circuit carries its block forward while the times do not decrease,
     applying only the layers between consecutive times at O(D r) each, so a
     grid t = 0..T costs T layers rather than T(T+1)/2; a decreasing time
@@ -446,6 +459,8 @@ def evolve_basis_series(source: UnitarySource, k: np.ndarray,
         coeffs = (source.evecs.T @ k.conj()).conj()
     elif source.kind == "haar_cue":
         m = int(np.max(np.flatnonzero(np.any(k != 0, axis=1)), initial=0)) + 1
+        # a product core on the leading qubits has k[:m] = 1: skip that product
+        identity = k.shape[1] == m and np.array_equal(k[:m], np.eye(m))
     elif source.kind != "circuit":
         raise ValueError(f"unknown source kind {source.kind!r}")
     depth, kt = None, None
@@ -463,9 +478,11 @@ def evolve_basis_series(source: UnitarySource, k: np.ndarray,
         if step == 0:
             yield k.copy()
         elif source.kind == "haar_cue":
-            # no name binds the D x m draw, so it is freed before the yield
-            yield sample_haar_unitary(source.dim, rng=derive_rng(source.seed, "cue", step),
-                                      columns=m) @ k[:m]
+            q = sample_haar_unitary(source.dim, rng=derive_rng(source.seed, "cue", step),
+                                    columns=m)
+            if not identity:
+                q = q @ k[:m]  # frees the draw before the yield
+            yield q
         else:
             if depth is None or step < depth:
                 # layer 0 has a gate, so the block yielded is never K itself

@@ -295,7 +295,7 @@ def cauchy_schwarz_bound(times: np.ndarray, gram: np.ndarray,
     if gram.shape != (n, n):
         raise ValueError(f"gram shape {gram.shape} does not match {n} times")
     herm_defect = np.linalg.norm(gram - gram.conj().T)
-    if herm_defect > KERNEL_TOL * max(1.0, np.linalg.norm(gram)):
+    if not herm_defect <= KERNEL_TOL * max(1.0, np.linalg.norm(gram)):
         raise ValueError(f"kernel not Hermitian: defect {herm_defect:.3e}")
     scale = max(1.0, float(np.abs(np.diagonal(gram)).max(initial=0.0)))
     min_eig = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2.0).min())

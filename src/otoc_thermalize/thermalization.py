@@ -83,26 +83,28 @@ def thermal_subspace(g: SubspaceGeometry, lam: float):
 
 
 def empirical_nonthermal_fraction(cos2: np.ndarray, q: np.ndarray,
-                                  g2: float, lam: float) -> float:
+                                  g2: float, lam: float) -> float | np.ndarray:
     """Measured fraction of probe states with |<b|P_R|b> - G^2| > lambda.
 
     ``q`` (d_rho x n) holds a basis of range(P_rho) in the principal axes, so
     state j has <b|P_R|b> = sum_k cos2_k |q_kj|^2; ``q = 1`` is the
     principal-axes basis. The inequality is strict, so boundary ties count as
     thermal. The columns of ``q`` must be orthonormal (checked; violation
-    raises).
+    raises). A stack ``q`` of shape (s, d_rho, n) is scored in one pass and
+    gives an array of s fractions; a single basis gives a float.
     """
     q = np.asarray(q, dtype=complex)
-    if q.ndim != 2 or q.shape[0] != cos2.size:
+    if q.ndim not in (2, 3) or q.shape[-2] != cos2.size:
         raise ValueError(f"basis shape {q.shape} incompatible with d_rho {cos2.size}")
-    n = q.shape[1]
+    n = q.shape[-1]
     if n < 1:
         raise ValueError("basis must contain at least one column")
-    defect = np.linalg.norm(q.conj().T @ q - np.eye(n))
-    if defect > BASIS_TOL:
-        raise ValueError(f"basis not orthonormal: defect {defect:.3e}")
+    defect = np.linalg.norm(q.conj().swapaxes(-1, -2) @ q - np.eye(n), axis=(-2, -1))
+    if not np.all(defect <= BASIS_TOL):
+        raise ValueError(f"basis not orthonormal: defect {np.max(defect):.3e}")
     expect = cos2 @ np.abs(q) ** 2
-    return float(np.count_nonzero(np.abs(expect - g2) > lam)) / n
+    fractions = np.count_nonzero(np.abs(expect - g2) > lam, axis=-1) / n
+    return float(fractions) if q.ndim == 2 else fractions
 
 
 def converse_variance_bound(lam: float, f_max: float) -> float:
@@ -204,6 +206,13 @@ def thermalization_report(p_r: Projector, p_rho: Projector, lam: float,
     them with the forward bounds and the converse bound computed from the
     largest measured fraction. Probes read the angle-route G^2 of
     ``thermal_axes``, so a tie counts alike in the dimension and the fraction.
+
+    The Haar bases are d_rho x d_rho unitaries drawn from ``seed`` (a
+    generator is used as given) and scored a stack at a time: one
+    ``sample_haar_unitary(d_rho, count=k)`` draw and one stacked
+    ``empirical_nonthermal_fraction`` call per stack of k <= max(1,
+    D^2 // d_rho^2) bases, so a stack holds no more than one D x D array.
+    The draws equal n_bases single draws from the same generator.
     """
     geom = halmos_decompose(p_r, p_rho)
     g2 = correlator_trace(p_r, p_rho, 1)
@@ -215,11 +224,12 @@ def thermalization_report(p_r: Projector, p_rho: Projector, lam: float,
     dim_achieved = int(np.count_nonzero(thermal_axes(cos2, lam)))
     worst_f = empirical_nonthermal_fraction(cos2, np.eye(geom.d_rho), g2_angles, lam)
     rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed, "report-bases")
-    empirical = [
-        empirical_nonthermal_fraction(
-            cos2, sample_haar_unitary(geom.d_rho, rng=rng), g2_angles, lam)
-        for _ in range(n_bases)
-    ]
+    # a stack of D^2/d_rho^2 bases holds no more than one D x D array
+    step = max(1, p_rho.dim ** 2 // geom.d_rho ** 2)
+    empirical = []
+    for start in range(0, n_bases, step):
+        stack = sample_haar_unitary(geom.d_rho, rng=rng, count=min(step, n_bases - start))
+        empirical += empirical_nonthermal_fraction(cos2, stack, g2_angles, lam).tolist()
     f_max = max([worst_f, *empirical], default=worst_f)
     return ThermalizationReport(
         g2=g2, g4=g4, sigma2=sigma2, lam=lam,

@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 from _dense import dense_embed, predictor_demo_rows, recording_eigh
-from otoc_thermalize import cli, hilbert
+from otoc_thermalize import cli, hilbert, thermalization
 from otoc_thermalize.geometry import halmos_decompose
 from otoc_thermalize.hilbert import (
     UnitarySource,
@@ -286,6 +286,20 @@ def test_circuit_lambda_sweep_draws_each_layer_once(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "c.csv")]) == EXIT_PASS
     # layers 0..4 of a 6-qubit brickwork hold 3, 2, 3, 2, 3 gates
     assert len(draws) == 13
+
+
+def test_verify_theorem_draws_probes_one_stack_per_report(tmp_path, monkeypatch):
+    # per instance: the two pair isometries, then one stack per lambda report
+    draws = []
+    sample = hilbert.sample_haar_unitary
+    for module in (cli, thermalization):
+        monkeypatch.setattr(module, "sample_haar_unitary",
+                            lambda *a, **kw: draws.append(a) or sample(*a, **kw))
+    cfg = write_config(tmp_path, "experiment = verify-theorem\nn = 5\n"
+                                 "n_instances = 3\nlambda_grid = 0.05, 0.1, 0.2, 0.5\n")
+    assert cli.main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "v.csv")]) == EXIT_PASS
+    assert len(draws) == 3 * (2 + 4)
 
 
 @pytest.mark.parametrize("n, n_s", [(6, 1), (4, 2)])

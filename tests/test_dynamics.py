@@ -186,6 +186,19 @@ def test_series_validate_detects_corruption():
         series.validate()
 
 
+def test_series_validate_rejects_an_all_nan_series():
+    nan = np.array([np.nan])
+    series = CorrelatorSeries(times=np.array([0.0]), g2=nan, g4=nan, sigma2=nan,
+                              commutator_norm=nan, cos2=np.array([[np.nan]]))
+    with pytest.raises(ValueError, match="chain"):
+        series.validate()
+    series = CorrelatorSeries(
+        times=np.array([0.0]), g2=np.array([0.5]), g4=np.array([0.25]),
+        sigma2=np.array([0.0]), commutator_norm=nan, cos2=np.array([[0.5]]))
+    with pytest.raises(ValueError, match="commutator"):
+        series.validate()
+
+
 def spread_setup():
     """D = 128 with non-leading sites and an entangled core state: the core
     basis has support on the last row, so CUE takes the full-support path."""

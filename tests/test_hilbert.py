@@ -76,6 +76,32 @@ def test_sampler_unitary_any_dim(dim, seed):
     assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= UNITARITY_TOL * dim
 
 
+@pytest.mark.parametrize("dim", [1, 2, 8, 32])
+@pytest.mark.parametrize("columns", [None, "half"])
+def test_sampler_stack_equals_consecutive_draws(dim, columns):
+    m = None if columns is None else max(1, dim // 2)
+    rng_stack, rng_seq = np.random.default_rng(dim), np.random.default_rng(dim)
+    stack = sample_haar_unitary(dim, rng=rng_stack, columns=m, count=9)
+    assert stack.shape == (9, dim, m or dim)
+    for q in stack:
+        single = sample_haar_unitary(dim, rng=rng_seq, columns=m)
+        assert q.tobytes() == single.tobytes()
+    assert rng_stack.bit_generator.state == rng_seq.bit_generator.state
+
+
+def test_sampler_empty_stack_leaves_the_generator_untouched():
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    assert sample_haar_unitary(8, rng=rng, columns=3, count=0).shape == (0, 8, 3)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("count", [-1, 2.5, 2.0, "3"])
+def test_sampler_rejects_a_bad_count(count):
+    with pytest.raises(ValueError, match="count"):
+        sample_haar_unitary(8, seed=0, count=count)
+
+
 def test_derive_rng_streams_are_independent_and_stable():
     a = derive_rng(7, "stream", 0).standard_normal(4)
     b = derive_rng(7, "stream", 1).standard_normal(4)
@@ -176,6 +202,10 @@ class TestManyBodySetup:
     def test_rejects_unnormalized_state(self):
         with pytest.raises(ValueError, match="unit-norm"):
             ManyBodySetup(2, 1, 1, np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+
+    def test_rejects_a_nan_state(self):
+        with pytest.raises(ValueError, match="unit-norm"):
+            ManyBodySetup(2, 1, 1, np.array([np.nan, 0.0]), np.array([1.0, 0.0]))
 
     def test_rejects_duplicate_sites(self):
         with pytest.raises(ValueError, match="duplicates"):
@@ -320,6 +350,13 @@ class TestEvolve:
         with pytest.raises(ValueError, match="Hermitian"):
             UnitarySource.hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_a_nan_hamiltonian(self):
+        # eigh reads one triangle only, so the NaN must fail the hermiticity check
+        h = np.eye(4)
+        h[1, 2] = np.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            UnitarySource.hamiltonian(h)
+
     def test_ensemble_sources_need_integer_times(self):
         src = UnitarySource.haar_cue(4, seed=0)
         with pytest.raises(ValueError, match="integer"):
@@ -373,6 +410,20 @@ class TestEvolve:
             np.testing.assert_allclose(block, k, rtol=0, atol=1e-12)
             block[...] = 7.0
             assert np.array_equal(k, k_before)
+
+    @pytest.mark.parametrize("k", [
+        embed_isometry(ManyBodySetup(6, 1, 2, np.eye(2)[0], np.eye(4)[0]), "core"),
+        sample_haar_unitary(64, seed=6, columns=5),
+        embed_isometry(ManyBodySetup(6, 1, 2, np.eye(2)[0], np.eye(4)[0],
+                                     core_sites=(3, 5)), "core"),
+    ], ids=["leading-core", "isometry", "spread-core"])
+    def test_cue_blocks_are_the_thin_draw_times_k(self, k):
+        # the CLI core has k[:m] = 1 and skips the product; the result is the same
+        m = int(np.flatnonzero(np.any(k != 0, axis=1))[-1]) + 1
+        source = UnitarySource.haar_cue(64, seed=8)
+        for t, block in zip([1, 2], evolve_basis_series(source, k, [1, 2])):
+            draw = sample_haar_unitary(64, rng=derive_rng(8, "cue", t), columns=m)
+            assert block.tobytes() == (draw @ k[:m]).tobytes()
 
     @pytest.mark.parametrize("n, times", [(2, [1, 2]), (4, [1, 1, 3])])
     def test_carried_circuit_blocks_are_read_only(self, n, times):

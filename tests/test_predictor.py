@@ -385,6 +385,13 @@ def test_cauchy_schwarz_bound_trivial_cases():
     assert val == pytest.approx(math.sqrt(0.7) * math.sqrt(2.0), abs=1e-12)
 
 
+def test_cauchy_schwarz_bound_rejects_a_nan_kernel():
+    gram = np.eye(3)
+    gram[0, 1] = np.nan
+    with pytest.raises(ValueError, match="Hermitian"):
+        cauchy_schwarz_bound(np.arange(3.0), gram, WeightingFunction.tent(1.0), 1.0)
+
+
 def test_cauchy_schwarz_bound_kernel_validation():
     w = WeightingFunction.tent(1.0)
     with pytest.raises(ValueError, match="Hermitian"):

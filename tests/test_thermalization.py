@@ -189,6 +189,13 @@ def test_empirical_fraction_rejects_nonorthonormal_basis():
         empirical_nonthermal_fraction(geom.cos2, bad, 0.5, 0.1)
 
 
+def test_empirical_fraction_rejects_a_nan_basis():
+    q = np.eye(4, dtype=complex)
+    q[0, 0] = np.nan
+    with pytest.raises(ValueError, match="orthonormal"):
+        empirical_nonthermal_fraction(np.linspace(0, 1, 4), q, 0.5, 0.1)
+
+
 def test_strict_inequality_boundary_counts_as_thermal():
     # expectation deviates by exactly lambda: strict ">" keeps it thermal
     geom = halmos_decompose(Projector.coordinate(2, 1), Projector.coordinate(2, 1))
@@ -236,20 +243,22 @@ def test_principal_axes_probes_match_the_dense_oracle(pair):
 
 def test_report_draws_one_d_rho_unitary_per_basis(monkeypatch):
     # the probe bases come from the generator passed in, n_bases draws of
-    # size d_rho in order, and the fractions match the dense oracle on them
+    # size d_rho in order (here one stack), and the fractions match the dense
+    # oracle on them
     p_r, p_rho = random_pair(32, 12, 8, seed=26)
     calls, qs = [], []
     draw = thermalization.sample_haar_unitary
 
-    def recorder(dim, seed=None, rng=None, columns=None):
-        calls.append((dim, seed, rng, columns))
-        qs.append(draw(dim, seed=seed, rng=rng, columns=columns))
-        return qs[-1]
+    def recorder(dim, seed=None, rng=None, columns=None, count=None):
+        calls.append((dim, seed, rng, columns, count))
+        stack = draw(dim, seed=seed, rng=rng, columns=columns, count=count)
+        qs.extend(stack)
+        return stack
 
     monkeypatch.setattr(thermalization, "sample_haar_unitary", recorder)
     gen = np.random.default_rng(41)
     report = thermalization_report(p_r, p_rho, lam=0.05, n_bases=7, seed=gen)
-    assert calls == [(8, None, gen, None)] * 7
+    assert calls == [(8, None, gen, None, 7)]
     replay = np.random.default_rng(41)
     for q in qs:
         np.testing.assert_array_equal(q, draw(8, rng=replay))
@@ -259,6 +268,53 @@ def test_report_draws_one_d_rho_unitary_per_basis(monkeypatch):
         p_r, geom.axes_w, report.g2, 0.05)
     assert list(report.empirical_f) == [
         dense_nonthermal_fraction(p_r, geom.axes_w @ q, report.g2, 0.05) for q in qs]
+
+
+def test_stacked_fractions_equal_per_basis_fractions():
+    p_r, p_rho = random_pair(32, 12, 8, seed=27)
+    geom = halmos_decompose(p_r, p_rho)
+    g2 = correlator_trace(p_r, p_rho, 1)
+    stack = sample_haar_unitary(8, seed=5, count=12)
+    for lam in (0.02, 0.05, 0.1):
+        stacked = empirical_nonthermal_fraction(geom.cos2, stack, g2, lam)
+        assert stacked.shape == (12,)
+        assert stacked.tolist() == [
+            empirical_nonthermal_fraction(geom.cos2, q, g2, lam) for q in stack]
+    # a 2-D basis still gives a float
+    assert type(empirical_nonthermal_fraction(geom.cos2, stack[0], g2, 0.05)) is float
+
+
+@pytest.mark.parametrize("bad", ["nonorthonormal", "nan"])
+def test_stacked_fraction_rejects_one_bad_basis(bad):
+    stack = sample_haar_unitary(4, seed=6, count=5)
+    stack[3, 0, 0] = 2.0 if bad == "nonorthonormal" else np.nan
+    with pytest.raises(ValueError, match="orthonormal"):
+        empirical_nonthermal_fraction(np.linspace(0, 1, 4), stack, 0.5, 0.1)
+
+
+@pytest.mark.parametrize("dim, d_rho", [(16, 16), (16, 8)])
+def test_report_stacks_are_capped_by_the_dimension(monkeypatch, dim, d_rho):
+    # at most max(1, D^2 // d_rho^2) bases per stack: 1 at n_sigma = 0, 4 here
+    p_r, p_rho = random_pair(dim, dim // 2, d_rho, seed=28)
+    step, n_bases = max(1, dim ** 2 // d_rho ** 2), 10
+    counts = []
+    draw = thermalization.sample_haar_unitary
+
+    def recorder(*args, count=None, **kwargs):
+        counts.append(count)
+        return draw(*args, count=count, **kwargs)
+
+    monkeypatch.setattr(thermalization, "sample_haar_unitary", recorder)
+    report = thermalization_report(p_r, p_rho, lam=0.1, n_bases=n_bases,
+                                   seed=np.random.default_rng(9))
+    assert len(counts) == -(-n_bases // step)
+    assert max(counts) == min(step, n_bases) and sum(counts) == n_bases
+    geom = halmos_decompose(p_r, p_rho)
+    g2 = float(np.sum(geom.cos2)) / geom.d_rho
+    replay = np.random.default_rng(9)
+    assert report.empirical_f == tuple(
+        empirical_nonthermal_fraction(geom.cos2, draw(d_rho, rng=replay), g2, 0.1)
+        for _ in range(n_bases))
 
 
 def test_worst_basis_dominates_sampled_bases():
