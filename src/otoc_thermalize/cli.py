@@ -208,7 +208,7 @@ def _take_float_list(params, key, default):
         value = [value]
     if not isinstance(value, list):
         raise ConfigError(f"{key} must be a number or comma list, got {value!r}")
-    return [_finite_float(f"{key} entries", item) for item in value]
+    return [_finite_float(f"{key} values", item) for item in value]
 
 
 def _reject_leftovers(experiment, params):

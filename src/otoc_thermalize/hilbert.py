@@ -3,7 +3,7 @@
 Projectors on C^D, product states on the qubits of a register, Haar-random
 unitary sampling, and time evolution from several unitary sources
 (Hamiltonian, circular unitary ensemble, brickwork circuit). A ``Projector``
-is a dense D x D matrix that keeps the isometry it was built from. A product
+is its D x rank orthonormal basis; its D x D matrix is never formed. A product
 state |s><s| (x) 1 is never formed as one: ``embed_isometry`` is its
 isometry L, and ``contract_isometry`` applies L^dag by contracting <s| into
 the factor's qubits. Time evolution acts on a D x r basis K through
@@ -137,91 +137,67 @@ def gue_hamiltonian(dim: int, seed=None, rng=None) -> np.ndarray:
     return (a + a.conj().T) / (2.0 * math.sqrt(dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Projector:
-    """An orthogonal projector: a dense D x D complex matrix and its integer rank.
+    """An orthogonal projector V V^dag, kept as its read-only D x rank basis V.
 
-    The constructor checks that the matrix is square, nonempty and finite and
-    that the rank lies in [0, D]. ``validate`` checks hermiticity, idempotence
-    and the trace/rank match at the module tolerances; ``conjugate`` calls
-    it, and ``from_isometry`` checks the isometry instead, so that numerical
-    degradation surfaces as an error instead of propagating.
-
-    ``isometry`` is the read-only D x rank range basis that ``from_isometry``
-    was given; it is ``None`` for a projector given as a matrix.
+    The D x D matrix is never formed. Construction copies the basis, checks
+    that it is a finite 2-D array with D >= 1 and runs ``validate``, so that
+    numerical degradation surfaces as an error instead of propagating.
     """
 
-    entries: np.ndarray
-    rank: int = 0
-    isometry: Optional[np.ndarray] = field(default=None, init=False, repr=False,
-                                           compare=False)
+    basis: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError(f"operator must be square, got shape {entries.shape}")
-        if entries.shape[0] < 1:
-            raise ValueError("operator dimension must be >= 1")
-        if not np.all(np.isfinite(entries.view(float))):
-            raise ValueError("operator entries must be finite")
-        object.__setattr__(self, "entries", entries)
-        if not (0 <= self.rank <= self.dim):
-            raise ValueError(f"rank {self.rank} out of range for dim {self.dim}")
+        v = np.array(self.basis, dtype=complex)
+        if v.ndim != 2 or v.shape[0] < 1:
+            raise ValueError(
+                f"basis must be a 2-D D x rank array with D >= 1, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("basis must be finite")
+        v.flags.writeable = False
+        object.__setattr__(self, "basis", v)
+        self.validate()
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.basis.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
 
     def validate(self) -> None:
-        """Raise ValueError if the projector invariants fail at tolerance."""
-        p = self.entries
-        d = self.dim
-        herm = np.linalg.norm(p - p.conj().T)
-        if herm > HERMITICITY_TOL * d:
-            raise ValueError(f"projector not Hermitian: defect {herm:.3e}")
-        idem = np.linalg.norm(p @ p - p)
-        if idem > IDEMPOTENCE_TOL * d:
-            raise ValueError(f"projector not idempotent: defect {idem:.3e}")
-        tr = np.trace(p)
-        if abs(tr.imag) > RANK_TOL or abs(tr.real - self.rank) > RANK_TOL:
-            raise ValueError(
-                f"projector trace {tr:.6e} does not match rank {self.rank}")
+        """Raise ValueError unless the basis columns are orthonormal at tolerance.
+
+        ||V^dag V - 1||_F <= min(IDEMPOTENCE_TOL D, RANK_TOL/sqrt(r)) is checked
+        at O(D r^2); it bounds the idempotence and trace defects of V V^dag.
+        """
+        v = self.basis
+        defect = np.linalg.norm(v.conj().T @ v - np.eye(self.rank))
+        if not defect <= min(IDEMPOTENCE_TOL * self.dim,
+                             RANK_TOL / math.sqrt(max(self.rank, 1))):
+            raise ValueError(f"basis columns not orthonormal: defect {defect:.3e}")
 
     @classmethod
     def from_isometry(cls, v: np.ndarray) -> "Projector":
-        """Projector V V^dag onto the column span of an isometry V.
-
-        ||V^dag V - 1||_F <= min(IDEMPOTENCE_TOL D, RANK_TOL/sqrt(r)) is checked
-        at O(D r^2); it bounds the trace and idempotence defects ``validate``
-        checks. A read-only copy of V is kept as ``isometry``.
-        """
-        v = np.array(v, dtype=complex)
-        if v.ndim != 2:
-            raise ValueError(f"isometry must be a 2-D D x rank array, got shape {v.shape}")
-        d, r = v.shape
-        defect = np.linalg.norm(v.conj().T @ v - np.eye(r))
-        if not defect <= min(IDEMPOTENCE_TOL * d, RANK_TOL / math.sqrt(max(r, 1))):
-            raise ValueError(f"isometry columns not orthonormal: defect {defect:.3e}")
-        p = cls(v @ v.conj().T, rank=r)
-        v.flags.writeable = False
-        object.__setattr__(p, "isometry", v)
-        return p
+        """Projector V V^dag onto the column span of an isometry V."""
+        return cls(v)
 
     @classmethod
     def coordinate(cls, dim: int, rank: int) -> "Projector":
         """Projector onto the span of the first ``rank`` coordinate vectors."""
-        return cls(np.diag(np.r_[np.ones(rank), np.zeros(dim - rank)]).astype(complex),
-                   rank=rank)
+        if not 0 <= rank <= dim:
+            raise ValueError(f"rank {rank} out of range for dim {dim}")
+        return cls(np.eye(dim, rank))
 
 
 def conjugate(p: Projector, u: np.ndarray) -> Projector:
-    """Return U P U^dag as a validated projector of the same rank."""
+    """Return U P U^dag, the projector onto the span of U V, validated."""
     u = np.asarray(u, dtype=complex)
-    if u.shape != p.entries.shape:
-        raise ValueError(f"dimension mismatch: P is {p.entries.shape}, U is {u.shape}")
-    q = Projector(u @ p.entries @ u.conj().T, rank=p.rank)
-    q.validate()
-    return q
+    if u.shape != (p.dim, p.dim):
+        raise ValueError(f"dimension mismatch: P acts on {p.dim}, U is {u.shape}")
+    return Projector(u @ p.basis)
 
 
 def _check_sites(sites: Sequence[int], n_total: int, label: str) -> tuple:

@@ -211,8 +211,9 @@ def thermalization_report(p_r: Projector, p_rho: Projector, lam: float,
     generator is used as given) and scored a stack at a time: one
     ``sample_haar_unitary(d_rho, count=k)`` draw and one stacked
     ``empirical_nonthermal_fraction`` call per stack of k <= max(1,
-    D^2 // d_rho^2) bases, so a stack holds no more than one D x D array.
-    The draws equal n_bases single draws from the same generator.
+    D^2 // d_rho^2) bases, so a stack holds at most D^2 numbers. The draws
+    equal n_bases single draws from the same generator. The pair enters
+    through its D x rank bases only, and no D x D array is formed.
     """
     geom = halmos_decompose(p_r, p_rho)
     g2 = correlator_trace(p_r, p_rho, 1)
@@ -224,7 +225,7 @@ def thermalization_report(p_r: Projector, p_rho: Projector, lam: float,
     dim_achieved = int(np.count_nonzero(thermal_axes(cos2, lam)))
     worst_f = empirical_nonthermal_fraction(cos2, np.eye(geom.d_rho), g2_angles, lam)
     rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed, "report-bases")
-    # a stack of D^2/d_rho^2 bases holds no more than one D x D array
+    # cap a probe stack at D^2 numbers
     step = max(1, p_rho.dim ** 2 // geom.d_rho ** 2)
     empirical = []
     for start in range(0, n_bases, step):

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -477,6 +478,21 @@ def test_verify_theorem_runs_without_an_eigendecomposition(capsys):
     assert calls == []
     assert cli.run(config) == EXIT_PASS
     assert capsys.readouterr().out == recorded
+
+
+def test_verify_theorem_holds_no_dim_squared_array(capsys):
+    # D = 2048 with rank-2 subspaces: one D x D complex array is 64 MiB
+    config = {"experiment": "verify-theorem", "seed": 1, "n": 11, "n_s": 10,
+              "n_sigma": 10, "n_instances": 2, "n_bases": 3, "lambda_grid": [0.5]}
+    tracemalloc.start()
+    try:
+        code = cli.run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == EXIT_PASS
+    assert peak < 16 * 2 ** 20
 
 
 def test_run_accepts_plain_mapping(capsys):

@@ -5,7 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _dense import dense_embed, swap_representation_check
+from _dense import (
+    dense_correlator_trace,
+    dense_embed,
+    dense_matrix,
+    swap_representation_check,
+)
 from otoc_thermalize import dynamics, hilbert
 from otoc_thermalize.geometry import (
     correlator_from_angles,
@@ -260,10 +265,11 @@ def test_series_matches_dense_evolution_oracle(case):
     p_rho = dense_embed(setup, "core")
     for i, t in enumerate(times):
         p_t = conjugate(p_rho, evolve(source, t))
-        delta = p_r.entries @ p_t.entries - p_t.entries @ p_r.entries
-        comm = np.sum(np.abs(delta) ** 2) / (2.0 * setup.d_eta)
-        assert abs(series.g2[i] - correlator_trace(p_r, p_t, 1)) <= 1e-12
-        assert abs(series.g4[i] - correlator_trace(p_r, p_t, 2)) <= 1e-12
+        r, pt = dense_matrix(p_r), dense_matrix(p_t)
+        comm = np.sum(np.abs(r @ pt - pt @ r) ** 2) / (2.0 * setup.d_eta)
+        for n, g in ((1, series.g2[i]), (2, series.g4[i])):
+            assert abs(g - dense_correlator_trace(p_r, p_t, n)) <= 1e-12
+            assert abs(g - correlator_trace(p_r, p_t, n)) <= 1e-12
         assert abs(series.commutator_norm[i] - comm) <= 1e-12
 
 

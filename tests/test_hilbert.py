@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _dense import dense_embed
+from _dense import dense_embed, dense_matrix
 from otoc_thermalize.hilbert import (
     ManyBodySetup,
     Projector,
@@ -129,22 +129,42 @@ class TestProjector:
         Projector.coordinate(8, 3).validate()
 
     def test_validate_rejects_non_idempotent(self):
-        p = Projector(0.5 * np.eye(4), rank=2)
-        with pytest.raises(ValueError, match="idempotent"):
-            p.validate()
+        # V V^dag = diag(1/2, 1/2, 0, 0) is not idempotent
+        with pytest.raises(ValueError, match="orthonormal"):
+            Projector.from_isometry(np.sqrt(0.5) * np.eye(4, 2))
 
     def test_validate_rejects_wrong_rank(self):
-        p = Projector(np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex), rank=3)
-        with pytest.raises(ValueError, match="rank"):
-            p.validate()
+        # V V^dag = diag(1, 1, 0, 0) has trace 2, not the 3 columns of V
+        with pytest.raises(ValueError, match="orthonormal"):
+            Projector.from_isometry(np.diag([1.0, 1.0, 0.0, 0.0])[:, :3])
+
+    def test_validate_runs_at_construction(self, monkeypatch):
+        calls = []
+        validate = Projector.validate
+        monkeypatch.setattr(Projector, "validate",
+                            lambda self: calls.append(self.rank) or validate(self))
+        Projector.coordinate(4, 2)
+        conjugate(Projector.from_isometry(np.eye(4, 3)), np.eye(4))
+        assert calls == [2, 3, 3]
 
     def test_rejects_nonfinite_entries(self):
         with pytest.raises(ValueError, match="finite"):
-            Projector(np.array([[np.nan, 0], [0, 1]]), rank=1)
+            Projector.from_isometry(np.array([[np.nan], [0.0]]))
 
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError, match="square"):
-            Projector(np.zeros((2, 3)), rank=0)
+    def test_rejects_more_columns_than_rows(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            Projector.from_isometry(np.eye(2, 3))
+
+    @pytest.mark.parametrize("rank", [-1, 9])
+    def test_coordinate_rejects_a_rank_outside_0_to_dim(self, rank):
+        with pytest.raises(ValueError, match=f"rank {rank} out of range"):
+            Projector.coordinate(8, rank)
+
+    @pytest.mark.parametrize("rank", [0, 3, 8])
+    def test_coordinate_is_the_leading_identity_columns(self, rank):
+        p = Projector.coordinate(8, rank)
+        assert (p.dim, p.rank) == (8, rank)
+        np.testing.assert_array_equal(p.basis, np.eye(8)[:, :rank])
 
     def test_from_isometry(self):
         v = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 2)))[0]
@@ -152,10 +172,11 @@ class TestProjector:
         assert p.rank == 2
         p.validate()
 
-    @pytest.mark.parametrize("shape", [(6,), (2, 6, 1)])
+    @pytest.mark.parametrize("shape", [(6,), (2, 6, 1), (0, 0), (0, 2)])
     def test_from_isometry_rejects_non_matrix_input(self, shape):
         v = np.zeros(shape, dtype=complex)
-        v.flat[0] = 1.0
+        if v.size:
+            v.flat[0] = 1.0
         with pytest.raises(ValueError, match=f"2-D.*{re.escape(str(shape))}"):
             Projector.from_isometry(v)
 
@@ -180,11 +201,10 @@ class TestProjector:
     def test_from_isometry_keeps_a_copy_of_the_basis(self):
         v = np.linalg.qr(np.random.default_rng(1).standard_normal((6, 2)))[0]
         p = Projector.from_isometry(v)
-        np.testing.assert_array_equal(p.isometry, v)
-        assert not np.shares_memory(p.isometry, v)
-        # the basis is not part of the projector's value
-        assert Projector(p.entries, rank=2) == p
-        assert Projector(p.entries, rank=2).isometry is None
+        np.testing.assert_array_equal(p.basis, v)
+        assert not np.shares_memory(p.basis, v)
+        with pytest.raises(ValueError, match="read-only"):
+            p.basis[0, 0] = 0.0
 
 
 class TestManyBodySetup:
@@ -225,7 +245,7 @@ def test_embed_full_register_is_rank_one():
     s = ManyBodySetup(2, 2, 2, chi, chi)
     p = dense_embed(s, "observable")
     assert p.rank == 1
-    np.testing.assert_allclose(p.entries, np.outer(chi, chi), atol=1e-14)
+    np.testing.assert_allclose(dense_matrix(p), np.outer(chi, chi), atol=1e-14)
 
 
 def test_embed_entangled_core_is_projector():
@@ -234,7 +254,7 @@ def test_embed_entangled_core_is_projector():
     p = dense_embed(s, "core")
     assert p.rank == 2
     p.validate()
-    assert abs(np.trace(p.entries).real - 2.0) <= 1e-12
+    assert abs(np.trace(dense_matrix(p)).real - 2.0) <= 1e-12
 
 
 def test_embed_isometry_columns_orthonormal():
@@ -446,10 +466,22 @@ def test_conjugate_preserves_rank_and_trace():
     p = Projector.from_isometry(basis)
     q = conjugate(p, u)
     assert q.rank == 3
-    assert abs(np.trace(q.entries) - np.trace(p.entries)) <= 1e-12
+    assert abs(np.trace(dense_matrix(q)) - np.trace(dense_matrix(p))) <= 1e-12
+    np.testing.assert_allclose(dense_matrix(q), u @ dense_matrix(p) @ u.conj().T,
+                               rtol=0, atol=1e-12)
 
 
 def test_conjugate_rejects_dimension_mismatch():
     p = Projector.coordinate(4, 2)
     with pytest.raises(ValueError, match="mismatch"):
         conjugate(p, np.eye(8))
+
+
+@pytest.mark.parametrize("u, match", [
+    (2.0 * np.eye(4), "orthonormal"),
+    (np.eye(3, 4), "dimension mismatch"),  # U V would be an orthonormal 3 x 2 basis
+    (np.eye(4, 3), "dimension mismatch"),
+], ids=["non-unitary", "3x4", "4x3"])
+def test_conjugate_rejects_a_non_unitary_or_misshapen_u(u, match):
+    with pytest.raises(ValueError, match=match):
+        conjugate(Projector.coordinate(4, 2), u)

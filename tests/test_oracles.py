@@ -16,10 +16,14 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from _dense import dense_embed, swap_representation_check
+from _dense import (
+    dense_embed,
+    dense_matrix,
+    projector_from_matrix,
+    swap_representation_check,
+)
 from otoc_thermalize.hilbert import (
     ManyBodySetup,
-    Projector,
     UnitarySource,
     conjugate,
     evolve,
@@ -64,7 +68,7 @@ def test_embed_observable_two_qubits_is_diag_1100():
                           observed_state=chi, core_state=psi)
     p = dense_embed(setup, "observable")
     assert p.rank == 2
-    np.testing.assert_allclose(p.entries, np.diag([1.0, 1.0, 0.0, 0.0]),
+    np.testing.assert_allclose(dense_matrix(p), np.diag([1.0, 1.0, 0.0, 0.0]),
                                atol=1e-14)
 
 
@@ -80,7 +84,7 @@ def test_embed_observable_middle_site_matches_kron():
                           observed_sites=(1,))
     p = dense_embed(setup, "observable")
     ref = np.kron(np.kron(np.eye(2), np.outer(chi, chi.conj())), np.eye(2))
-    np.testing.assert_allclose(p.entries, ref, atol=1e-12)
+    np.testing.assert_allclose(dense_matrix(p), ref, atol=1e-12)
     assert p.rank == 4
 
 
@@ -94,7 +98,7 @@ def test_embed_core_entangled_state_matches_kron():
                           observed_state=chi, core_state=phi)
     p = dense_embed(setup, "core")
     ref = np.kron(np.outer(phi, phi.conj()), np.eye(2))
-    np.testing.assert_allclose(p.entries, ref, atol=1e-12)
+    np.testing.assert_allclose(dense_matrix(p), ref, atol=1e-12)
     assert p.rank == 2
 
 
@@ -103,9 +107,9 @@ def test_conjugate_by_swap_moves_projector():
     swap = np.zeros((4, 4))
     swap[0, 0] = swap[3, 3] = 1.0
     swap[1, 2] = swap[2, 1] = 1.0
-    p = Projector(np.kron(np.diag([1.0, 0.0]), np.eye(2)), rank=2)
+    p = projector_from_matrix(np.kron(np.diag([1.0, 0.0]), np.eye(2)), rank=2)
     q = conjugate(p, swap)
-    np.testing.assert_allclose(q.entries, np.kron(np.eye(2), np.diag([1.0, 0.0])),
+    np.testing.assert_allclose(dense_matrix(q), np.kron(np.eye(2), np.diag([1.0, 0.0])),
                                atol=1e-14)
 
 
@@ -123,8 +127,8 @@ def _normal_form_pair(thetas, dim, seed=None):
     for j, th in enumerate(thetas):
         b_rho[j, j] = math.cos(th)
         b_rho[k + j, j] = math.sin(th)
-    p_r = Projector(b_r @ b_r.conj().T, rank=k)
-    p_rho = Projector(b_rho @ b_rho.conj().T, rank=k)
+    p_r = projector_from_matrix(b_r @ b_r.conj().T, rank=k)
+    p_rho = projector_from_matrix(b_rho @ b_rho.conj().T, rank=k)
     if seed is not None:
         u = sample_haar_unitary(dim, seed=seed)
         p_r, p_rho = conjugate(p_r, u), conjugate(p_rho, u)
@@ -159,9 +163,9 @@ def test_correlators_match_closed_form_cosine_sums():
 def test_maximal_variance_instance_d4():
     # P_R = span{e0, e1}, P_rho = span{e0, e2}: angles {0, pi/2}, sigma2 = 1/4.
     e = np.eye(4, dtype=complex)
-    p_r = Projector(e[:, :2] @ e[:, :2].T, rank=2)
+    p_r = projector_from_matrix(e[:, :2] @ e[:, :2].T, rank=2)
     b = e[:, [0, 2]]
-    p_rho = Projector(b @ b.T, rank=2)
+    p_rho = projector_from_matrix(b @ b.T, rank=2)
     geom = halmos_decompose(p_r, p_rho)
     np.testing.assert_allclose(geom.angles, [0.0, 0.5 * math.pi], atol=1e-12)
     assert abs(angle_variance(p_r, p_rho) - 0.25) <= 1e-12
@@ -249,13 +253,14 @@ def test_swap_form_matches_explicit_kron_matrix():
         u = sample_haar_unitary(dim, rng=rng)
         v = sample_haar_unitary(dim, rng=rng)
         e = np.eye(dim, dtype=complex)
-        p_r = conjugate(Projector(e[:, :d_r] @ e[:, :d_r].T, rank=d_r), u)
-        p_rho = conjugate(Projector(e[:, :d_rho] @ e[:, :d_rho].T, rank=d_rho), v)
+        p_r = conjugate(projector_from_matrix(e[:, :d_r] @ e[:, :d_r].T, rank=d_r), u)
+        p_rho = conjugate(projector_from_matrix(e[:, :d_rho] @ e[:, :d_rho].T,
+                                                rank=d_rho), v)
         # Explicit D^2 x D^2 route: SWAP as a permutation matrix.
         dsq = dim * dim
         perm = np.arange(dsq).reshape(dim, dim).T.reshape(dsq)
-        k_r = np.kron(p_r.entries, p_r.entries)
-        k_rho = np.kron(p_rho.entries, p_rho.entries)
+        k_r = np.kron(dense_matrix(p_r), dense_matrix(p_r))
+        k_rho = np.kron(dense_matrix(p_rho), dense_matrix(p_rho))
         ref = np.trace(k_r @ k_rho[perm, :]).real / d_rho
         direct, swap_form, gap = swap_representation_check(p_r, p_rho)
         assert abs(swap_form - ref) <= 1e-10

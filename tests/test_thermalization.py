@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _dense import dense_expectations, dense_nonthermal_fraction
+from _dense import dense_expectations, dense_matrix, dense_nonthermal_fraction
 from otoc_thermalize import thermalization
 from otoc_thermalize.hilbert import (
     Projector,
@@ -132,7 +132,7 @@ def test_thermal_subspace_full_when_variance_zero():
     geom = halmos_decompose(p_r, p_rho)
     proj, dim_th = thermal_subspace(geom, 0.1)
     assert dim_th == 2
-    np.testing.assert_allclose(proj.entries, p_rho.entries, atol=1e-9)
+    np.testing.assert_allclose(dense_matrix(proj), dense_matrix(p_rho), atol=1e-9)
 
 
 def test_thermal_subspace_empty_for_maximal_variance():
@@ -142,7 +142,7 @@ def test_thermal_subspace_empty_for_maximal_variance():
     # both cos^2 values deviate from G2 = 1/2 by exactly 1/2 > lambda
     assert dim_th == 0
     assert proj.rank == 0
-    np.testing.assert_allclose(proj.entries, 0.0, atol=1e-14)
+    np.testing.assert_allclose(dense_matrix(proj), 0.0, atol=1e-14)
 
 
 def test_thermal_subspace_vectors_satisfy_resolution_bound():
@@ -159,7 +159,7 @@ def test_thermal_subspace_vectors_satisfy_resolution_bound():
     for _ in range(100):
         coeff = rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1])
         vec = basis @ (coeff / np.linalg.norm(coeff))
-        expect = float(np.real(vec.conj() @ p_r.entries @ vec))
+        expect = float(np.real(vec.conj() @ dense_matrix(p_r) @ vec))
         assert abs(expect - g2) <= lam + FLOAT_SLACK
 
 
