@@ -19,11 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import (
-    SubspaceGeometry,
-    correlator_trace,
-    halmos_decompose,
-)
+from .geometry import correlator_from_angles, correlator_trace, halmos_decompose
 from .hilbert import Projector, sample_haar_unitary, derive_rng
 
 #: Absolute float slack allowed when checking exact inequalities.
@@ -68,18 +64,6 @@ def thermal_axes(cos2: np.ndarray, lam: float) -> np.ndarray:
         raise ValueError(f"resolution lambda must be positive, got {lam}")
     g2 = float(np.sum(cos2)) / cos2.size
     return np.abs(cos2 - g2) <= lam
-
-
-def thermal_subspace(g: SubspaceGeometry, lam: float):
-    """Projector onto the thermal subspace and its dimension.
-
-    The subspace is spanned by the principal axes |w_k> that ``thermal_axes``
-    keeps; every unit vector in it has an observable expectation within
-    ``lam`` of G^2.
-    """
-    keep = thermal_axes(g.cos2, lam)
-    basis = g.axes_w[:, keep]
-    return Projector.from_isometry(basis), int(np.count_nonzero(keep))
 
 
 def empirical_nonthermal_fraction(cos2: np.ndarray, q: np.ndarray,
@@ -205,7 +189,9 @@ def thermalization_report(p_r: Projector, p_rho: Projector, lam: float,
     ``n_bases`` Haar-rotated orthonormal bases of range(P_rho), and packages
     them with the forward bounds and the converse bound computed from the
     largest measured fraction. Probes read the angle-route G^2 of
-    ``thermal_axes``, so a tie counts alike in the dimension and the fraction.
+    ``thermal_axes``, so a tie counts alike in the dimension and the fraction;
+    the principal-axes probes have expectations cos^2 theta_k, so their
+    fraction is the share of axes that ``thermal_axes`` does not keep.
 
     The Haar bases are d_rho x d_rho unitaries drawn from ``seed`` (a
     generator is used as given) and scored a stack at a time: one
@@ -216,14 +202,14 @@ def thermalization_report(p_r: Projector, p_rho: Projector, lam: float,
     through its D x rank bases only, and no D x D array is formed.
     """
     geom = halmos_decompose(p_r, p_rho)
-    g2 = correlator_trace(p_r, p_rho, 1)
-    g4 = correlator_trace(p_r, p_rho, 2)
+    g2 = correlator_trace(geom, 1)
+    g4 = correlator_trace(geom, 2)
     sigma2 = max(0.0, g4 - g2 * g2)
     f_bound, vacuous = bound_nonthermal_fraction(sigma2, lam)
     cos2 = geom.cos2
-    g2_angles = float(np.sum(cos2)) / cos2.size  # as thermal_axes computes it
+    g2_angles = correlator_from_angles(geom, 1)
     dim_achieved = int(np.count_nonzero(thermal_axes(cos2, lam)))
-    worst_f = empirical_nonthermal_fraction(cos2, np.eye(geom.d_rho), g2_angles, lam)
+    worst_f = (geom.d_rho - dim_achieved) / geom.d_rho
     rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed, "report-bases")
     # cap a probe stack at D^2 numbers
     step = max(1, p_rho.dim ** 2 // geom.d_rho ** 2)
@@ -238,6 +224,5 @@ def thermalization_report(p_r: Projector, p_rho: Projector, lam: float,
         dim_thermal_achieved=dim_achieved,
         f_lambda_bound=f_bound, f_bound_vacuous=vacuous,
         worst_basis_f=worst_f, empirical_f=tuple(empirical),
-        converse_bound=converse_variance_bound(min(lam, 1.0 - 1e-12), f_max)
-        if lam < 1 else 1.0,
+        converse_bound=converse_variance_bound(lam, f_max) if lam < 1 else 1.0,
     )

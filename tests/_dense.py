@@ -5,13 +5,19 @@ shares no arithmetic with the basis, contraction and principal-axes routes it
 checks. A projector matrix goes back to a ``Projector`` through the
 eigendecomposition route ``eigh_range_basis``; ``recording_eigh`` shows
 whether a block of code took an eigendecomposition route at all.
+``principal_axes`` is the singular-vector route to the principal axes, which
+the library never forms.
 """
 
 import contextlib
 
 import numpy as np
 
-from otoc_thermalize.geometry import MAX_CORRELATOR_ORDER, correlator_trace
+from otoc_thermalize.geometry import (
+    MAX_CORRELATOR_ORDER,
+    correlator_trace,
+    halmos_decompose,
+)
 from otoc_thermalize.hilbert import (
     DIM_CAP_DEFAULT,
     Projector,
@@ -78,6 +84,17 @@ def dense_correlator_trace(p_r, p_rho, n):
     return float(np.clip(tr.real / p_rho.rank, 0.0, 1.0))
 
 
+def principal_axes(p_r, p_rho):
+    """Principal axes |w_k> of range(P_rho) relative to range(P_R), as columns.
+
+    Read off the right singular vectors of the full SVD of V_R^dag V_rho, in
+    the order of ``halmos_decompose``'s angles, so that
+    <w_k|P_R|w_l> = delta_kl cos^2(theta_k).
+    """
+    _, _, yh = np.linalg.svd(p_r.basis.conj().T @ p_rho.basis, full_matrices=True)
+    return p_rho.basis @ yh.conj().T
+
+
 def dense_embed(setup, which):
     """The embedded observable or core projector, from its isometry."""
     return Projector.from_isometry(embed_isometry(setup, which))
@@ -134,7 +151,7 @@ def swap_representation_check(p_r, p_rho_t):
     if d * d > DIM_CAP_DEFAULT:
         raise ValueError(
             f"doubled dimension {d * d} exceeds cap {DIM_CAP_DEFAULT}")
-    lhs = correlator_trace(p_r, p_rho_t, 2)
+    lhs = correlator_trace(halmos_decompose(p_r, p_rho_t), 2)
     r, p = dense_matrix(p_r), dense_matrix(p_rho_t)
     rhs_c = np.einsum("ab,cd,da,bc->", r, r, p, p, optimize=True)
     if abs(rhs_c.imag) > 1e-10 * d:

@@ -109,7 +109,7 @@ def test_trace_and_angle_correlators_agree_on_random_pairs():
         p_r, p_rho = _random_pair(dim, rng)
         geom = halmos_decompose(p_r, p_rho)
         for n in (1, 2, 3, 4):
-            via_trace = correlator_trace(p_r, p_rho, n)
+            via_trace = correlator_trace(geom, n)
             via_angles = correlator_from_angles(geom, n)
             assert abs(via_trace - via_angles) <= 1e-9, (
                 f"moment n={n} disagrees at dim {dim}: "
@@ -132,7 +132,7 @@ def test_fraction_and_dimension_bounds_hold_with_zero_violations():
     for dim in plan:
         p_r, p_rho = _random_pair(dim, rng)
         instances += 1
-        sigma2 = angle_variance(p_r, p_rho)
+        sigma2 = angle_variance(halmos_decompose(p_r, p_rho))
         d_rho = p_rho.rank
         for lam in lambdas:
             rep = thermalization_report(
@@ -174,7 +174,7 @@ def test_worst_basis_achieves_witness_floor():
     for p_r, p_rho in cases:
         geom = halmos_decompose(p_r, p_rho)
         g2 = correlator_from_angles(geom, 1)
-        gamma2 = angle_variance(p_r, p_rho)  # use the measured variance
+        gamma2 = angle_variance(geom)  # use the measured variance
         basis = np.eye(geom.d_rho)
         for lam in lambdas:
             if lam**2 >= gamma2:

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from _dense import dense_embed, predictor_demo_rows, recording_eigh
@@ -19,7 +20,7 @@ from otoc_thermalize.hilbert import (
     evolve,
     gue_hamiltonian,
 )
-from otoc_thermalize.thermalization import thermal_subspace
+from otoc_thermalize.thermalization import thermal_axes
 from otoc_thermalize.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -270,7 +271,8 @@ def test_many_body_sweep_thermal_dimensions_match_dense_route(tmp_path, source):
         src = _sweep_source(source, seed, i, n)
         for t in (0, 1, 3):
             geom = halmos_decompose(p_r, conjugate(p_rho, evolve(src, t)))
-            expected += [float(thermal_subspace(geom, lam)[1]) for lam in lambdas]
+            expected += [float(np.count_nonzero(thermal_axes(geom.cos2, lam)))
+                         for lam in lambdas]
     assert [float(row["measured"]) for row in read_rows(out)] == expected
 
 

@@ -1,5 +1,7 @@
 """Unit and property tests for the two-subspace geometry."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from _dense import (
     dense_correlator_trace,
     dense_matrix,
     eigh_range_basis,
+    principal_axes,
     projector_from_matrix,
     recording_eigh,
 )
@@ -40,7 +43,7 @@ def test_contained_range_gives_zero_angles():
     p_rho = Projector.coordinate(6, 2)
     geom = halmos_decompose(p_r, p_rho)
     np.testing.assert_allclose(geom.angles, 0.0, atol=1e-12)
-    assert correlator_trace(p_r, p_rho, 3) == 1.0
+    assert correlator_trace(geom, 3) == 1.0
 
 
 def test_orthogonal_ranges_give_right_angles():
@@ -49,7 +52,7 @@ def test_orthogonal_ranges_give_right_angles():
     p_rho = Projector.from_isometry(e[:, 3:5])
     geom = halmos_decompose(p_r, p_rho)
     np.testing.assert_allclose(geom.angles, 0.5 * np.pi, atol=1e-12)
-    assert correlator_trace(p_r, p_rho, 2) == 0.0
+    assert correlator_trace(geom, 2) == 0.0
 
 
 def test_equal_angle_instance_quarter_pi():
@@ -60,17 +63,18 @@ def test_equal_angle_instance_quarter_pi():
     p_rho = Projector.from_isometry(b)
     geom = halmos_decompose(p_r, p_rho)
     np.testing.assert_allclose(geom.angles, 0.25 * np.pi, atol=1e-12)
-    assert abs(correlator_trace(p_r, p_rho, 1) - 0.5) <= 1e-12
-    assert abs(correlator_trace(p_r, p_rho, 2) - 0.25) <= 1e-12
+    assert abs(correlator_trace(geom, 1) - 0.5) <= 1e-12
+    assert abs(correlator_trace(geom, 2) - 0.25) <= 1e-12
     assert abs(correlator_from_angles(geom, 2) - 0.25) <= 1e-12
     # all cos^2 equal, so the variance vanishes
-    assert angle_variance(p_r, p_rho) == 0.0
+    assert angle_variance(geom) == 0.0
 
 
 def test_identical_projectors_all_orders():
     p = Projector.coordinate(8, 5)
+    geom = halmos_decompose(p, p)
     for n in range(1, 5):
-        assert correlator_trace(p, p, n) == 1.0
+        assert correlator_trace(geom, n) == 1.0
 
 
 def test_excess_rank_angles_are_right_angles():
@@ -89,8 +93,11 @@ def test_geometry_invariants_random_pairs(seed, dim):
     d_rho = int(rng.integers(1, dim))
     p_r, p_rho = random_pair(dim, d_r, d_rho, seed)
     geom = halmos_decompose(p_r, p_rho)
-    w = geom.axes_w
-    # axes_w is an orthonormal basis of range(P_rho)
+    # the kept cross-Gram c = V_R^dag V_rho satisfies V_R c = P_R V_rho
+    assert np.linalg.norm(p_r.basis @ geom.cross
+                          - dense_matrix(p_r) @ p_rho.basis) <= 1e-9
+    w = principal_axes(p_r, p_rho)
+    # the principal axes are an orthonormal basis of range(P_rho)
     assert np.linalg.norm(w.conj().T @ w - np.eye(d_rho)) <= 1e-10
     assert np.linalg.norm(dense_matrix(p_rho) @ w - w) <= 1e-9
     # cos(theta_k) = ||P_R w_k|| and <w_k|P_R|w_l> = delta_kl cos^2(theta_k)
@@ -110,7 +117,7 @@ def test_angle_route_equals_trace_route(seed, dim):
     p_r, p_rho = random_pair(dim, d_r, d_rho, seed)
     geom = halmos_decompose(p_r, p_rho)
     for n in (1, 2, 3, 4):
-        assert abs(correlator_trace(p_r, p_rho, n)
+        assert abs(correlator_trace(geom, n)
                    - correlator_from_angles(geom, n)) <= ORACLE_TOL
 
 
@@ -122,15 +129,15 @@ def test_moment_chain_and_variance(seed):
     d_r = int(rng.integers(1, dim))
     d_rho = int(rng.integers(1, dim))
     p_r, p_rho = random_pair(dim, d_r, d_rho, seed)
-    g2 = correlator_trace(p_r, p_rho, 1)
-    g4 = correlator_trace(p_r, p_rho, 2)
+    geom = halmos_decompose(p_r, p_rho)
+    g2 = correlator_trace(geom, 1)
+    g4 = correlator_trace(geom, 2)
     assert -1e-12 <= g2 <= 1.0
     assert g4 <= g2 + 1e-12
     assert g2 ** 2 <= g4 + 1e-12
-    sigma2 = angle_variance(p_r, p_rho)
+    sigma2 = angle_variance(geom)
     assert 0.0 <= sigma2 <= 0.25 + 1e-12
     # variance equals the centered angle-route second moment
-    geom = halmos_decompose(p_r, p_rho)
     centered = float(np.sum((geom.cos2 - g2) ** 2) / d_rho)
     assert abs(sigma2 - centered) <= ORACLE_TOL
 
@@ -143,9 +150,10 @@ def test_symmetry_under_role_exchange(seed):
     d_r = int(rng.integers(1, dim))
     d_rho = int(rng.integers(1, dim))
     p_r, p_rho = random_pair(dim, d_r, d_rho, seed)
+    forward, backward = halmos_decompose(p_r, p_rho), halmos_decompose(p_rho, p_r)
     for n in (1, 2, 3):
-        lhs = d_rho * correlator_trace(p_r, p_rho, n)
-        rhs = d_r * correlator_trace(p_rho, p_r, n)
+        lhs = d_rho * correlator_trace(forward, n)
+        rhs = d_r * correlator_trace(backward, n)
         assert abs(lhs - rhs) <= 1e-10 * dim
 
 
@@ -167,15 +175,40 @@ def test_range_basis_rejects_corrupted_projector():
 
 def test_correlator_rejects_out_of_range_order():
     p = Projector.coordinate(4, 2)
+    geom = halmos_decompose(p, p)
     with pytest.raises(ValueError, match="order"):
-        correlator_trace(p, p, 0)
+        correlator_trace(geom, 0)
     with pytest.raises(ValueError, match="order"):
-        correlator_trace(p, p, 9)
+        correlator_trace(geom, 9)
 
 
-def test_correlator_rejects_dimension_mismatch():
+def test_decomposition_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        correlator_trace(Projector.coordinate(4, 2), Projector.coordinate(6, 2), 1)
+        halmos_decompose(Projector.coordinate(4, 2), Projector.coordinate(6, 2))
+
+
+def test_decomposition_rejects_rank_zero_p_rho():
+    with pytest.raises(ValueError, match="rank >= 1"):
+        halmos_decompose(Projector.coordinate(4, 2), Projector.coordinate(4, 0))
+
+
+def test_decomposition_and_trace_route_stay_within_the_cross_gram():
+    # D = 2048, d_r = 1024, d_rho = 2: c is 32 KiB, while a d_r x d_r
+    # singular-vector factor would be 16 MiB and a conjugate of V_R 32 MiB
+    rng = np.random.default_rng(4)
+    p_r = Projector.coordinate(2048, 1024)
+    p_rho = Projector.from_isometry(
+        np.linalg.qr(rng.standard_normal((2048, 2)) + 1j * rng.standard_normal((2048, 2)))[0])
+    tracemalloc.start()
+    try:
+        geom = halmos_decompose(p_r, p_rho)
+        g2, g4 = correlator_trace(geom, 1), correlator_trace(geom, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert abs(g2 - correlator_from_angles(geom, 1)) <= ORACLE_TOL
+    assert abs(g4 - correlator_from_angles(geom, 2)) <= ORACLE_TOL
 
 
 def isometry_pair(case, dim=12, seed=20):
@@ -202,7 +235,7 @@ CASES = ["nested", "orthogonal", "excess-rank", "full-rank", "rank-one", "generi
 def assert_routes_agree(v_r, v_rho):
     """The kept basis and the basis the eigh oracle recovers agree.
 
-    They span the same range, and they give the same decomposition.
+    They span the same range, and they give the same principal angles.
     """
     p_r, p_rho = Projector.from_isometry(v_r), Projector.from_isometry(v_rho)
     with recording_eigh() as calls:
@@ -217,9 +250,6 @@ def assert_routes_agree(v_r, v_rho):
                               - found @ found.conj().T) <= 1e-10
     dense = halmos_decompose(*recovered)
     np.testing.assert_allclose(kept.cos2, dense.cos2, rtol=0, atol=1e-12)
-    w_kept, w_dense = kept.axes_w, dense.axes_w
-    assert np.linalg.norm(w_kept @ w_kept.conj().T
-                          - w_dense @ w_dense.conj().T) <= 1e-10
     return kept
 
 
@@ -251,7 +281,7 @@ def test_decomposition_ignores_later_writes_to_the_callers_isometry():
     v_rho[:] = 1.0
     after = halmos_decompose(p_r, p_rho)
     np.testing.assert_array_equal(before.angles, after.angles)
-    np.testing.assert_array_equal(before.axes_w, after.axes_w)
+    np.testing.assert_array_equal(before.cross, after.cross)
     basis = orthonormal_range_basis(p_rho)
     with pytest.raises(ValueError, match="read-only"):
         basis[0, 0] = 0.0
@@ -260,8 +290,9 @@ def test_decomposition_ignores_later_writes_to_the_callers_isometry():
 @pytest.mark.parametrize("case", ["nested", "orthogonal", "generic", "excess-rank"])
 def test_correlator_trace_matches_matrix_power_oracle(case):
     p_r, p_rho = (Projector.from_isometry(v) for v in isometry_pair(case, dim=16))
+    geom = halmos_decompose(p_r, p_rho)
     a = dense_matrix(p_r) @ dense_matrix(p_rho)
     for n in range(1, MAX_CORRELATOR_ORDER + 1):
         oracle = np.trace(np.linalg.matrix_power(a, n)).real / p_rho.rank
-        assert abs(correlator_trace(p_r, p_rho, n) - oracle) <= 1e-12 * p_r.dim
+        assert abs(correlator_trace(geom, n) - oracle) <= 1e-12 * p_r.dim
         assert abs(dense_correlator_trace(p_r, p_rho, n) - oracle) <= 1e-12 * p_r.dim

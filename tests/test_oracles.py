@@ -153,11 +153,11 @@ def test_correlators_match_closed_form_cosine_sums():
     cos2 = np.cos(thetas) ** 2
     for n in range(1, 5):
         expect = float(np.sum(cos2 ** n)) / 3.0
-        assert abs(correlator_trace(p_r, p_rho, n) - expect) <= 1e-9
+        assert abs(correlator_trace(geom, n) - expect) <= 1e-9
         assert abs(correlator_from_angles(geom, n) - expect) <= 1e-9
     g2 = float(np.sum(cos2)) / 3.0
     g4 = float(np.sum(cos2 ** 2)) / 3.0
-    assert abs(angle_variance(p_r, p_rho) - (g4 - g2 * g2)) <= 1e-9
+    assert abs(angle_variance(geom) - (g4 - g2 * g2)) <= 1e-9
 
 
 def test_maximal_variance_instance_d4():
@@ -168,7 +168,7 @@ def test_maximal_variance_instance_d4():
     p_rho = projector_from_matrix(b @ b.T, rank=2)
     geom = halmos_decompose(p_r, p_rho)
     np.testing.assert_allclose(geom.angles, [0.0, 0.5 * math.pi], atol=1e-12)
-    assert abs(angle_variance(p_r, p_rho) - 0.25) <= 1e-12
+    assert abs(angle_variance(geom) - 0.25) <= 1e-12
 
 
 # ----------------------------------------------------------------------------

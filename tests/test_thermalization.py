@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _dense import dense_expectations, dense_matrix, dense_nonthermal_fraction
+from _dense import (
+    dense_expectations,
+    dense_matrix,
+    dense_nonthermal_fraction,
+    principal_axes,
+)
+from test_geometry import CASES, isometry_pair
 from otoc_thermalize import thermalization
 from otoc_thermalize.hilbert import (
     Projector,
@@ -14,6 +20,7 @@ from otoc_thermalize.hilbert import (
 )
 from otoc_thermalize.geometry import (
     angle_variance,
+    correlator_from_angles,
     correlator_trace,
     halmos_decompose,
 )
@@ -25,7 +32,6 @@ from otoc_thermalize.thermalization import (
     empirical_nonthermal_fraction,
     nonthermal_witness_bound,
     thermal_axes,
-    thermal_subspace,
     thermalization_report,
 )
 
@@ -130,31 +136,33 @@ def test_thermal_subspace_full_when_variance_zero():
     p_r = Projector.coordinate(6, 4)
     p_rho = Projector.coordinate(6, 2)   # contained: all angles zero
     geom = halmos_decompose(p_r, p_rho)
-    proj, dim_th = thermal_subspace(geom, 0.1)
-    assert dim_th == 2
-    np.testing.assert_allclose(dense_matrix(proj), dense_matrix(p_rho), atol=1e-9)
+    keep = thermal_axes(geom.cos2, 0.1)
+    assert np.count_nonzero(keep) == 2
+    basis = principal_axes(p_r, p_rho)[:, keep]
+    np.testing.assert_allclose(basis @ basis.conj().T, dense_matrix(p_rho), atol=1e-9)
 
 
 def test_thermal_subspace_empty_for_maximal_variance():
     p_r, p_rho = maximal_variance_pair()
     geom = halmos_decompose(p_r, p_rho)
-    proj, dim_th = thermal_subspace(geom, 0.4)
+    keep = thermal_axes(geom.cos2, 0.4)
     # both cos^2 values deviate from G2 = 1/2 by exactly 1/2 > lambda
-    assert dim_th == 0
-    assert proj.rank == 0
-    np.testing.assert_allclose(dense_matrix(proj), 0.0, atol=1e-14)
+    assert np.count_nonzero(keep) == 0
+    basis = principal_axes(p_r, p_rho)[:, keep]
+    assert basis.shape[1] == 0
+    np.testing.assert_allclose(basis @ basis.conj().T, 0.0, atol=1e-14)
 
 
 def test_thermal_subspace_vectors_satisfy_resolution_bound():
     p_r, p_rho = random_pair(64, 32, 16, seed=5)
     geom = halmos_decompose(p_r, p_rho)
-    g2 = correlator_trace(p_r, p_rho, 1)
+    g2 = correlator_trace(geom, 1)
     lam = 0.2
-    proj, dim_th = thermal_subspace(geom, lam)
-    sigma2 = angle_variance(p_r, p_rho)
+    dim_th = np.count_nonzero(thermal_axes(geom.cos2, lam))
+    sigma2 = angle_variance(geom)
     assert dim_th >= bound_thermal_dimension(sigma2, lam, 16) - FLOAT_SLACK
     # 100 Haar-sampled unit vectors in H_th all hit G2 within lambda
-    basis = geom.axes_w[:, np.abs(geom.cos2 - g2) <= lam]
+    basis = principal_axes(p_r, p_rho)[:, np.abs(geom.cos2 - g2) <= lam]
     rng = np.random.default_rng(7)
     for _ in range(100):
         coeff = rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1])
@@ -223,13 +231,14 @@ def test_principal_axes_probes_match_the_dense_oracle(pair):
     # the coordinates q probe the same states as the D x n basis w q.
     p_r, p_rho = pair
     geom = halmos_decompose(p_r, p_rho)
-    g2 = correlator_trace(p_r, p_rho, 1)
+    g2 = correlator_trace(geom, 1)
+    axes = principal_axes(p_r, p_rho)
     rng = np.random.default_rng(31)
     probes = [np.eye(geom.d_rho)]
     probes += [sample_haar_unitary(geom.d_rho, rng=rng) for _ in range(5)]
     compared = 0
     for q in probes:
-        dense = dense_expectations(p_r, geom.axes_w @ q)
+        dense = dense_expectations(p_r, axes @ q)
         np.testing.assert_allclose(geom.cos2 @ np.abs(q) ** 2, dense,
                                    rtol=0, atol=1e-12)
         for lam in (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7):
@@ -237,8 +246,32 @@ def test_principal_axes_probes_match_the_dense_oracle(pair):
                 continue  # a tie: the two routes may round to either side
             compared += 1
             assert (empirical_nonthermal_fraction(geom.cos2, q, g2, lam)
-                    == dense_nonthermal_fraction(p_r, geom.axes_w @ q, g2, lam))
+                    == dense_nonthermal_fraction(p_r, axes @ q, g2, lam))
     assert compared >= 30
+
+
+def _tie_pair():
+    """verify-theorem's first pair at n = 4, n_s = 1, n_sigma = 0.
+
+    P_rho = 1, so every cos^2 is 0 or 1 about G2 = 1/2, up to roundoff.
+    """
+    rng = derive_rng(1, "verify-theorem", 0)
+    return (sample_haar_unitary(16, rng=rng, columns=8),
+            sample_haar_unitary(16, rng=rng, columns=16))
+
+
+@pytest.mark.parametrize("case", [*CASES, "tie"])
+def test_worst_basis_fraction_equals_the_principal_axes_probe(case):
+    # the probes q = 1 have expectations cos^2, so the report reads their
+    # fraction off the thermal-axes count; ties are compared, not skipped
+    v_r, v_rho = _tie_pair() if case == "tie" else isometry_pair(case)
+    p_r, p_rho = Projector.from_isometry(v_r), Projector.from_isometry(v_rho)
+    geom = halmos_decompose(p_r, p_rho)
+    g2 = correlator_from_angles(geom, 1)
+    for lam in (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7):
+        report = thermalization_report(p_r, p_rho, lam, n_bases=0)
+        assert report.worst_basis_f == empirical_nonthermal_fraction(
+            geom.cos2, np.eye(geom.d_rho), g2, lam)
 
 
 def test_report_draws_one_d_rho_unitary_per_basis(monkeypatch):
@@ -263,17 +296,17 @@ def test_report_draws_one_d_rho_unitary_per_basis(monkeypatch):
     for q in qs:
         np.testing.assert_array_equal(q, draw(8, rng=replay))
     assert gen.bit_generator.state == replay.bit_generator.state
-    geom = halmos_decompose(p_r, p_rho)
+    axes = principal_axes(p_r, p_rho)
     assert report.worst_basis_f == dense_nonthermal_fraction(
-        p_r, geom.axes_w, report.g2, 0.05)
+        p_r, axes, report.g2, 0.05)
     assert list(report.empirical_f) == [
-        dense_nonthermal_fraction(p_r, geom.axes_w @ q, report.g2, 0.05) for q in qs]
+        dense_nonthermal_fraction(p_r, axes @ q, report.g2, 0.05) for q in qs]
 
 
 def test_stacked_fractions_equal_per_basis_fractions():
     p_r, p_rho = random_pair(32, 12, 8, seed=27)
     geom = halmos_decompose(p_r, p_rho)
-    g2 = correlator_trace(p_r, p_rho, 1)
+    g2 = correlator_trace(geom, 1)
     stack = sample_haar_unitary(8, seed=5, count=12)
     for lam in (0.02, 0.05, 0.1):
         stacked = empirical_nonthermal_fraction(geom.cos2, stack, g2, lam)
@@ -325,8 +358,8 @@ def test_worst_basis_dominates_sampled_bases():
     for seed in range(trials):
         p_r, p_rho = random_pair(32, 16, 8, seed=100 + seed)
         geom = halmos_decompose(p_r, p_rho)
-        g2 = correlator_trace(p_r, p_rho, 1)
-        sigma2 = angle_variance(p_r, p_rho)
+        g2 = correlator_trace(geom, 1)
+        sigma2 = angle_variance(geom)
         lam = 0.7 * np.sqrt(sigma2)  # resolution inside the angle spread
         f_worst = empirical_nonthermal_fraction(geom.cos2, np.eye(geom.d_rho), g2, lam)
         rng = np.random.default_rng(seed)
@@ -353,11 +386,11 @@ def test_forward_bounds_sound_on_random_instances(seed):
     d_rho = int(rng.integers(1, dim + 1))
     p_r, p_rho = random_pair(dim, d_r, d_rho, seed)
     geom = halmos_decompose(p_r, p_rho)
-    g2 = correlator_trace(p_r, p_rho, 1)
-    sigma2 = angle_variance(p_r, p_rho)
+    g2 = correlator_trace(geom, 1)
+    sigma2 = angle_variance(geom)
     for lam in (0.05, 0.1, 0.2, 0.5):
         f_bound, _ = bound_nonthermal_fraction(sigma2, lam)
-        _, dim_th = thermal_subspace(geom, lam)
+        dim_th = np.count_nonzero(thermal_axes(geom.cos2, lam))
         assert dim_th >= bound_thermal_dimension(sigma2, lam, d_rho) - FLOAT_SLACK
         f_worst = empirical_nonthermal_fraction(geom.cos2, np.eye(geom.d_rho), g2, lam)
         assert f_worst <= f_bound + FLOAT_SLACK
@@ -377,8 +410,8 @@ def test_converse_bound_sound(seed):
     p_r, p_rho = random_pair(dim, int(rng.integers(1, dim + 1)),
                              int(rng.integers(1, dim + 1)), seed)
     geom = halmos_decompose(p_r, p_rho)
-    g2 = correlator_trace(p_r, p_rho, 1)
-    sigma2 = angle_variance(p_r, p_rho)
+    g2 = correlator_trace(geom, 1)
+    sigma2 = angle_variance(geom)
     for lam in (0.1, 0.3, 0.6):
         fractions = [empirical_nonthermal_fraction(
             geom.cos2, np.eye(geom.d_rho), g2, lam)]
@@ -393,8 +426,8 @@ def test_witness_bound_achieved_by_worst_basis():
     # witness fraction whenever sigma2 >= gamma2.
     p_r, p_rho = maximal_variance_pair()
     geom = halmos_decompose(p_r, p_rho)
-    g2 = correlator_trace(p_r, p_rho, 1)
-    sigma2 = angle_variance(p_r, p_rho)
+    g2 = correlator_trace(geom, 1)
+    sigma2 = angle_variance(geom)
     lam = 0.3
     bound = nonthermal_witness_bound(sigma2, lam)
     assert abs(bound - (0.25 - 0.09) / 0.91) <= 1e-12
@@ -410,8 +443,8 @@ def test_witness_bound_sound_on_random_instances(seed):
     p_r, p_rho = random_pair(dim, int(rng.integers(1, dim)),
                              int(rng.integers(1, dim)), seed)
     geom = halmos_decompose(p_r, p_rho)
-    g2 = correlator_trace(p_r, p_rho, 1)
-    sigma2 = angle_variance(p_r, p_rho)
+    g2 = correlator_trace(geom, 1)
+    sigma2 = angle_variance(geom)
     for lam in (0.1, 0.3):
         f = empirical_nonthermal_fraction(geom.cos2, np.eye(geom.d_rho), g2, lam)
         assert f >= nonthermal_witness_bound(sigma2, lam) - FLOAT_SLACK
