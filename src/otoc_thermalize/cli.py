@@ -308,8 +308,8 @@ def _run_verify_theorem(cfg: ExperimentConfig):
 
     def one_instance(i):
         rng = derive_rng(cfg.seed, "verify-theorem", i)
-        p_r = Projector.from_isometry(sample_haar_unitary(d, rng=rng, columns=d_r))
-        p_rho = Projector.from_isometry(sample_haar_unitary(d, rng=rng, columns=d_rho))
+        p_r = Projector(sample_haar_unitary(d, rng=rng, columns=d_r))
+        p_rho = Projector(sample_haar_unitary(d, rng=rng, columns=d_rho))
         return [thermalization_report(p_r, p_rho, lam, n_bases=n_bases, seed=rng)
                 for lam in lambdas]
 

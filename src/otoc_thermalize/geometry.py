@@ -108,15 +108,14 @@ def correlator_from_angles(g: SubspaceGeometry, n: int) -> float:
     return float(np.sum(g.cos2 ** n) / g.d_rho)
 
 
-def angle_variance(g: SubspaceGeometry) -> float:
-    """Variance of the principal-angle distribution, sigma^2 = G^4 - (G^2)^2.
-
-    Evaluated through the trace route. Values in [-1e-12, 0] are clamped to
-    zero; more negative values indicate a numerical failure and raise.
-    """
-    g2 = correlator_trace(g, 1)
-    g4 = correlator_trace(g, 2)
+def variance_from_moments(g2: float, g4: float) -> float:
+    """sigma^2 = G^4 - (G^2)^2 >= 0 (Cauchy-Schwarz), roundoff clamped to 0."""
     sigma2 = g4 - g2 * g2
-    if sigma2 < VARIANCE_CLAMP:
-        raise ValueError(f"negative angle variance {sigma2:.3e} beyond tolerance")
+    if not sigma2 >= VARIANCE_CLAMP:  # NaN fails too
+        raise ValueError(f"angle variance {sigma2:.3e} is NaN or negative beyond tolerance")
     return max(sigma2, 0.0)
+
+
+def angle_variance(g: SubspaceGeometry) -> float:
+    """Variance of the principal-angle distribution, through the trace route."""
+    return variance_from_moments(correlator_trace(g, 1), correlator_trace(g, 2))

@@ -9,9 +9,9 @@ isometry L, and ``contract_isometry`` applies L^dag by contracting <s| into
 the factor's qubits. Time evolution acts on a D x r basis K through
 ``evolve_basis_series``, the one routine that knows each source: it yields
 U(t) K on a time grid without forming U(t), carrying a circuit's block
-forward; ``evolve_basis`` is its one-time case and ``evolve`` its case
-K = 1. A state is placed on its qubits in one way (``_on_sites``), and a
-brickwork gate is a 4 x 4 matmul on a (2^a, 4, rest) view of the block.
+forward; a single time is a one-point grid. A state is placed on its qubits
+in one way (``_on_sites``), and a brickwork gate is a 4 x 4 matmul on a
+(2^a, 4, rest) view of the block.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ DIM_CAP_DEFAULT = 2 ** 14
 #: Frobenius-norm tolerances, scaled by the dimension where noted.
 HERMITICITY_TOL = 1e-10   # times D
 IDEMPOTENCE_TOL = 1e-10   # times D
-UNITARITY_TOL = 1e-10     # times D
 RANK_TOL = 1e-8
 STATE_NORM_TOL = 1e-12
 
@@ -121,11 +120,6 @@ def sample_haar_unitary(dim: int, seed=None, rng=None,
     return q
 
 
-def sample_haar_state(dim: int, seed=None, rng=None) -> np.ndarray:
-    """Draw a Haar-random unit vector in C^dim: the one-column Haar draw."""
-    return sample_haar_unitary(dim, seed=seed, rng=rng, columns=1)[:, 0]
-
-
 def gue_hamiltonian(dim: int, seed=None, rng=None) -> np.ndarray:
     """Draw a GUE Hamiltonian normalized so the spectrum concentrates in [-2, 2].
 
@@ -180,24 +174,11 @@ class Projector:
             raise ValueError(f"basis columns not orthonormal: defect {defect:.3e}")
 
     @classmethod
-    def from_isometry(cls, v: np.ndarray) -> "Projector":
-        """Projector V V^dag onto the column span of an isometry V."""
-        return cls(v)
-
-    @classmethod
     def coordinate(cls, dim: int, rank: int) -> "Projector":
         """Projector onto the span of the first ``rank`` coordinate vectors."""
         if not 0 <= rank <= dim:
             raise ValueError(f"rank {rank} out of range for dim {dim}")
         return cls(np.eye(dim, rank))
-
-
-def conjugate(p: Projector, u: np.ndarray) -> Projector:
-    """Return U P U^dag, the projector onto the span of U V, validated."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (p.dim, p.dim):
-        raise ValueError(f"dimension mismatch: P acts on {p.dim}, U is {u.shape}")
-    return Projector(u @ p.basis)
 
 
 def _check_sites(sites: Sequence[int], n_total: int, label: str) -> tuple:
@@ -275,22 +256,12 @@ class ManyBodySetup:
         return 2 ** self.n_core
 
     @property
-    def d_eta(self) -> int:
-        """Bath dimension D/D_sigma; equals the core-projector rank D_rho."""
+    def d_rho(self) -> int:
         return self.dim // self.d_sigma
 
     @property
-    def d_env(self) -> int:
-        """Environment dimension D/D_S; equals the observable rank D_R."""
-        return self.dim // self.d_s
-
-    @property
-    def d_rho(self) -> int:
-        return self.d_eta
-
-    @property
     def d_r(self) -> int:
-        return self.d_env
+        return self.dim // self.d_s
 
 
 def _on_sites(state: np.ndarray, sites: Sequence[int], n_total: int,
@@ -468,12 +439,3 @@ def evolve_basis_series(source: UnitarySource, k: np.ndarray,
             kt.flags.writeable = False
             yield kt
 
-
-def evolve_basis(source: UnitarySource, k: np.ndarray, t: float) -> np.ndarray:
-    """Return U(t) K for a D x r matrix K: ``evolve_basis_series`` at one time."""
-    return next(evolve_basis_series(source, k, [t]))
-
-
-def evolve(source: UnitarySource, t: float) -> np.ndarray:
-    """Dense unitary U(t) for the given source: ``evolve_basis`` with K = 1."""
-    return evolve_basis(source, np.eye(source.dim, dtype=complex), t)

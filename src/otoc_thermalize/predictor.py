@@ -100,12 +100,6 @@ class WeightingFunction:
             return np.clip(1.0 - np.abs(t) / self.t_obs, 0.0, None) / self.t_obs
         return np.interp(t, self.times, self.weights, left=0.0, right=0.0)
 
-    def mass(self) -> float:
-        """Total integral of the window (1 by construction)."""
-        if self.kind == "tabulated":
-            return float(np.trapezoid(self.weights, self.times))
-        return 1.0
-
     def fourier(self, e):
         """Fourier transform w~(E) = integral of w(t) exp(-iEt) dt, vectorized.
 
@@ -120,12 +114,6 @@ class WeightingFunction:
             return _sinc(0.5 * e * self.t_obs) ** 2 + 0j
         phases = np.exp(-1j * np.multiply.outer(e, self.times))
         return np.trapezoid(phases * self.weights, self.times, axis=-1)
-
-
-def fourier_weight(w: WeightingFunction, e):
-    """Fourier transform of the window at (scalar or array) frequency ``e``."""
-    out = w.fourier(e)
-    return complex(out) if np.ndim(e) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -175,13 +163,6 @@ def canonical_window_pair(t0: float, t_horizon: float, t_obs: float,
         W=float(_sinc(xi)) ** 2,
         xi=xi,
     )
-
-
-def hs_inner(x: np.ndarray, y: np.ndarray) -> complex:
-    """Normalized Hilbert-Schmidt inner product Tr[X^dag Y]/D."""
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    return complex(np.sum(x.conj() * y) / x.shape[0])
 
 
 def weighted_correlator(evals: np.ndarray, a_eig: np.ndarray,

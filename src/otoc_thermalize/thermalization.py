@@ -19,7 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import correlator_from_angles, correlator_trace, halmos_decompose
+from .geometry import (correlator_from_angles, correlator_trace, halmos_decompose,
+                       variance_from_moments)
 from .hilbert import Projector, sample_haar_unitary, derive_rng
 
 #: Absolute float slack allowed when checking exact inequalities.
@@ -27,6 +28,11 @@ FLOAT_SLACK = 1e-9
 
 #: Tolerance on the orthonormality defect of a supplied basis.
 BASIS_TOL = 1e-8
+
+#: |<b|P_R|b> - G^2| within this of lambda is a tie, and a tie is thermal.
+#: cos^2 in [0, 1] comes from the singular values of a cross-Gram of norm <= 1,
+#: so its roundoff is a few ulp times the rank, about 4e-12 at D = 2**14.
+TIE_TOL = 1e-10
 
 
 def bound_thermal_dimension(sigma2: float, lam: float, d_rho: int) -> float:
@@ -58,12 +64,12 @@ def bound_nonthermal_fraction(sigma2: float, lam: float):
 def thermal_axes(cos2: np.ndarray, lam: float) -> np.ndarray:
     """Mask of the principal cos^2 theta_k within ``lam`` of their mean G^2.
 
-    A boundary tie counts as thermal.
+    A boundary tie, to ``TIE_TOL``, counts as thermal.
     """
     if lam <= 0:
         raise ValueError(f"resolution lambda must be positive, got {lam}")
     g2 = float(np.sum(cos2)) / cos2.size
-    return np.abs(cos2 - g2) <= lam
+    return np.abs(cos2 - g2) <= lam + TIE_TOL
 
 
 def empirical_nonthermal_fraction(cos2: np.ndarray, q: np.ndarray,
@@ -72,10 +78,11 @@ def empirical_nonthermal_fraction(cos2: np.ndarray, q: np.ndarray,
 
     ``q`` (d_rho x n) holds a basis of range(P_rho) in the principal axes, so
     state j has <b|P_R|b> = sum_k cos2_k |q_kj|^2; ``q = 1`` is the
-    principal-axes basis. The inequality is strict, so boundary ties count as
-    thermal. The columns of ``q`` must be orthonormal (checked; violation
-    raises). A stack ``q`` of shape (s, d_rho, n) is scored in one pass and
-    gives an array of s fractions; a single basis gives a float.
+    principal-axes basis. The inequality is strict and ``TIE_TOL`` wide, so
+    boundary ties count as thermal, as in ``thermal_axes``. The columns of
+    ``q`` must be orthonormal (checked; violation raises). A stack ``q`` of
+    shape (s, d_rho, n) is scored in one pass and gives an array of s
+    fractions; a single basis gives a float.
     """
     q = np.asarray(q, dtype=complex)
     if q.ndim not in (2, 3) or q.shape[-2] != cos2.size:
@@ -87,7 +94,7 @@ def empirical_nonthermal_fraction(cos2: np.ndarray, q: np.ndarray,
     if not np.all(defect <= BASIS_TOL):
         raise ValueError(f"basis not orthonormal: defect {np.max(defect):.3e}")
     expect = cos2 @ np.abs(q) ** 2
-    fractions = np.count_nonzero(np.abs(expect - g2) > lam, axis=-1) / n
+    fractions = np.count_nonzero(np.abs(expect - g2) > lam + TIE_TOL, axis=-1) / n
     return float(fractions) if q.ndim == 2 else fractions
 
 
@@ -168,7 +175,6 @@ class ThermalizationReport:
     dim_thermal_bound: float
     dim_thermal_achieved: int
     f_lambda_bound: float
-    f_bound_vacuous: bool
     worst_basis_f: float
     empirical_f: Sequence[float]
     converse_bound: float
@@ -204,8 +210,8 @@ def thermalization_report(p_r: Projector, p_rho: Projector, lam: float,
     geom = halmos_decompose(p_r, p_rho)
     g2 = correlator_trace(geom, 1)
     g4 = correlator_trace(geom, 2)
-    sigma2 = max(0.0, g4 - g2 * g2)
-    f_bound, vacuous = bound_nonthermal_fraction(sigma2, lam)
+    sigma2 = variance_from_moments(g2, g4)
+    f_bound, _ = bound_nonthermal_fraction(sigma2, lam)
     cos2 = geom.cos2
     g2_angles = correlator_from_angles(geom, 1)
     dim_achieved = int(np.count_nonzero(thermal_axes(cos2, lam)))
@@ -222,7 +228,7 @@ def thermalization_report(p_r: Projector, p_rho: Projector, lam: float,
         g2=g2, g4=g4, sigma2=sigma2, lam=lam,
         dim_thermal_bound=bound_thermal_dimension(sigma2, lam, p_rho.rank),
         dim_thermal_achieved=dim_achieved,
-        f_lambda_bound=f_bound, f_bound_vacuous=vacuous,
+        f_lambda_bound=f_bound,
         worst_basis_f=worst_f, empirical_f=tuple(empirical),
         converse_bound=converse_variance_bound(lam, f_max) if lam < 1 else 1.0,
     )

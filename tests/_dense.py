@@ -6,7 +6,8 @@ checks. A projector matrix goes back to a ``Projector`` through the
 eigendecomposition route ``eigh_range_basis``; ``recording_eigh`` shows
 whether a block of code took an eigendecomposition route at all.
 ``principal_axes`` is the singular-vector route to the principal axes, which
-the library never forms.
+the library never forms. ``dense_unitary`` is the D x D unitary U(t) of a
+source, its basis evolution applied to K = 1.
 """
 
 import contextlib
@@ -23,15 +24,20 @@ from otoc_thermalize.hilbert import (
     Projector,
     derive_rng,
     embed_isometry,
+    evolve_basis_series,
     gue_hamiltonian,
 )
 from otoc_thermalize.predictor import (
     canonical_window_pair,
-    hs_inner,
     theorem_bound,
     weighted_autocorrelator,
     weighted_correlator,
 )
+
+
+def dense_unitary(source, t):
+    """The D x D unitary U(t) of a source: ``evolve_basis_series`` at one time on K = 1."""
+    return next(evolve_basis_series(source, np.eye(source.dim, dtype=complex), [t]))
 
 
 def dense_matrix(p):
@@ -58,7 +64,7 @@ def eigh_range_basis(entries, rank):
 
 def projector_from_matrix(entries, rank):
     """The ``Projector`` whose basis ``eigh_range_basis`` recovers from a matrix."""
-    return Projector.from_isometry(eigh_range_basis(entries, rank))
+    return Projector(eigh_range_basis(entries, rank))
 
 
 def dense_correlator_trace(p_r, p_rho, n):
@@ -97,7 +103,7 @@ def principal_axes(p_r, p_rho):
 
 def dense_embed(setup, which):
     """The embedded observable or core projector, from its isometry."""
-    return Projector.from_isometry(embed_isometry(setup, which))
+    return Projector(embed_isometry(setup, which))
 
 
 def two_point_operators(setup):
@@ -120,7 +126,7 @@ def predictor_demo_rows(setup, seed, n_instances, n_windows, t0, t_horizon,
     eigenbasis, and takes their norms as Hilbert-Schmidt sums.
     """
     a2, b2 = two_point_operators(setup)
-    norm_a, norm_b = hs_inner(a2, a2).real, hs_inner(b2, b2).real
+    norm_a, norm_b = (np.vdot(x, x).real / setup.dim for x in (a2, b2))
     rows = []
     for i in range(n_instances):
         h = gue_hamiltonian(setup.dim, rng=derive_rng(seed, "predictor-gue", i))

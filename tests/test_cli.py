@@ -10,14 +10,13 @@ import warnings
 import numpy as np
 import pytest
 
-from _dense import dense_embed, predictor_demo_rows, recording_eigh
+from _dense import dense_embed, dense_unitary, predictor_demo_rows, recording_eigh
 from otoc_thermalize import cli, hilbert, thermalization
 from otoc_thermalize.geometry import halmos_decompose
 from otoc_thermalize.hilbert import (
+    Projector,
     UnitarySource,
-    conjugate,
     derive_rng,
-    evolve,
     gue_hamiltonian,
 )
 from otoc_thermalize.thermalization import thermal_axes
@@ -270,7 +269,7 @@ def test_many_body_sweep_thermal_dimensions_match_dense_route(tmp_path, source):
     for i in range(2):
         src = _sweep_source(source, seed, i, n)
         for t in (0, 1, 3):
-            geom = halmos_decompose(p_r, conjugate(p_rho, evolve(src, t)))
+            geom = halmos_decompose(p_r, Projector(dense_unitary(src, t) @ p_rho.basis))
             expected += [float(np.count_nonzero(thermal_axes(geom.cos2, lam)))
                          for lam in lambdas]
     assert [float(row["measured"]) for row in read_rows(out)] == expected
@@ -372,6 +371,18 @@ def test_library_error_reports_soundness(monkeypatch, capsys):
     monkeypatch.setitem(cli.EXPERIMENTS, "stub-experiment", (stub, "stub"))
     assert cli.run({"experiment": "stub-experiment"}) == EXIT_SOUND
     assert "soundness failure" in capsys.readouterr().err
+
+
+def test_verify_theorem_negative_variance_exits_two(monkeypatch, capsys):
+    # G4 >= G2^2 is proven, so a report whose moments break it is a soundness
+    # failure, never a variance silently clamped to 0
+    monkeypatch.setattr(thermalization, "correlator_trace",
+                        lambda geom, n: 0.5 if n == 1 else 0.25 - 2e-12)
+    config = {"experiment": "verify-theorem", "seed": 1, "n": 4, "n_instances": 1}
+    assert cli.run(config) == EXIT_SOUND
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "soundness failure: angle variance" in err
 
 
 @pytest.mark.parametrize("grid, message", [

@@ -14,9 +14,10 @@ from _dense import (
     projector_from_matrix,
     recording_eigh,
 )
-from otoc_thermalize.hilbert import Projector, conjugate, sample_haar_unitary
+from otoc_thermalize.hilbert import Projector, sample_haar_unitary
 from otoc_thermalize.geometry import (
     MAX_CORRELATOR_ORDER,
+    SubspaceGeometry,
     angle_variance,
     correlator_from_angles,
     correlator_trace,
@@ -32,8 +33,8 @@ def random_pair(dim, d_r, d_rho, seed):
     rng = np.random.default_rng(seed)
     u = sample_haar_unitary(dim, rng=rng)
     v = sample_haar_unitary(dim, rng=rng)
-    p_r = conjugate(Projector.coordinate(dim, d_r), u)
-    p_rho = conjugate(Projector.coordinate(dim, d_rho), v)
+    p_r = Projector(u[:, :d_r])
+    p_rho = Projector(v[:, :d_rho])
     return p_r, p_rho
 
 
@@ -48,8 +49,8 @@ def test_contained_range_gives_zero_angles():
 
 def test_orthogonal_ranges_give_right_angles():
     e = np.eye(6, dtype=complex)
-    p_r = Projector.from_isometry(e[:, :3])
-    p_rho = Projector.from_isometry(e[:, 3:5])
+    p_r = Projector(e[:, :3])
+    p_rho = Projector(e[:, 3:5])
     geom = halmos_decompose(p_r, p_rho)
     np.testing.assert_allclose(geom.angles, 0.5 * np.pi, atol=1e-12)
     assert correlator_trace(geom, 2) == 0.0
@@ -58,9 +59,9 @@ def test_orthogonal_ranges_give_right_angles():
 def test_equal_angle_instance_quarter_pi():
     # P_rho spanned by (e0+e2)/sqrt2 and (e1+e3)/sqrt2 sits at 45 degrees.
     e = np.eye(4, dtype=complex)
-    p_r = Projector.from_isometry(e[:, :2])
+    p_r = Projector(e[:, :2])
     b = (e[:, [0, 1]] + e[:, [2, 3]]) / np.sqrt(2.0)
-    p_rho = Projector.from_isometry(b)
+    p_rho = Projector(b)
     geom = halmos_decompose(p_r, p_rho)
     np.testing.assert_allclose(geom.angles, 0.25 * np.pi, atol=1e-12)
     assert abs(correlator_trace(geom, 1) - 0.5) <= 1e-12
@@ -163,7 +164,7 @@ def test_unitary_invariance_of_angles(seed):
     p_r, p_rho = random_pair(10, 4, 6, seed)
     angles = halmos_decompose(p_r, p_rho).angles
     u = sample_haar_unitary(10, seed=seed)
-    rotated = halmos_decompose(conjugate(p_r, u), conjugate(p_rho, u)).angles
+    rotated = halmos_decompose(Projector(u @ p_r.basis), Projector(u @ p_rho.basis)).angles
     np.testing.assert_allclose(np.sort(angles), np.sort(rotated), atol=ORACLE_TOL)
 
 
@@ -192,12 +193,20 @@ def test_decomposition_rejects_rank_zero_p_rho():
         halmos_decompose(Projector.coordinate(4, 2), Projector.coordinate(4, 0))
 
 
+def test_angle_variance_rejects_a_nan_cross_gram():
+    # NaN fails every comparison, so "sigma2 < clamp" alone would let it through
+    cross = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    geom = SubspaceGeometry(dim=4, d_r=2, d_rho=2, cross=cross, angles=np.zeros(2))
+    with pytest.raises(ValueError, match="NaN"):
+        angle_variance(geom)
+
+
 def test_decomposition_and_trace_route_stay_within_the_cross_gram():
     # D = 2048, d_r = 1024, d_rho = 2: c is 32 KiB, while a d_r x d_r
     # singular-vector factor would be 16 MiB and a conjugate of V_R 32 MiB
     rng = np.random.default_rng(4)
     p_r = Projector.coordinate(2048, 1024)
-    p_rho = Projector.from_isometry(
+    p_rho = Projector(
         np.linalg.qr(rng.standard_normal((2048, 2)) + 1j * rng.standard_normal((2048, 2)))[0])
     tracemalloc.start()
     try:
@@ -237,7 +246,7 @@ def assert_routes_agree(v_r, v_rho):
 
     They span the same range, and they give the same principal angles.
     """
-    p_r, p_rho = Projector.from_isometry(v_r), Projector.from_isometry(v_rho)
+    p_r, p_rho = Projector(v_r), Projector(v_rho)
     with recording_eigh() as calls:
         kept = halmos_decompose(p_r, p_rho)
     assert calls == []
@@ -275,7 +284,7 @@ def test_kept_isometry_and_eigh_routes_agree_on_random_pairs(seed, dim):
 def test_decomposition_ignores_later_writes_to_the_callers_isometry():
     v_r, v_rho = isometry_pair("generic")
     v_r, v_rho = v_r.copy(), v_rho.copy()
-    p_r, p_rho = Projector.from_isometry(v_r), Projector.from_isometry(v_rho)
+    p_r, p_rho = Projector(v_r), Projector(v_rho)
     before = halmos_decompose(p_r, p_rho)
     v_r[:] = 0.0
     v_rho[:] = 1.0
@@ -289,7 +298,7 @@ def test_decomposition_ignores_later_writes_to_the_callers_isometry():
 
 @pytest.mark.parametrize("case", ["nested", "orthogonal", "generic", "excess-rank"])
 def test_correlator_trace_matches_matrix_power_oracle(case):
-    p_r, p_rho = (Projector.from_isometry(v) for v in isometry_pair(case, dim=16))
+    p_r, p_rho = (Projector(v) for v in isometry_pair(case, dim=16))
     geom = halmos_decompose(p_r, p_rho)
     a = dense_matrix(p_r) @ dense_matrix(p_rho)
     for n in range(1, MAX_CORRELATOR_ORDER + 1):

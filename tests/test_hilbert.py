@@ -6,21 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _dense import dense_embed, dense_matrix
+from _dense import dense_embed, dense_matrix, dense_unitary
 from otoc_thermalize.hilbert import (
     ManyBodySetup,
     Projector,
     UnitarySource,
     _on_sites,
-    conjugate,
     contract_isometry,
     derive_rng,
     embed_isometry,
-    evolve,
-    evolve_basis,
     evolve_basis_series,
     gue_hamiltonian,
-    sample_haar_state,
     sample_haar_unitary,
 )
 
@@ -110,11 +106,6 @@ def test_derive_rng_streams_are_independent_and_stable():
     assert not np.array_equal(a, b)
 
 
-def test_haar_state_normalized():
-    v = sample_haar_state(16, seed=3)
-    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-
-
 def test_gue_is_hermitian_with_semicircle_scale():
     h = gue_hamiltonian(256, seed=11)
     assert np.linalg.norm(h - h.conj().T) == 0.0
@@ -131,12 +122,12 @@ class TestProjector:
     def test_validate_rejects_non_idempotent(self):
         # V V^dag = diag(1/2, 1/2, 0, 0) is not idempotent
         with pytest.raises(ValueError, match="orthonormal"):
-            Projector.from_isometry(np.sqrt(0.5) * np.eye(4, 2))
+            Projector(np.sqrt(0.5) * np.eye(4, 2))
 
     def test_validate_rejects_wrong_rank(self):
         # V V^dag = diag(1, 1, 0, 0) has trace 2, not the 3 columns of V
         with pytest.raises(ValueError, match="orthonormal"):
-            Projector.from_isometry(np.diag([1.0, 1.0, 0.0, 0.0])[:, :3])
+            Projector(np.diag([1.0, 1.0, 0.0, 0.0])[:, :3])
 
     def test_validate_runs_at_construction(self, monkeypatch):
         calls = []
@@ -144,16 +135,16 @@ class TestProjector:
         monkeypatch.setattr(Projector, "validate",
                             lambda self: calls.append(self.rank) or validate(self))
         Projector.coordinate(4, 2)
-        conjugate(Projector.from_isometry(np.eye(4, 3)), np.eye(4))
-        assert calls == [2, 3, 3]
+        Projector(np.eye(4, 3))
+        assert calls == [2, 3]
 
     def test_rejects_nonfinite_entries(self):
         with pytest.raises(ValueError, match="finite"):
-            Projector.from_isometry(np.array([[np.nan], [0.0]]))
+            Projector(np.array([[np.nan], [0.0]]))
 
     def test_rejects_more_columns_than_rows(self):
         with pytest.raises(ValueError, match="orthonormal"):
-            Projector.from_isometry(np.eye(2, 3))
+            Projector(np.eye(2, 3))
 
     @pytest.mark.parametrize("rank", [-1, 9])
     def test_coordinate_rejects_a_rank_outside_0_to_dim(self, rank):
@@ -168,7 +159,7 @@ class TestProjector:
 
     def test_from_isometry(self):
         v = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 2)))[0]
-        p = Projector.from_isometry(v)
+        p = Projector(v)
         assert p.rank == 2
         p.validate()
 
@@ -178,7 +169,7 @@ class TestProjector:
         if v.size:
             v.flat[0] = 1.0
         with pytest.raises(ValueError, match=f"2-D.*{re.escape(str(shape))}"):
-            Projector.from_isometry(v)
+            Projector(v)
 
     @pytest.mark.parametrize("dim, rank", [(8, 2), (1024, 4)])
     def test_from_isometry_rejects_a_trace_off_by_2e_8(self, dim, rank):
@@ -187,20 +178,20 @@ class TestProjector:
         v = np.eye(dim, rank, dtype=complex)
         v[0, 0] = np.sqrt(1.0 + 2e-8)
         with pytest.raises(ValueError, match="orthonormal"):
-            Projector.from_isometry(v)
+            Projector(v)
 
     @pytest.mark.parametrize("dim, rank", [(8, 2), (1024, 4)])
     def test_from_isometry_accepts_a_defect_just_inside_the_bound(self, dim, rank):
         bound = min(1e-10 * dim, 1e-8 / np.sqrt(rank))
         v = np.eye(dim, rank, dtype=complex)
         v[0, 0] = np.sqrt(1.0 + 0.9 * bound)
-        p = Projector.from_isometry(v)
+        p = Projector(v)
         assert np.linalg.norm(v.conj().T @ v - np.eye(rank)) <= bound
         p.validate()
 
     def test_from_isometry_keeps_a_copy_of_the_basis(self):
         v = np.linalg.qr(np.random.default_rng(1).standard_normal((6, 2)))[0]
-        p = Projector.from_isometry(v)
+        p = Projector(v)
         np.testing.assert_array_equal(p.basis, v)
         assert not np.shares_memory(p.basis, v)
         with pytest.raises(ValueError, match="read-only"):
@@ -212,8 +203,7 @@ class TestManyBodySetup:
         s = ManyBodySetup(10, 1, 5, np.array([1.0, 0.0]),
                           np.eye(32)[:, 0].astype(float))
         assert (s.dim, s.d_s, s.d_sigma) == (1024, 2, 32)
-        assert s.d_eta == s.d_rho == 32
-        assert s.d_env == s.d_r == 512
+        assert (s.d_rho, s.d_r) == (32, 512)
 
     def test_rejects_bad_nesting(self):
         with pytest.raises(ValueError, match="n_observed"):
@@ -259,7 +249,7 @@ def test_embed_entangled_core_is_projector():
 
 def test_embed_isometry_columns_orthonormal():
     rng = np.random.default_rng(8)
-    psi = sample_haar_state(8, rng=rng)
+    psi = sample_haar_unitary(8, rng=rng, columns=1)
     s = ManyBodySetup(4, 1, 3, np.array([0.0, 1.0]), psi,
                       observed_sites=(2,), core_sites=(2, 0, 3))
     for which in ("observable", "core"):
@@ -287,10 +277,13 @@ def test_embed_isometry_equals_the_kron_construction():
     # applied to its rows (the two may differ in the sign of a zero)
     rng = np.random.default_rng(9)
     setups = [
-        ManyBodySetup(5, 1, 2, sample_haar_state(2, rng=rng), sample_haar_state(4, rng=rng)),
-        ManyBodySetup(6, 2, 4, sample_haar_state(4, rng=rng), sample_haar_state(16, rng=rng),
+        ManyBodySetup(5, 1, 2, sample_haar_unitary(2, rng=rng, columns=1),
+                      sample_haar_unitary(4, rng=rng, columns=1)),
+        ManyBodySetup(6, 2, 4, sample_haar_unitary(4, rng=rng, columns=1),
+                      sample_haar_unitary(16, rng=rng, columns=1),
                       observed_sites=(3, 1), core_sites=(0, 5, 2, 4)),
-        ManyBodySetup(4, 4, 4, sample_haar_state(16, rng=rng), sample_haar_state(16, rng=rng)),
+        ManyBodySetup(4, 4, 4, sample_haar_unitary(16, rng=rng, columns=1),
+                      sample_haar_unitary(16, rng=rng, columns=1)),
     ]
     for s in setups:
         for which, state, sites in (("observable", s.observed_state, s.observed_sites),
@@ -311,11 +304,14 @@ def test_embed_rejects_unknown_factor():
 def _random_setups(rng):
     """Setups at D <= 2^7 with non-leading and non-contiguous factor sites."""
     return [
-        ManyBodySetup(5, 1, 3, sample_haar_state(2, rng=rng), sample_haar_state(8, rng=rng),
+        ManyBodySetup(5, 1, 3, sample_haar_unitary(2, rng=rng, columns=1),
+                      sample_haar_unitary(8, rng=rng, columns=1),
                       observed_sites=(3,), core_sites=(4, 1, 3)),
-        ManyBodySetup(6, 2, 4, sample_haar_state(4, rng=rng), sample_haar_state(16, rng=rng),
+        ManyBodySetup(6, 2, 4, sample_haar_unitary(4, rng=rng, columns=1),
+                      sample_haar_unitary(16, rng=rng, columns=1),
                       observed_sites=(5, 2), core_sites=(0, 5, 2, 4)),
-        ManyBodySetup(7, 2, 2, sample_haar_state(4, rng=rng), sample_haar_state(4, rng=rng),
+        ManyBodySetup(7, 2, 2, sample_haar_unitary(4, rng=rng, columns=1),
+                      sample_haar_unitary(4, rng=rng, columns=1),
                       observed_sites=(1, 6), core_sites=(6, 3)),
     ]
 
@@ -351,19 +347,19 @@ def test_contract_isometry_rejects_a_block_of_the_wrong_height():
 class TestEvolve:
     def test_identity_at_time_zero(self):
         src = UnitarySource.hamiltonian(gue_hamiltonian(8, seed=0))
-        np.testing.assert_allclose(evolve(src, 0.0), np.eye(8), atol=1e-14)
+        np.testing.assert_allclose(dense_unitary(src, 0.0), np.eye(8), atol=1e-14)
 
     def test_diagonal_hamiltonian_phase(self):
         src = UnitarySource.hamiltonian(np.diag([0.0, 1.0]))
-        u = evolve(src, np.pi)
+        u = dense_unitary(src, np.pi)
         np.testing.assert_allclose(u, np.diag([1.0, -1.0]), atol=1e-12)
 
     def test_group_law_on_random_time_pairs(self):
         src = UnitarySource.hamiltonian(gue_hamiltonian(12, seed=21))
         rng = np.random.default_rng(0)
         for t1, t2 in rng.uniform(-5, 5, size=(10, 2)):
-            lhs = evolve(src, t1) @ evolve(src, t2)
-            rhs = evolve(src, t1 + t2)
+            lhs = dense_unitary(src, t1) @ dense_unitary(src, t2)
+            rhs = dense_unitary(src, t1 + t2)
             assert np.linalg.norm(lhs - rhs) <= UNITARITY_TOL * 12
 
     def test_rejects_non_hermitian_hamiltonian(self):
@@ -380,20 +376,20 @@ class TestEvolve:
     def test_ensemble_sources_need_integer_times(self):
         src = UnitarySource.haar_cue(4, seed=0)
         with pytest.raises(ValueError, match="integer"):
-            evolve(src, 0.5)
+            dense_unitary(src, 0.5)
         with pytest.raises(ValueError, match="integer"):
-            evolve(src, -1)
+            dense_unitary(src, -1)
 
     def test_cue_times_give_independent_unitaries(self):
         src = UnitarySource.haar_cue(8, seed=3)
-        u1, u2 = evolve(src, 1), evolve(src, 2)
+        u1, u2 = dense_unitary(src, 1), dense_unitary(src, 2)
         assert np.linalg.norm(u1 - u2) > 0.1
 
     def test_circuit_prefix_consistent_after_cache_advance(self):
         src = UnitarySource.circuit(3, seed=5)
-        u3 = evolve(src, 3)
-        u2_after = evolve(src, 2)  # earlier time than the cached product
-        u2_fresh = evolve(UnitarySource.circuit(3, seed=5), 2)
+        u3 = dense_unitary(src, 3)
+        u2_after = dense_unitary(src, 2)  # earlier time than the cached product
+        u2_fresh = dense_unitary(UnitarySource.circuit(3, seed=5), 2)
         assert np.array_equal(u2_after, u2_fresh)
         # consecutive times differ by one unitary brickwork layer
         layer = u3 @ u2_after.conj().T
@@ -401,7 +397,7 @@ class TestEvolve:
 
     def test_circuit_unitarity(self):
         src = UnitarySource.circuit(5, seed=7)
-        u = evolve(src, 4)
+        u = dense_unitary(src, 4)
         assert np.linalg.norm(u.conj().T @ u - np.eye(32)) <= UNITARITY_TOL * 32
 
     @pytest.mark.parametrize("n", range(2, 7))
@@ -411,7 +407,7 @@ class TestEvolve:
         seed = 40 + n
         u = np.eye(2 ** n, dtype=complex)
         for t in range(5):
-            np.testing.assert_allclose(evolve(UnitarySource.circuit(n, seed), t), u,
+            np.testing.assert_allclose(dense_unitary(UnitarySource.circuit(n, seed), t), u,
                                        rtol=0, atol=1e-12)
             for slot, a in enumerate(range(t % 2, n - 1, 2)):
                 gate = sample_haar_unitary(4, rng=derive_rng(seed, "layer", t, slot))
@@ -425,8 +421,8 @@ class TestEvolve:
     def test_time_zero_block_is_a_copy_of_k(self, source):
         k = sample_haar_unitary(16, seed=5, columns=3)
         k_before = k.copy()
-        for block in (evolve_basis(source, k, 0),
-                      next(evolve_basis_series(source, k, [0, 2, 1]))):
+        for times in ([0], [0, 2, 1]):
+            block = next(evolve_basis_series(source, k, times))
             np.testing.assert_allclose(block, k, rtol=0, atol=1e-12)
             block[...] = 7.0
             assert np.array_equal(k, k_before)
@@ -451,37 +447,9 @@ class TestEvolve:
         # so the series may yield one block object twice
         source = UnitarySource.circuit(n, seed=1 if n == 2 else 3)
         k = sample_haar_unitary(2 ** n, seed=5, columns=2)
-        expected = [evolve_basis(source, k, t) for t in times]
+        expected = [next(evolve_basis_series(source, k, [t])) for t in times]
         for block, want in zip(evolve_basis_series(source, k, times), expected):
             with pytest.raises(ValueError, match="read-only"):
                 block[...] = 0.0
             np.testing.assert_allclose(block, want, rtol=0, atol=1e-12)
 
-
-def test_conjugate_preserves_rank_and_trace():
-    rng = np.random.default_rng(17)
-    u = sample_haar_unitary(8, rng=rng)
-    basis = np.linalg.qr(rng.standard_normal((8, 3))
-                         + 1j * rng.standard_normal((8, 3)))[0]
-    p = Projector.from_isometry(basis)
-    q = conjugate(p, u)
-    assert q.rank == 3
-    assert abs(np.trace(dense_matrix(q)) - np.trace(dense_matrix(p))) <= 1e-12
-    np.testing.assert_allclose(dense_matrix(q), u @ dense_matrix(p) @ u.conj().T,
-                               rtol=0, atol=1e-12)
-
-
-def test_conjugate_rejects_dimension_mismatch():
-    p = Projector.coordinate(4, 2)
-    with pytest.raises(ValueError, match="mismatch"):
-        conjugate(p, np.eye(8))
-
-
-@pytest.mark.parametrize("u, match", [
-    (2.0 * np.eye(4), "orthonormal"),
-    (np.eye(3, 4), "dimension mismatch"),  # U V would be an orthonormal 3 x 2 basis
-    (np.eye(4, 3), "dimension mismatch"),
-], ids=["non-unitary", "3x4", "4x3"])
-def test_conjugate_rejects_a_non_unitary_or_misshapen_u(u, match):
-    with pytest.raises(ValueError, match=match):
-        conjugate(Projector.coordinate(4, 2), u)

@@ -19,14 +19,14 @@ import scipy.linalg
 from _dense import (
     dense_embed,
     dense_matrix,
+    dense_unitary,
     projector_from_matrix,
     swap_representation_check,
 )
 from otoc_thermalize.hilbert import (
     ManyBodySetup,
+    Projector,
     UnitarySource,
-    conjugate,
-    evolve,
     gue_hamiltonian,
     sample_haar_unitary,
 )
@@ -37,7 +37,7 @@ from otoc_thermalize.geometry import (
     halmos_decompose,
 )
 from otoc_thermalize.dynamics import haar_prediction
-from otoc_thermalize.predictor import WeightingFunction, fourier_weight
+from otoc_thermalize.predictor import WeightingFunction
 from otoc_thermalize.thermalization import core_sizing
 
 
@@ -51,7 +51,7 @@ def test_evolve_matches_pade_exponential():
         h = gue_hamiltonian(dim, rng=rng)
         source = UnitarySource.hamiltonian(h)
         for t in (0.0, 0.173, 1.9, -4.2):
-            u = evolve(source, t)
+            u = dense_unitary(source, t)
             u_ref = scipy.linalg.expm(-1j * t * h)
             assert np.linalg.norm(u - u_ref) <= 1e-10 * dim
 
@@ -108,7 +108,7 @@ def test_conjugate_by_swap_moves_projector():
     swap[0, 0] = swap[3, 3] = 1.0
     swap[1, 2] = swap[2, 1] = 1.0
     p = projector_from_matrix(np.kron(np.diag([1.0, 0.0]), np.eye(2)), rank=2)
-    q = conjugate(p, swap)
+    q = Projector(swap @ p.basis)
     np.testing.assert_allclose(dense_matrix(q), np.kron(np.eye(2), np.diag([1.0, 0.0])),
                                atol=1e-14)
 
@@ -131,7 +131,7 @@ def _normal_form_pair(thetas, dim, seed=None):
     p_rho = projector_from_matrix(b_rho @ b_rho.conj().T, rank=k)
     if seed is not None:
         u = sample_haar_unitary(dim, seed=seed)
-        p_r, p_rho = conjugate(p_r, u), conjugate(p_rho, u)
+        p_r, p_rho = Projector(u @ p_r.basis), Projector(u @ p_rho.basis)
     return p_r, p_rho
 
 
@@ -253,9 +253,9 @@ def test_swap_form_matches_explicit_kron_matrix():
         u = sample_haar_unitary(dim, rng=rng)
         v = sample_haar_unitary(dim, rng=rng)
         e = np.eye(dim, dtype=complex)
-        p_r = conjugate(projector_from_matrix(e[:, :d_r] @ e[:, :d_r].T, rank=d_r), u)
-        p_rho = conjugate(projector_from_matrix(e[:, :d_rho] @ e[:, :d_rho].T,
-                                                rank=d_rho), v)
+        p_r = projector_from_matrix(e[:, :d_r] @ e[:, :d_r].T, rank=d_r)
+        p_rho = projector_from_matrix(e[:, :d_rho] @ e[:, :d_rho].T, rank=d_rho)
+        p_r, p_rho = Projector(u @ p_r.basis), Projector(v @ p_rho.basis)
         # Explicit D^2 x D^2 route: SWAP as a permutation matrix.
         dsq = dim * dim
         perm = np.arange(dsq).reshape(dim, dim).T.reshape(dsq)
@@ -280,7 +280,7 @@ def test_box_window_fourier_vs_quadrature():
                                      t0, t0 + horizon)
         im, _ = scipy.integrate.quad(lambda t: -math.sin(e_val * t) / horizon,
                                      t0, t0 + horizon)
-        val = fourier_weight(w, e_val)
+        val = w.fourier(e_val)
         assert abs(val - (re + 1j * im)) <= 1e-10
 
 
@@ -291,7 +291,7 @@ def test_tent_window_fourier_vs_quadrature():
         re, _ = scipy.integrate.quad(
             lambda t: math.cos(e_val * t) * (1 - abs(t) / t_obs) / t_obs,
             -t_obs, t_obs, limit=200)
-        val = fourier_weight(w, e_val)
+        val = w.fourier(e_val)
         assert abs(val.imag) <= 1e-12
         assert abs(val.real - re) <= 1e-10
 

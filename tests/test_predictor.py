@@ -7,13 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _dense import to_eigenbasis, two_point_operators
+from _dense import dense_unitary, to_eigenbasis, two_point_operators
 from otoc_thermalize import predictor
 from otoc_thermalize.hilbert import (
     ManyBodySetup,
     UnitarySource,
     derive_rng,
-    evolve,
     gue_hamiltonian,
     sample_haar_unitary,
 )
@@ -23,9 +22,7 @@ from otoc_thermalize.predictor import (
     canonical_window_pair,
     cauchy_schwarz_bound,
     cloned_equilibrium_bound,
-    fourier_weight,
     fourth_order_negative_demo,
-    hs_inner,
     synopsis_bound,
     theorem_bound,
     time_interval_bound,
@@ -40,7 +37,7 @@ def _random_hermitian(dim, rng, unit_norm=True):
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (x + x.conj().T) / 2.0
     if unit_norm:
-        h = h / math.sqrt(hs_inner(h, h).real)
+        h = h / math.sqrt(np.vdot(h, h).real / dim)
     return h
 
 
@@ -51,20 +48,20 @@ def _random_hermitian(dim, rng, unit_norm=True):
 def test_fourier_transform_reference_values():
     box = WeightingFunction.box(0.0, 4.0)
     tent = WeightingFunction.tent(3.0)
-    assert fourier_weight(box, 0.0) == pytest.approx(1.0)
-    assert fourier_weight(tent, 0.0) == pytest.approx(1.0)
+    assert box.fourier(0.0) == pytest.approx(1.0)
+    assert tent.fourier(0.0) == pytest.approx(1.0)
     # tent transform is sinc^2: first node at E = 2 pi / t_obs
-    assert abs(fourier_weight(tent, 2.0 * math.pi / 3.0)) <= 1e-12
+    assert abs(tent.fourier(2.0 * math.pi / 3.0)) <= 1e-12
     # sinc(1)^2 = sin(1)^2 at E t_obs / 2 = 1
-    assert fourier_weight(tent, 2.0 / 3.0).real == pytest.approx(
+    assert tent.fourier(2.0 / 3.0).real == pytest.approx(
         math.sin(1.0) ** 2, abs=1e-12)
 
 
 def test_fourier_weight_scalar_and_vector():
     box = WeightingFunction.box(-1.0, 2.0)
-    scalar = fourier_weight(box, 0.37)
+    scalar = box.fourier(0.37)
     assert isinstance(scalar, complex)
-    vec = fourier_weight(box, np.array([0.0, 0.37, 5.0]))
+    vec = box.fourier(np.array([0.0, 0.37, 5.0]))
     assert vec.shape == (3,)
     assert vec[1] == pytest.approx(scalar)
 
@@ -81,7 +78,8 @@ def test_window_densities_have_unit_mass():
     for w in (WeightingFunction.box(-1.5, 3.0), WeightingFunction.tent(2.5)):
         # O(h) quadrature error at the box discontinuities dominates
         assert np.trapezoid(w.density(grid), grid) == pytest.approx(1.0, abs=1e-4)
-        assert w.mass() == 1.0
+    tab = WeightingFunction.tabulated([0.0, 1.0, 3.0], [2.0, 1.0, 0.5])
+    assert np.trapezoid(tab.weights, tab.times) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_tabulated_window_matches_tent():
@@ -90,8 +88,7 @@ def test_tabulated_window_matches_tent():
     tent = WeightingFunction.tent(t_obs)
     tab = WeightingFunction.tabulated(grid, np.clip(1.0 - np.abs(grid) / t_obs, 0, None))
     for e in (0.0, 0.9, 4.0):
-        assert fourier_weight(tab, e) == pytest.approx(
-            fourier_weight(tent, e), abs=1e-6)
+        assert tab.fourier(e) == pytest.approx(tent.fourier(e), abs=1e-6)
 
 
 def test_window_constructor_validation():
@@ -126,7 +123,7 @@ def test_canonical_pair_constants_verified_numerically():
     e_in = np.linspace(-pair.delta_e, pair.delta_e, 4001)
     inside = pair.w_plus.fourier(e_in).real
     assert inside.min() >= pair.W - BOUND_SLACK
-    edge = fourier_weight(pair.w_plus, pair.delta_e).real
+    edge = pair.w_plus.fourier(pair.delta_e).real
     assert edge == pytest.approx(pair.W, abs=1e-12)
     e_out = np.concatenate([
         np.linspace(pair.delta_e, 50.0, 20001),
@@ -165,7 +162,7 @@ def test_weighted_correlator_matches_time_quadrature():
     for i, t in enumerate(grid):
         phases = np.exp(-1j * evals * t)
         u = (vecs * phases) @ vecs.conj().T
-        samples[i] = hs_inner(b, u @ a @ u.conj().T)
+        samples[i] = np.vdot(b, u @ a @ u.conj().T) / 8
     direct = np.trapezoid(w.density(grid) * samples, grid)
     bohr = weighted_correlator(evals, a_eig, b_eig, w)
     assert abs(bohr - direct) <= 1e-5
@@ -281,11 +278,11 @@ def test_theorem_bound_sound_for_random_operators():
     for _ in range(3):
         a = _random_hermitian(32, rng)
         b = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        b = b / math.sqrt(hs_inner(b, b).real)
+        b = b / math.sqrt(np.vdot(b, b).real / 32)
         a_eig = to_eigenbasis(vecs, a)
         b_eig = to_eigenbasis(vecs, b)
-        norm_a = hs_inner(a, a).real
-        norm_b = hs_inner(b, b).real
+        norm_a = np.vdot(a, a).real / 32
+        norm_b = np.vdot(b, b).real / 32
         for t0, horizon, t_obs, xi in windows:
             pair = canonical_window_pair(t0, horizon, t_obs, xi=xi)
             auto = weighted_autocorrelator(evals, a_eig, pair.w_plus)
@@ -303,14 +300,14 @@ def test_two_point_specialization_norms_and_identity():
     setup = ManyBodySetup(6, 1, 3, chi, psi)
     d = setup.dim
     a2, b2 = two_point_operators(setup)
-    assert hs_inner(a2, a2).real == pytest.approx(
+    assert np.vdot(a2, a2).real / d == pytest.approx(
         (setup.d_s - 1) / setup.d_s ** 2, abs=1e-12)
-    assert hs_inner(b2, b2).real == pytest.approx(setup.d_sigma - 1.0, abs=1e-12)
+    assert np.vdot(b2, b2).real / d == pytest.approx(setup.d_sigma - 1.0, abs=1e-12)
 
     source = UnitarySource.hamiltonian(gue_hamiltonian(d, seed=5))
     for t in (0.0, 0.7, -1.3):
-        u = evolve(source, t)
-        cross = hs_inner(b2, u @ a2 @ u.conj().T)
+        u = dense_unitary(source, t)
+        cross = np.vdot(b2, u @ a2 @ u.conj().T) / d
         series = correlator_series(setup, source, [-t])
         assert cross.real == pytest.approx(
             series.g2[0] - 1.0 / setup.d_s, abs=1e-10)
@@ -410,15 +407,16 @@ def test_cauchy_schwarz_bound_sound_for_circuit_dynamics():
     psi[0] = 1.0
     setup = ManyBodySetup(8, 1, 4, chi, psi)
     a, b = two_point_operators(setup)
-    norm_b = hs_inner(b, b).real
+    d = setup.dim
+    norm_b = np.vdot(b, b).real / d
     source = UnitarySource.circuit(8, seed=6)
     times = np.arange(12.0)
     evolved = []
     for t in times:
-        u = evolve(source, t)
+        u = dense_unitary(source, t)
         evolved.append(u @ a @ u.conj().T)
-    gram = np.array([[hs_inner(x, y) for y in evolved] for x in evolved])
-    cross = np.array([hs_inner(b, x) for x in evolved])
+    gram = np.array([[np.vdot(x, y) / d for y in evolved] for x in evolved])
+    cross = np.array([np.vdot(b, x) / d for x in evolved])
     dt = np.zeros(times.size)
     dt[:-1] += 0.5 * np.diff(times)
     dt[1:] += 0.5 * np.diff(times)

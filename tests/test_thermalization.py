@@ -1,5 +1,7 @@
 """Tests for the thermal-subspace and nonthermal-fraction bound machinery."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +16,6 @@ from test_geometry import CASES, isometry_pair
 from otoc_thermalize import thermalization
 from otoc_thermalize.hilbert import (
     Projector,
-    conjugate,
     derive_rng,
     sample_haar_unitary,
 )
@@ -40,16 +41,16 @@ FLOAT_SLACK = 1e-9
 
 def random_pair(dim, d_r, d_rho, seed):
     rng = np.random.default_rng(seed)
-    p_r = conjugate(Projector.coordinate(dim, d_r), sample_haar_unitary(dim, rng=rng))
-    p_rho = conjugate(Projector.coordinate(dim, d_rho), sample_haar_unitary(dim, rng=rng))
+    p_r = Projector(sample_haar_unitary(dim, rng=rng)[:, :d_r])
+    p_rho = Projector(sample_haar_unitary(dim, rng=rng)[:, :d_rho])
     return p_r, p_rho
 
 
 def maximal_variance_pair():
     """P_R = span{e0,e1}, P_rho = span{e0,e2}: angles {0, pi/2}, sigma2 = 1/4."""
     e = np.eye(4, dtype=complex)
-    p_r = Projector.from_isometry(e[:, :2])
-    p_rho = Projector.from_isometry(e[:, [0, 2]])
+    p_r = Projector(e[:, :2])
+    p_rho = Projector(e[:, [0, 2]])
     return p_r, p_rho
 
 
@@ -130,6 +131,18 @@ def test_thermal_axes_counts_ties_as_thermal():
     assert thermal_axes(cos2, 0.25).tolist() == [False, True, False]
     with pytest.raises(ValueError, match="positive"):
         thermal_axes(cos2, 0.0)
+
+
+def test_a_tie_does_not_follow_the_last_ulp():
+    # cos^2 = (0, 1) about G2 = 1/2 is an exact tie at lambda = 1/2; a value
+    # or G2 one ulp off, as an SVD rounds, must give the same mask and fraction
+    tiny, down, up = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+    for low, high in itertools.product((-tiny, 0.0, tiny), (down, 1.0, up)):
+        cos2 = np.array([low, high])
+        assert thermal_axes(cos2, 0.5).tolist() == [True, True]
+        g2 = float(np.sum(cos2)) / cos2.size
+        for g in (np.nextafter(g2, 0.0), g2, np.nextafter(g2, 1.0)):
+            assert empirical_nonthermal_fraction(cos2, np.eye(2), g, 0.5) == 0.0
 
 
 def test_thermal_subspace_full_when_variance_zero():
@@ -213,7 +226,7 @@ def test_strict_inequality_boundary_counts_as_thermal():
 
 def _coordinate_pair(dim, r_cols, rho_cols):
     e = np.eye(dim, dtype=complex)
-    return Projector.from_isometry(e[:, r_cols]), Projector.from_isometry(e[:, rho_cols])
+    return Projector(e[:, r_cols]), Projector(e[:, rho_cols])
 
 
 @pytest.mark.parametrize("pair", [
@@ -265,7 +278,7 @@ def test_worst_basis_fraction_equals_the_principal_axes_probe(case):
     # the probes q = 1 have expectations cos^2, so the report reads their
     # fraction off the thermal-axes count; ties are compared, not skipped
     v_r, v_rho = _tie_pair() if case == "tie" else isometry_pair(case)
-    p_r, p_rho = Projector.from_isometry(v_r), Projector.from_isometry(v_rho)
+    p_r, p_rho = Projector(v_r), Projector(v_rho)
     geom = halmos_decompose(p_r, p_rho)
     g2 = correlator_from_angles(geom, 1)
     for lam in (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7):
@@ -504,8 +517,8 @@ def test_every_principal_axis_is_thermal_or_counted_nonthermal(n_sigma):
     # lambda = 0.5 that the fraction and the dimension must decide alike
     for i in range(10):
         rng = derive_rng(1, "verify-theorem", i)
-        p_r = Projector.from_isometry(sample_haar_unitary(16, rng=rng, columns=8))
-        p_rho = Projector.from_isometry(
+        p_r = Projector(sample_haar_unitary(16, rng=rng, columns=8))
+        p_rho = Projector(
             sample_haar_unitary(16, rng=rng, columns=16 >> n_sigma))
         for lam in (0.05, 0.1, 0.2, 0.5):
             report = thermalization_report(p_r, p_rho, lam, n_bases=2, seed=rng)
