@@ -35,7 +35,7 @@ from .hilbert import (
     UnitarySource,
     contract_isometry,
     derive_rng,
-    gue_hamiltonian,
+    sample_gue_eigensystem,
     sample_haar_unitary,
 )
 from .predictor import (
@@ -399,8 +399,7 @@ def _run_many_body_sweep(cfg: ExperimentConfig):
 
     def one_instance(i):
         if source_kind == "gue":
-            h = gue_hamiltonian(d, rng=derive_rng(cfg.seed, "sweep-gue", i))
-            source = UnitarySource.hamiltonian(h)
+            source = UnitarySource.gue(d, derive_rng(cfg.seed, "sweep-gue", i))
         else:
             child = int(derive_rng(cfg.seed, "sweep-source", i).integers(1 << 63))
             if source_kind == "cue":
@@ -486,8 +485,8 @@ def _run_predictor_demo(cfg: ExperimentConfig):
     shifts = t_obs * np.arange(n_windows)
 
     def one_instance(i):
-        h = gue_hamiltonian(d, rng=derive_rng(cfg.seed, "predictor-gue", i))
-        evals, vecs = np.linalg.eigh(h)
+        evals, vecs = sample_gue_eigensystem(
+            d, derive_rng(cfg.seed, "predictor-gue", i))
         # V^dag P V = (L^dag V)^dag (L^dag V) for P = L L^dag
         c_r = contract_isometry(setup, "observable", vecs)
         c_rho = contract_isometry(setup, "core", vecs)

@@ -25,6 +25,7 @@ from typing import Dict, NamedTuple, Sequence
 
 import numpy as np
 
+from .geometry import variance_from_moments
 from .hilbert import (
     ManyBodySetup,
     UnitarySource,
@@ -170,7 +171,9 @@ def correlator_series(setup: ManyBodySetup, source: UnitarySource,
     Returns
     -------
     CorrelatorSeries
-        Validated (inequality chain and commutator identity enforced).
+        Validated (inequality chain and commutator identity enforced);
+        sigma2 is checked by ``variance_from_moments``, which raises
+        ValueError on a NaN or a value below ``VARIANCE_CLAMP``.
     """
     if source.dim != setup.dim:
         raise ValueError(
@@ -180,6 +183,7 @@ def correlator_series(setup: ManyBodySetup, source: UnitarySource,
     times = np.asarray([float(t) for t in times])
     g2 = np.empty(times.shape)
     g4 = np.empty(times.shape)
+    sigma2 = np.empty(times.shape)
     comm = np.empty(times.shape)
     cos2 = np.empty(times.shape + (d_rho,))
     evolved = evolve_basis_series(source, k, times)
@@ -188,12 +192,12 @@ def correlator_series(setup: ManyBodySetup, source: UnitarySource,
         m = c.conj().T @ c
         g2[i] = np.trace(m).real / d_rho
         g4[i] = np.sum(np.abs(m) ** 2) / d_rho
+        sigma2[i] = variance_from_moments(g2[i], g4[i])
         cos2[i] = np.clip(np.linalg.eigvalsh(m), 0.0, 1.0)
         # (1 - P_R) P_t P_R = R c^dag L^dag, so its squared Frobenius norm is
         # tr(R^dag R c^dag c). R^dag R comes from R, not from 1 - m, so the
         # identity check in validate still tests that K_t is an isometry
         comm[i] = np.sum(gram * m.T).real / d_rho
-    sigma2 = np.clip(g4 - g2 ** 2, 0.0, None)
     series = CorrelatorSeries(times=times, g2=g2, g4=g4, sigma2=sigma2,
                               commutator_norm=comm, cos2=cos2)
     series.validate()

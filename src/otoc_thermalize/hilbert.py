@@ -11,7 +11,8 @@ the factor's qubits. Time evolution acts on a D x r basis K through
 U(t) K on a time grid without forming U(t), carrying a circuit's block
 forward; a single time is a one-point grid. A state is placed on its qubits
 in one way (``_on_sites``), and a brickwork gate is a 4 x 4 matmul on a
-(2^a, 4, rest) view of the block.
+(2^a, 4, rest) view of the block. A GUE Hamiltonian is drawn as its
+eigensystem (``sample_gue_eigensystem``) and never formed.
 """
 
 from __future__ import annotations
@@ -120,15 +121,31 @@ def sample_haar_unitary(dim: int, seed=None, rng=None,
     return q
 
 
-def gue_hamiltonian(dim: int, seed=None, rng=None) -> np.ndarray:
-    """Draw a GUE Hamiltonian normalized so the spectrum concentrates in [-2, 2].
+def sample_gue_eigensystem(dim: int, rng) -> tuple:
+    """Draw the eigenvalues and eigenvectors of a GUE Hamiltonian, never forming it.
 
-    Entry variances are E[H_ii^2] = E[|H_ij|^2] = 1/dim, i.e. the density
-    exp(-(dim/2) Tr H^2); the semicircle radius is then 2.
+    The GUE is normalized so the spectrum concentrates in [-2, 2]: entry
+    variances E[H_ii^2] = E[|H_ij|^2] = 1/dim, i.e. the density
+    exp(-(dim/2) Tr H^2). Its law is unitarily invariant, so the eigenbasis is
+    Haar on U(dim) and independent of the spectrum, and the two are drawn
+    apart. The spectrum is that of the beta = 2 tridiagonal model (Dumitriu &
+    Edelman 2002): diagonal N(0, 1), off-diagonals sqrt(chi^2_{2k} / 2) =
+    sqrt(Gamma(k, 1)) for k = dim-1 .. 1, scaled by 1/sqrt(dim); its
+    ``eigvalsh`` runs on a real tridiagonal matrix. The eigenbasis is one
+    full ``sample_haar_unitary`` draw from the same generator, after the
+    spectrum. Neither step runs a complex dim x dim ``eigh``.
+
+    Returns
+    -------
+    (evals, evecs) : ascending eigenvalues (dim,) and a dim x dim unitary
+        whose columns are the matching eigenvectors.
     """
-    rng = _resolve_rng(seed, rng)
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (a + a.conj().T) / (2.0 * math.sqrt(dim))
+    tri = np.diag(rng.standard_normal(dim))
+    k = np.arange(dim - 1)
+    tri[k + 1, k] = tri[k, k + 1] = np.sqrt(rng.gamma(dim - 1.0 - k))
+    evals = np.linalg.eigvalsh(tri) / math.sqrt(dim)
+    del tri  # freed before the Haar draw
+    return evals, sample_haar_unitary(dim, rng=rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,8 +337,9 @@ def contract_isometry(setup: ManyBodySetup, which: str,
 class UnitarySource:
     """A family of unitaries U(t), one of three variants.
 
-    ``hamiltonian``: autonomous evolution exp(-i H t); the constructor
-    diagonalizes H once and keeps its eigenvalues and eigenvectors.
+    ``hamiltonian``: autonomous evolution exp(-i H t), kept as the eigenvalues
+    and eigenvectors of H: ``hamiltonian(h)`` diagonalizes a given H once, and
+    ``gue(dim, rng)`` draws a GUE eigensystem without forming H.
     ``haar_cue``: each integer t > 0 labels an independent Haar unitary drawn
     from the seed, with t = 0 the identity; this realizes "evolve to the
     Haar-typicality regime" without a model Hamiltonian.
@@ -350,6 +368,12 @@ class UnitarySource:
             raise ValueError(f"Hamiltonian not Hermitian: defect {defect:.3e}")
         evals, evecs = np.linalg.eigh(h)
         return cls(kind="hamiltonian", dim=h.shape[0], evals=evals, evecs=evecs)
+
+    @classmethod
+    def gue(cls, dim: int, rng) -> "UnitarySource":
+        """Autonomous source exp(-i H t) for a GUE H (``sample_gue_eigensystem``)."""
+        evals, evecs = sample_gue_eigensystem(dim, rng)
+        return cls(kind="hamiltonian", dim=dim, evals=evals, evecs=evecs)
 
     @classmethod
     def haar_cue(cls, dim: int, seed: int) -> "UnitarySource":

@@ -7,10 +7,13 @@ eigendecomposition route ``eigh_range_basis``; ``recording_eigh`` shows
 whether a block of code took an eigendecomposition route at all.
 ``principal_axes`` is the singular-vector route to the principal axes, which
 the library never forms. ``dense_unitary`` is the D x D unitary U(t) of a
-source, its basis evolution applied to K = 1.
+source, its basis evolution applied to K = 1. ``gue_hamiltonian`` draws a
+dense GUE matrix, whose ``eigh`` the library's eigen-law draw
+``sample_gue_eigensystem`` is held against.
 """
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -25,7 +28,7 @@ from otoc_thermalize.hilbert import (
     derive_rng,
     embed_isometry,
     evolve_basis_series,
-    gue_hamiltonian,
+    sample_gue_eigensystem,
 )
 from otoc_thermalize.predictor import (
     canonical_window_pair,
@@ -33,6 +36,17 @@ from otoc_thermalize.predictor import (
     weighted_autocorrelator,
     weighted_correlator,
 )
+
+
+def gue_hamiltonian(dim, seed=None, rng=None):
+    """Draw a dense GUE Hamiltonian normalized so the spectrum concentrates in [-2, 2].
+
+    Entry variances are E[H_ii^2] = E[|H_ij|^2] = 1/dim, i.e. the density
+    exp(-(dim/2) Tr H^2); the semicircle radius is then 2.
+    """
+    rng = np.random.default_rng(seed) if rng is None else rng
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (a + a.conj().T) / (2.0 * math.sqrt(dim))
 
 
 def dense_unitary(source, t):
@@ -122,15 +136,15 @@ def predictor_demo_rows(setup, seed, n_instances, n_windows, t0, t_horizon,
                         t_obs, xi):
     """(bound, measured) of each ``predictor-demo`` window row, by the dense route.
 
-    Draws the CLI's GUE instances, rotates the dense A2 and B2 into each
+    Draws the CLI's GUE eigensystems, rotates the dense A2 and B2 into each
     eigenbasis, and takes their norms as Hilbert-Schmidt sums.
     """
     a2, b2 = two_point_operators(setup)
     norm_a, norm_b = (np.vdot(x, x).real / setup.dim for x in (a2, b2))
     rows = []
     for i in range(n_instances):
-        h = gue_hamiltonian(setup.dim, rng=derive_rng(seed, "predictor-gue", i))
-        evals, vecs = np.linalg.eigh(h)
+        evals, vecs = sample_gue_eigensystem(
+            setup.dim, derive_rng(seed, "predictor-gue", i))
         a_eig, b_eig = to_eigenbasis(vecs, a2), to_eigenbasis(vecs, b2)
         for k in range(n_windows):
             pair = canonical_window_pair(t0 + k * t_obs, t_horizon, t_obs, xi=xi)

@@ -12,6 +12,7 @@ import numpy as np
 
 from _dense import (
     dense_embed,
+    gue_hamiltonian,
     swap_representation_check,
     to_eigenbasis,
     two_point_operators,
@@ -30,7 +31,6 @@ from otoc_thermalize.hilbert import (
     derive_rng,
     embed_isometry,
     evolve_basis_series,
-    gue_hamiltonian,
     sample_haar_unitary,
 )
 from otoc_thermalize.predictor import (

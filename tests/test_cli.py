@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from _dense import dense_embed, dense_unitary, predictor_demo_rows, recording_eigh
-from otoc_thermalize import cli, hilbert, thermalization
+from otoc_thermalize import cli, dynamics, hilbert, thermalization
 from otoc_thermalize.geometry import halmos_decompose
 from otoc_thermalize.hilbert import (
     Projector,
     UnitarySource,
     derive_rng,
-    gue_hamiltonian,
+    sample_gue_eigensystem,
 )
 from otoc_thermalize.thermalization import thermal_axes
 from otoc_thermalize.cli import (
@@ -242,10 +242,10 @@ def test_verify_theorem_rejects_non_finite_lambda(tmp_path, capsys, grid):
 
 
 def _sweep_source(kind, seed, i, n):
-    """The source many-body-sweep builds for instance i."""
+    """The source many-body-sweep builds for instance i; a GUE one as a dense H."""
     if kind == "gue":
-        h = gue_hamiltonian(2 ** n, rng=derive_rng(seed, "sweep-gue", i))
-        return UnitarySource.hamiltonian(h)
+        evals, vecs = sample_gue_eigensystem(2 ** n, derive_rng(seed, "sweep-gue", i))
+        return UnitarySource.hamiltonian((vecs * evals) @ vecs.conj().T)
     child = int(derive_rng(seed, "sweep-source", i).integers(1 << 63))
     if kind == "cue":
         return UnitarySource.haar_cue(2 ** n, seed=child)
@@ -385,6 +385,20 @@ def test_verify_theorem_negative_variance_exits_two(monkeypatch, capsys):
     assert "soundness failure: angle variance" in err
 
 
+def test_many_body_sweep_negative_variance_exits_two(monkeypatch, capsys):
+    # a series whose G4 falls 2e-12 below G2^2 breaks a proven inequality:
+    # a soundness failure, never a variance silently clamped to 0
+    check = dynamics.variance_from_moments
+    monkeypatch.setattr(dynamics, "variance_from_moments",
+                        lambda g2, g4: check(g2, g2 * g2 - 2e-12))
+    config = {"experiment": "many-body-sweep", "seed": 1, "n": 4, "n_sigma": 2,
+              "source": "cue", "n_instances": 1, "times": [0, 1]}
+    assert cli.run(config) == EXIT_SOUND
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "soundness failure: angle variance" in err
+
+
 @pytest.mark.parametrize("grid, message", [
     ("f_grid = 0, 0.5", "f_grid"),
     ("lambda_rel_grid = -1", "lambda_rel_grid"),
@@ -491,6 +505,21 @@ def test_verify_theorem_runs_without_an_eigendecomposition(capsys):
     assert calls == []
     assert cli.run(config) == EXIT_PASS
     assert capsys.readouterr().out == recorded
+
+
+@pytest.mark.parametrize("config", [
+    {"experiment": "many-body-sweep", "source": "gue", "n": 5, "n_instances": 2,
+     "times": [0.0, 1.5]},
+    {"experiment": "predictor-demo", "n": 5, "n_instances": 2, "n_windows": 2},
+])
+def test_gue_experiments_run_no_eigh(capsys, config):
+    # a GUE instance is drawn as its spectrum and its Haar eigenbasis, so no
+    # Hamiltonian is formed and no Hermitian eigh runs
+    with recording_eigh() as calls:
+        code = cli.run({"seed": 2, **config})
+    capsys.readouterr()
+    assert code == EXIT_PASS
+    assert calls == []
 
 
 def test_verify_theorem_holds_no_dim_squared_array(capsys):

@@ -10,6 +10,7 @@ from _dense import (
     dense_embed,
     dense_matrix,
     dense_unitary,
+    gue_hamiltonian,
     swap_representation_check,
 )
 from otoc_thermalize import dynamics, hilbert
@@ -25,7 +26,6 @@ from otoc_thermalize.hilbert import (
     derive_rng,
     embed_isometry,
     evolve_basis_series,
-    gue_hamiltonian,
     sample_haar_unitary,
 )
 from otoc_thermalize.thermalization import thermal_axes
@@ -154,6 +154,32 @@ def test_series_haar_cue_saturates_to_typical_variance():
     series = correlator_series(setup, source, [1])
     pred = haar_prediction(1024, 2, 32)
     assert abs(series.sigma2[0] - pred.sigma2_typ) <= 10.0 * pred.fluctuation_scale(4)
+
+
+def test_gue_eigen_law_series_matches_the_dense_gue_stat():
+    # [stat] a GUE source drawn as its spectrum and Haar eigenbasis against
+    # the dense H + eigh route: the means and variances of G2, G4 and sigma2
+    # at t = 1 and 3 agree within 4 standard errors of their difference
+    setup, n, times = default_setup(5, 1, 2), 2000, [1.0, 3.0]
+
+    def moments(source):
+        series = correlator_series(setup, source, times)
+        return np.stack([series.g2, series.g4, series.sigma2])
+
+    law = np.array([moments(UnitarySource.gue(32, derive_rng(17, "law", i)))
+                    for i in range(n)])
+    dense = np.array([moments(UnitarySource.hamiltonian(
+        gue_hamiltonian(32, rng=derive_rng(17, "dense", i)))) for i in range(n)])
+
+    def var_of_var(x):
+        centred = x - x.mean(axis=0)
+        return (np.mean(centred ** 4, axis=0) - np.mean(centred ** 2, axis=0) ** 2) / n
+
+    var_law, var_dense = law.var(axis=0, ddof=1), dense.var(axis=0, ddof=1)
+    mean_gap = np.abs(law.mean(axis=0) - dense.mean(axis=0))
+    assert np.all(mean_gap <= 4 * np.sqrt((var_law + var_dense) / n))
+    var_gap = np.abs(var_law - var_dense)
+    assert np.all(var_gap <= 4 * np.sqrt(var_of_var(law) + var_of_var(dense)))
 
 
 def test_series_circuit_source_obeys_invariants():

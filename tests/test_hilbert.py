@@ -1,12 +1,13 @@
 """Unit tests for the Hilbert-space substrate."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _dense import dense_embed, dense_matrix, dense_unitary
+from _dense import dense_embed, dense_matrix, dense_unitary, gue_hamiltonian
 from otoc_thermalize.hilbert import (
     ManyBodySetup,
     Projector,
@@ -16,7 +17,7 @@ from otoc_thermalize.hilbert import (
     derive_rng,
     embed_isometry,
     evolve_basis_series,
-    gue_hamiltonian,
+    sample_gue_eigensystem,
     sample_haar_unitary,
 )
 
@@ -113,6 +114,42 @@ def test_gue_is_hermitian_with_semicircle_scale():
     # spectrum concentrates in [-2, 2] for this normalization
     assert evals.min() > -2.5 and evals.max() < 2.5
     assert evals.max() > 1.5
+
+
+def test_gue_eigensystem_has_the_semicircle_scale_and_a_unitary_basis():
+    evals, evecs = sample_gue_eigensystem(256, np.random.default_rng(11))
+    assert evals.shape == (256,) and np.all(np.diff(evals) >= 0)
+    assert evals.min() > -2.5 and evals.max() < 2.5
+    assert evals.max() > 1.5
+    assert np.linalg.norm(evecs.conj().T @ evecs - np.eye(256)) <= 1e-10 * 256
+
+
+def test_gue_eigensystem_rejects_bad_dim():
+    with pytest.raises(ValueError, match="dimension"):
+        sample_gue_eigensystem(0, np.random.default_rng(0))
+
+
+def test_gue_eigensystem_of_dim_one_is_a_normal_energy_and_a_phase():
+    evals, evecs = sample_gue_eigensystem(1, np.random.default_rng(3))
+    assert evals.shape == (1,) and np.isfinite(evals[0])
+    assert evecs.shape == (1, 1) and abs(abs(evecs[0, 0]) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_gue_eigensystem_spectral_moments_stat(dim):
+    # [stat] closed forms for E[H_ii^2] = E[|H_ij|^2] = 1/D: (1/D) sum E^2 is
+    # chi^2 with D^2 degrees of freedom over D^2, so its mean is 1 and its
+    # variance 2/D^2, and E[(1/D) sum E^4] = 2 + 1/D^2 (genus expansion);
+    # each within 4 standard errors over 20,000 draws
+    rng = derive_rng(2002, "gue-spectrum", dim)
+    n = 20_000
+    e = np.array([sample_gue_eigensystem(dim, rng)[0] for _ in range(n)])
+    m2, m4 = np.mean(e ** 2, axis=1), np.mean(e ** 4, axis=1)
+    assert abs(m2.mean() - 1.0) <= 4 * math.sqrt(2.0 / dim ** 2 / n)
+    centred = m2 - m2.mean()
+    var_se = math.sqrt((np.mean(centred ** 4) - np.mean(centred ** 2) ** 2) / n)
+    assert abs(m2.var(ddof=1) - 2.0 / dim ** 2) <= 4 * var_se
+    assert abs(m4.mean() - (2.0 + 1.0 / dim ** 2)) <= 4 * m4.std(ddof=1) / math.sqrt(n)
 
 
 class TestProjector:

@@ -20,6 +20,7 @@ from _dense import (
     dense_embed,
     dense_matrix,
     dense_unitary,
+    gue_hamiltonian,
     projector_from_matrix,
     swap_representation_check,
 )
@@ -27,7 +28,6 @@ from otoc_thermalize.hilbert import (
     ManyBodySetup,
     Projector,
     UnitarySource,
-    gue_hamiltonian,
     sample_haar_unitary,
 )
 from otoc_thermalize.geometry import (

@@ -7,13 +7,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _dense import dense_unitary, to_eigenbasis, two_point_operators
+from _dense import (
+    dense_unitary,
+    gue_hamiltonian,
+    to_eigenbasis,
+    two_point_operators,
+)
 from otoc_thermalize import predictor
 from otoc_thermalize.hilbert import (
     ManyBodySetup,
     UnitarySource,
     derive_rng,
-    gue_hamiltonian,
     sample_haar_unitary,
 )
 from otoc_thermalize.dynamics import correlator_series
