@@ -33,9 +33,8 @@ from .hilbert import (
     ManyBodySetup,
     Projector,
     UnitarySource,
-    contract_isometry,
+    _eigenframe,
     derive_rng,
-    sample_gue_eigensystem,
     sample_haar_unitary,
 )
 from .predictor import (
@@ -399,7 +398,8 @@ def _run_many_body_sweep(cfg: ExperimentConfig):
 
     def one_instance(i):
         if source_kind == "gue":
-            source = UnitarySource.gue(d, derive_rng(cfg.seed, "sweep-gue", i))
+            source = UnitarySource.gue(d, derive_rng(cfg.seed, "sweep-gue", i),
+                                       columns=setup.d_r)
         else:
             child = int(derive_rng(cfg.seed, "sweep-source", i).integers(1 << 63))
             if source_kind == "cue":
@@ -485,13 +485,12 @@ def _run_predictor_demo(cfg: ExperimentConfig):
     shifts = t_obs * np.arange(n_windows)
 
     def one_instance(i):
-        evals, vecs = sample_gue_eigensystem(
-            d, derive_rng(cfg.seed, "predictor-gue", i))
-        # V^dag P V = (L^dag V)^dag (L^dag V) for P = L L^dag
-        c_r = contract_isometry(setup, "observable", vecs)
-        c_rho = contract_isometry(setup, "core", vecs)
-        a_eig = c_r.conj().T @ c_r - np.eye(d) / d_s
-        b_eig = d_sigma * (c_rho.conj().T @ c_rho) - np.eye(d)
+        source = UnitarySource.gue(d, derive_rng(cfg.seed, "predictor-gue", i),
+                                   columns=setup.d_r)
+        # V^dag P_R V = W W^dag and V^dag P_rho V = Y Y^dag in the eigenframe
+        evals, w, y = _eigenframe(setup, source)
+        a_eig = w @ w.conj().T - np.eye(d) / d_s
+        b_eig = d_sigma * (y @ y.conj().T) - np.eye(d)
         # a finite window time can still overflow a phase E*t; that is a
         # config out of numeric range, not a NaN row
         with np.errstate(over="raise"):

@@ -1,17 +1,27 @@
 """Time series of the correlators and Haar-typicality statistics.
 
 ``correlator_series`` evaluates G^2(t), G^4(t), sigma^2(t) and the normalized
-commutator norm for a many-body setup under a unitary source. It evolves only
-the D x D_eta core basis K (``evolve_basis_series``), never the full unitary,
-and applies the observable P_R = |chi><chi| (x) 1 on its own qubits: the
-cross-Gram c = L^dag K_t (D/D_S x D_eta) is <chi| contracted into the
-observed legs of K_t (``contract_isometry``), so the D x D/D_S isometry L is
-never formed. G^2, G^4 and the principal cos^2 spectrum come from the
-D_eta x D_eta Gram matrix m = c^dag c (its eigenvalues are the cos^2 of the
-principal angles, Bjorck & Golub 1973), and the commutator norm from the
-residual R = (1 - P_R) K_t = K_t - chi (x) c, through
+commutator norm for a many-body setup under a unitary source. At each time it
+splits the evolved D x D_eta core basis by the observable P_R = L L^dag into
+the cross-Gram c = L^dag K_t (D/D_S x D_eta) and the residual
+R = (1 - P_R) K_t, in one of two frames, and never forms the unitary:
+
+* CUE and circuit sources evolve K in the register (``evolve_basis_series``)
+  and apply P_R = |chi><chi| (x) 1 on its own qubits: c is <chi| contracted
+  into the observed legs of K_t (``contract_isometry``) and R = K_t - chi (x) c,
+  so the D x D/D_S isometry L is never formed. Peak memory is a few
+  D x D_eta blocks.
+* A Hamiltonian H = V diag(E) V^dag is reduced in its eigenframe
+  (``_eigenframe``): with W = V^dag L and Y = V^dag K, X_t = exp(-iEt) Y,
+  c = W^dag X_t and V^dag R = X_t - W c. A GUE source draws only the D x D_R
+  frame W, so neither V nor H exists.
+
+The reduction that follows is shared. G^2, G^4 and the principal cos^2
+spectrum come from the D_eta x D_eta Gram matrix m = c^dag c (its eigenvalues
+are the cos^2 of the principal angles, Bjorck & Golub 1973), and the
+commutator norm from the residual, through
 ||[P_R, P_t]||_F^2 = 2 ||(1 - P_R) P_t P_R||_F^2 = 2 tr(R^dag R m),
-independently of G^2 - G^4. Peak memory is a few D x D_eta blocks.
+independently of G^2 - G^4.
 ``haar_prediction`` carries the exact Weingarten moments of the correlators
 over the Haar measure, and ``typicality_experiment`` tests them by Monte
 Carlo.
@@ -29,6 +39,7 @@ from .geometry import variance_from_moments
 from .hilbert import (
     ManyBodySetup,
     UnitarySource,
+    _eigenframe,
     _on_sites,
     contract_isometry,
     derive_rng,
@@ -143,16 +154,28 @@ class CorrelatorSeries:
                 f"commutator identity violated: max gap {gap.max():.3e}")
 
 
-def _observed_split(setup: ManyBodySetup, kt: np.ndarray):
-    """Split K_t by the observable P_R = |chi><chi| (x) 1 on its own qubits.
+def _observed_splits(setup: ManyBodySetup, source: UnitarySource,
+                     times: np.ndarray):
+    """Yield (c, R) at each time: c = L^dag K_t and the residual R = (1 - P_R) K_t.
 
-    Returns c = L^dag K_t (D/D_S x D_eta, by ``contract_isometry``) and the
-    Gram matrix R^dag R of the residual R = (1 - P_R) K_t = K_t - chi (x) c.
+    A Hamiltonian source yields them in its eigenframe, where R is V^dag R;
+    a CUE or circuit source in the register, with P_R = |chi><chi| (x) 1
+    applied on its own qubits.
     """
-    c = contract_isometry(setup, "observable", kt)
-    residual = kt - _on_sites(setup.observed_state, setup.observed_sites,
-                              setup.n_total, c)
-    return c, residual.conj().T @ residual
+    if source.kind not in ("hamiltonian", "gue"):
+        for kt in evolve_basis_series(source, embed_isometry(setup, "core"), times):
+            c = contract_isometry(setup, "observable", kt)
+            yield c, kt - _on_sites(setup.observed_state, setup.observed_sites,
+                                    setup.n_total, c)
+        return
+    evals, w, y = _eigenframe(setup, source)
+    for t in times:
+        if not np.isfinite(t):
+            raise ValueError(f"time must be finite, got {t}")
+        x = np.exp(-1j * t * evals)[:, None] * y
+        # W^dag X as conj(W^T conj(X)): W^T is a view, W.conj() a D x D_R copy
+        c = (w.T @ x.conj()).conj()
+        yield c, x - w @ c
 
 
 def correlator_series(setup: ManyBodySetup, source: UnitarySource,
@@ -178,7 +201,6 @@ def correlator_series(setup: ManyBodySetup, source: UnitarySource,
     if source.dim != setup.dim:
         raise ValueError(
             f"source dimension {source.dim} does not match setup {setup.dim}")
-    k = embed_isometry(setup, "core")          # D x D_eta
     d_rho = setup.d_rho
     times = np.asarray([float(t) for t in times])
     g2 = np.empty(times.shape)
@@ -186,9 +208,7 @@ def correlator_series(setup: ManyBodySetup, source: UnitarySource,
     sigma2 = np.empty(times.shape)
     comm = np.empty(times.shape)
     cos2 = np.empty(times.shape + (d_rho,))
-    evolved = evolve_basis_series(source, k, times)
-    for i, kt in enumerate(evolved):
-        c, gram = _observed_split(setup, kt)
+    for i, (c, residual) in enumerate(_observed_splits(setup, source, times)):
         m = c.conj().T @ c
         g2[i] = np.trace(m).real / d_rho
         g4[i] = np.sum(np.abs(m) ** 2) / d_rho
@@ -197,6 +217,7 @@ def correlator_series(setup: ManyBodySetup, source: UnitarySource,
         # (1 - P_R) P_t P_R = R c^dag L^dag, so its squared Frobenius norm is
         # tr(R^dag R c^dag c). R^dag R comes from R, not from 1 - m, so the
         # identity check in validate still tests that K_t is an isometry
+        gram = residual.conj().T @ residual
         comm[i] = np.sum(gram * m.T).real / d_rho
     series = CorrelatorSeries(times=times, g2=g2, g4=g4, sigma2=sigma2,
                               commutator_norm=comm, cos2=cos2)

@@ -6,13 +6,17 @@ unitary sampling, and time evolution from several unitary sources
 is its D x rank orthonormal basis; its D x D matrix is never formed. A product
 state |s><s| (x) 1 is never formed as one: ``embed_isometry`` is its
 isometry L, and ``contract_isometry`` applies L^dag by contracting <s| into
-the factor's qubits. Time evolution acts on a D x r basis K through
-``evolve_basis_series``, the one routine that knows each source: it yields
-U(t) K on a time grid without forming U(t), carrying a circuit's block
-forward; a single time is a one-point grid. A state is placed on its qubits
-in one way (``_on_sites``), and a brickwork gate is a 4 x 4 matmul on a
-(2^a, 4, rest) view of the block. A GUE Hamiltonian is drawn as its
-eigensystem (``sample_gue_eigensystem``) and never formed.
+the factor's qubits. A CUE or circuit source acts on a D x r basis K through
+``evolve_basis_series``: it yields U(t) K on a time grid without forming
+U(t), carrying a circuit's block forward; a single time is a one-point grid.
+A state is placed on its qubits in one way (``_on_sites``), and a brickwork
+gate is a 4 x 4 matmul on a (2^a, 4, rest) view of the block. A Hamiltonian
+H = V diag(E) V^dag is not evolved in the register: ``_eigenframe`` gives
+its spectrum E and the observable and core bases in its eigenframe,
+W = V^dag L and Y = V^dag K, where U(t) is the phase exp(-iEt). A GUE
+Hamiltonian is never formed: its law is unitarily invariant, so W is itself
+a D x D_R Haar isometry, and ``sample_gue_eigensystem`` draws the spectrum
+and that thin frame alone.
 """
 
 from __future__ import annotations
@@ -121,7 +125,7 @@ def sample_haar_unitary(dim: int, seed=None, rng=None,
     return q
 
 
-def sample_gue_eigensystem(dim: int, rng) -> tuple:
+def sample_gue_eigensystem(dim: int, rng, columns: Optional[int] = None) -> tuple:
     """Draw the eigenvalues and eigenvectors of a GUE Hamiltonian, never forming it.
 
     The GUE is normalized so the spectrum concentrates in [-2, 2]: entry
@@ -132,20 +136,26 @@ def sample_gue_eigensystem(dim: int, rng) -> tuple:
     Edelman 2002): diagonal N(0, 1), off-diagonals sqrt(chi^2_{2k} / 2) =
     sqrt(Gamma(k, 1)) for k = dim-1 .. 1, scaled by 1/sqrt(dim); its
     ``eigvalsh`` runs on a real tridiagonal matrix. The eigenbasis is one
-    full ``sample_haar_unitary`` draw from the same generator, after the
+    ``sample_haar_unitary`` draw from the same generator, after the
     spectrum. Neither step runs a complex dim x dim ``eigh``.
+
+    With ``columns = m`` only the leading m columns of the Haar eigenbasis
+    are drawn, a thin QR at O(dim m^2). For any fixed dim x m isometry L,
+    V^dag L of a Haar V is again a dim x m Haar isometry, so the thin draw
+    has the law of a GUE Hamiltonian's eigenframe W = V^dag L of an m-dimensional
+    range, which is how ``UnitarySource.gue`` reads it.
 
     Returns
     -------
-    (evals, evecs) : ascending eigenvalues (dim,) and a dim x dim unitary
-        whose columns are the matching eigenvectors.
+    (evals, evecs) : ascending eigenvalues (dim,) and a dim x m isometry
+        (by default the dim x dim unitary of eigenvectors, one per column).
     """
     tri = np.diag(rng.standard_normal(dim))
     k = np.arange(dim - 1)
     tri[k + 1, k] = tri[k, k + 1] = np.sqrt(rng.gamma(dim - 1.0 - k))
     evals = np.linalg.eigvalsh(tri) / math.sqrt(dim)
     del tri  # freed before the Haar draw
-    return evals, sample_haar_unitary(dim, rng=rng)
+    return evals, sample_haar_unitary(dim, rng=rng, columns=columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,11 +345,14 @@ def contract_isometry(setup: ManyBodySetup, which: str,
 
 @dataclass(frozen=True)
 class UnitarySource:
-    """A family of unitaries U(t), one of three variants.
+    """A family of unitaries U(t), one of four variants.
 
-    ``hamiltonian``: autonomous evolution exp(-i H t), kept as the eigenvalues
-    and eigenvectors of H: ``hamiltonian(h)`` diagonalizes a given H once, and
-    ``gue(dim, rng)`` draws a GUE eigensystem without forming H.
+    ``hamiltonian``: autonomous evolution exp(-i H t) for a given H, kept as
+    its eigenvalues ``evals`` and eigenvectors ``evecs`` (``eigh`` once).
+    ``gue``: exp(-i H t) for a GUE H, kept as its eigenvalues and its
+    eigenframe ``frame`` = W = V^dag L of a ``columns``-dimensional range L,
+    a thin Haar draw (``sample_gue_eigensystem``); the rest of the eigenbasis
+    V is never drawn. Both are reduced in their eigenframe (``_eigenframe``).
     ``haar_cue``: each integer t > 0 labels an independent Haar unitary drawn
     from the seed, with t = 0 the identity; this realizes "evolve to the
     Haar-typicality regime" without a model Hamiltonian.
@@ -356,6 +369,7 @@ class UnitarySource:
     n_sites: Optional[int] = None
     evals: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     evecs: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    frame: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def hamiltonian(cls, h: np.ndarray) -> "UnitarySource":
@@ -370,10 +384,15 @@ class UnitarySource:
         return cls(kind="hamiltonian", dim=h.shape[0], evals=evals, evecs=evecs)
 
     @classmethod
-    def gue(cls, dim: int, rng) -> "UnitarySource":
-        """Autonomous source exp(-i H t) for a GUE H (``sample_gue_eigensystem``)."""
-        evals, evecs = sample_gue_eigensystem(dim, rng)
-        return cls(kind="hamiltonian", dim=dim, evals=evals, evecs=evecs)
+    def gue(cls, dim: int, rng, columns: int) -> "UnitarySource":
+        """Autonomous source exp(-i H t) for a GUE H, drawn in the eigenframe of
+        a ``columns``-dimensional observable range (``sample_gue_eigensystem``).
+
+        By unitary invariance the frame's law does not depend on which range
+        it is read against, so the source serves any setup with D_R = columns.
+        """
+        evals, frame = sample_gue_eigensystem(dim, rng, columns=columns)
+        return cls(kind="gue", dim=dim, evals=evals, frame=frame)
 
     @classmethod
     def haar_cue(cls, dim: int, seed: int) -> "UnitarySource":
@@ -404,14 +423,41 @@ def _apply_circuit(source: UnitarySource, k: np.ndarray, start: int,
     return k
 
 
+def _eigenframe(setup: ManyBodySetup, source: UnitarySource) -> tuple:
+    """(E, W, Y) of a Hamiltonian source: its spectrum and, in its eigenframe,
+    the observable basis W = V^dag L (D x D_R) and core basis Y = V^dag K (D x D_eta).
+
+    There U(t) is the phase exp(-iEt), so U(t) K = V exp(-iEt) Y. An explicit
+    H contracts both from its eigenvectors V (``contract_isometry``). A GUE
+    source holds W alone and needs the core inside the observable's range,
+    K = L (L^dag K), which holds when |psi> = |chi> (x) |psi'> on the core
+    sites; then Y = W (L^dag K), and ValueError is raised when L^dag K is no
+    isometry.
+    """
+    if source.kind == "hamiltonian":
+        v = source.evecs
+        return (source.evals, contract_isometry(setup, "observable", v).conj().T,
+                contract_isometry(setup, "core", v).conj().T)
+    if source.frame.shape != (setup.dim, setup.d_r):
+        raise ValueError(f"GUE frame has shape {source.frame.shape}; the observable "
+                         f"needs {(setup.dim, setup.d_r)}")
+    core = contract_isometry(setup, "observable", embed_isometry(setup, "core"))
+    defect = np.linalg.norm(core.conj().T @ core - np.eye(setup.d_rho))
+    if not defect <= RANK_TOL:
+        raise ValueError(
+            "a GUE source needs the core range inside the observable's, "
+            "|psi> = |chi> (x) |psi'> on the core sites, so that L^dag K is an "
+            f"isometry; its defect is {defect:.3e}")
+    return source.evals, source.frame, source.frame @ core
+
+
 def evolve_basis_series(source: UnitarySource, k: np.ndarray,
                         times: Sequence[float]) -> Iterator[np.ndarray]:
     """Yield U(t) K for each t in ``times``, in order, never forming U(t).
 
-    K is a D x r matrix. Hamiltonian sources accept any real t (with
-    U(t1) U(t2) = U(t1+t2)); the ensemble variants accept nonnegative
-    integers, t = 0 giving a copy of K. Costs per time: O(D^2 r) for a
-    Hamiltonian, whose V^dag K is formed once per series; for CUE, the
+    K is a D x r matrix and the source a CUE or circuit one (a Hamiltonian
+    is reduced in its eigenframe, ``_eigenframe``). Times are nonnegative
+    integers, t = 0 giving a copy of K. Costs per time: for CUE, the
     leading m columns of the Haar unitary (D x m Gaussians and a thin QR,
     O(D m^2)), where m is one plus the index of the last nonzero row of K,
     times K[:m] unless K[:m] is the identity (checked once per series).
@@ -425,23 +471,17 @@ def evolve_basis_series(source: UnitarySource, k: np.ndarray,
     if k.ndim != 2 or k.shape[0] != source.dim:
         raise ValueError(
             f"dimension mismatch: source acts on {source.dim}, K is {k.shape}")
-    if source.kind == "hamiltonian":
-        # V^dag K as conj(V^T conj(K)): V^T is a view, V.conj() a D x D copy
-        coeffs = (source.evecs.T @ k.conj()).conj()
-    elif source.kind == "haar_cue":
+    if source.kind == "haar_cue":
         m = int(np.max(np.flatnonzero(np.any(k != 0, axis=1)), initial=0)) + 1
         # a product core on the leading qubits has k[:m] = 1: skip that product
         identity = k.shape[1] == m and np.array_equal(k[:m], np.eye(m))
     elif source.kind != "circuit":
-        raise ValueError(f"unknown source kind {source.kind!r}")
+        raise ValueError(f"evolve_basis_series takes cue and circuit sources, "
+                         f"got {source.kind!r}")
     depth, kt = None, None
     for t in times:
         if not np.isfinite(t):
             raise ValueError(f"time must be finite, got {t}")
-        if source.kind == "hamiltonian":
-            phases = np.exp(-1j * float(t) * source.evals)
-            yield source.evecs @ (phases[:, None] * coeffs)
-            continue
         step = int(round(t))
         if step < 0 or abs(t - step) > 1e-12:
             raise ValueError(

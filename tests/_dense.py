@@ -7,9 +7,11 @@ eigendecomposition route ``eigh_range_basis``; ``recording_eigh`` shows
 whether a block of code took an eigendecomposition route at all.
 ``principal_axes`` is the singular-vector route to the principal axes, which
 the library never forms. ``dense_unitary`` is the D x D unitary U(t) of a
-source, its basis evolution applied to K = 1. ``gue_hamiltonian`` draws a
-dense GUE matrix, whose ``eigh`` the library's eigen-law draw
-``sample_gue_eigensystem`` is held against.
+source: V exp(-iEt) V^dag for a Hamiltonian, the basis evolution applied to
+K = 1 for the others. ``gue_hamiltonian`` draws a dense GUE matrix, whose
+``eigh`` the library's eigen-law draw ``sample_gue_eigensystem`` is held
+against. ``completed_eigenbasis`` completes a GUE source's thin eigenframe
+to a full eigenbasis, so its dense H can be formed.
 """
 
 import contextlib
@@ -25,10 +27,10 @@ from otoc_thermalize.geometry import (
 from otoc_thermalize.hilbert import (
     DIM_CAP_DEFAULT,
     Projector,
+    UnitarySource,
     derive_rng,
     embed_isometry,
     evolve_basis_series,
-    sample_gue_eigensystem,
 )
 from otoc_thermalize.predictor import (
     canonical_window_pair,
@@ -50,8 +52,28 @@ def gue_hamiltonian(dim, seed=None, rng=None):
 
 
 def dense_unitary(source, t):
-    """The D x D unitary U(t) of a source: ``evolve_basis_series`` at one time on K = 1."""
+    """The D x D unitary U(t) of a source.
+
+    V exp(-iEt) V^dag for a Hamiltonian with eigenvectors V; for a CUE or
+    circuit source, ``evolve_basis_series`` at one time on K = 1.
+    """
+    if source.kind == "hamiltonian":
+        return (source.evecs * np.exp(-1j * t * source.evals)) @ source.evecs.conj().T
     return next(evolve_basis_series(source, np.eye(source.dim, dtype=complex), [t]))
+
+
+def completed_eigenbasis(setup, source):
+    """A D x D unitary V whose eigenframe of the observable is a GUE source's frame.
+
+    V^dag = W L^dag + W_perp L_perp^dag, where L is the observable's isometry,
+    W = V^dag L the source's frame, and each complement the trailing columns of
+    a complete QR. Column j of V goes with ``source.evals[j]``, so
+    H = V diag(E) V^dag is a dense H of the GUE law with V^dag L = W.
+    """
+    w, l = source.frame, embed_isometry(setup, "observable")
+    w_perp, l_perp = (np.linalg.qr(a, mode="complete")[0][:, a.shape[1]:]
+                      for a in (w, l))
+    return (w @ l.conj().T + w_perp @ l_perp.conj().T).conj().T
 
 
 def dense_matrix(p):
@@ -136,15 +158,17 @@ def predictor_demo_rows(setup, seed, n_instances, n_windows, t0, t_horizon,
                         t_obs, xi):
     """(bound, measured) of each ``predictor-demo`` window row, by the dense route.
 
-    Draws the CLI's GUE eigensystems, rotates the dense A2 and B2 into each
-    eigenbasis, and takes their norms as Hilbert-Schmidt sums.
+    Draws the CLI's GUE sources, completes each eigenframe to a dense
+    eigenbasis, rotates the dense A2 and B2 into it, and takes their norms as
+    Hilbert-Schmidt sums.
     """
     a2, b2 = two_point_operators(setup)
     norm_a, norm_b = (np.vdot(x, x).real / setup.dim for x in (a2, b2))
     rows = []
     for i in range(n_instances):
-        evals, vecs = sample_gue_eigensystem(
-            setup.dim, derive_rng(seed, "predictor-gue", i))
+        source = UnitarySource.gue(setup.dim, derive_rng(seed, "predictor-gue", i),
+                                   columns=setup.d_r)
+        evals, vecs = source.evals, completed_eigenbasis(setup, source)
         a_eig, b_eig = to_eigenbasis(vecs, a2), to_eigenbasis(vecs, b2)
         for k in range(n_windows):
             pair = canonical_window_pair(t0 + k * t_obs, t_horizon, t_obs, xi=xi)

@@ -12,6 +12,7 @@ import numpy as np
 
 from _dense import (
     dense_embed,
+    dense_unitary,
     gue_hamiltonian,
     swap_representation_check,
     to_eigenbasis,
@@ -30,7 +31,6 @@ from otoc_thermalize.hilbert import (
     UnitarySource,
     derive_rng,
     embed_isometry,
-    evolve_basis_series,
     sample_haar_unitary,
 )
 from otoc_thermalize.predictor import (
@@ -319,7 +319,7 @@ def test_series_chain_and_commutator_identity():
         p_r = dense_embed(setup, "observable")
         k = embed_isometry(setup, "core")
         for i, t in enumerate(times):
-            p_t = Projector(next(evolve_basis_series(source, k, [t])))
+            p_t = Projector(dense_unitary(source, t) @ k)
             geom = halmos_decompose(p_r, p_t)
             assert np.max(np.abs(series.cos2[i] - np.sort(geom.cos2))) <= 1e-9
             assert abs(correlator_from_angles(geom, 1) - series.g2[i]) <= 1e-9

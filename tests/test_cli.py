@@ -10,14 +10,19 @@ import warnings
 import numpy as np
 import pytest
 
-from _dense import dense_embed, dense_unitary, predictor_demo_rows, recording_eigh
+from _dense import (
+    completed_eigenbasis,
+    dense_embed,
+    dense_unitary,
+    predictor_demo_rows,
+    recording_eigh,
+)
 from otoc_thermalize import cli, dynamics, hilbert, thermalization
 from otoc_thermalize.geometry import halmos_decompose
 from otoc_thermalize.hilbert import (
     Projector,
     UnitarySource,
     derive_rng,
-    sample_gue_eigensystem,
 )
 from otoc_thermalize.thermalization import thermal_axes
 from otoc_thermalize.cli import (
@@ -241,11 +246,14 @@ def test_verify_theorem_rejects_non_finite_lambda(tmp_path, capsys, grid):
     assert "config error" in err and "lambda_grid" in err
 
 
-def _sweep_source(kind, seed, i, n):
-    """The source many-body-sweep builds for instance i; a GUE one as a dense H."""
+def _sweep_source(kind, seed, i, setup):
+    """The source many-body-sweep builds for instance i; a GUE one as a dense H
+    whose eigenframe is completed to a full eigenbasis."""
+    n = setup.n_total
     if kind == "gue":
-        evals, vecs = sample_gue_eigensystem(2 ** n, derive_rng(seed, "sweep-gue", i))
-        return UnitarySource.hamiltonian((vecs * evals) @ vecs.conj().T)
+        gue = UnitarySource.gue(setup.dim, derive_rng(seed, "sweep-gue", i), columns=setup.d_r)
+        vecs = completed_eigenbasis(setup, gue)
+        return UnitarySource.hamiltonian((vecs * gue.evals) @ vecs.conj().T)
     child = int(derive_rng(seed, "sweep-source", i).integers(1 << 63))
     if kind == "cue":
         return UnitarySource.haar_cue(2 ** n, seed=child)
@@ -267,7 +275,7 @@ def test_many_body_sweep_thermal_dimensions_match_dense_route(tmp_path, source):
     p_rho = dense_embed(setup, "core")
     expected = []
     for i in range(2):
-        src = _sweep_source(source, seed, i, n)
+        src = _sweep_source(source, seed, i, setup)
         for t in (0, 1, 3):
             geom = halmos_decompose(p_r, Projector(dense_unitary(src, t) @ p_rho.basis))
             expected += [float(np.count_nonzero(thermal_axes(geom.cos2, lam)))
@@ -507,19 +515,36 @@ def test_verify_theorem_runs_without_an_eigendecomposition(capsys):
     assert capsys.readouterr().out == recorded
 
 
-@pytest.mark.parametrize("config", [
+GUE_CONFIGS = [
     {"experiment": "many-body-sweep", "source": "gue", "n": 5, "n_instances": 2,
      "times": [0.0, 1.5]},
     {"experiment": "predictor-demo", "n": 5, "n_instances": 2, "n_windows": 2},
-])
+]
+
+
+@pytest.mark.parametrize("config", GUE_CONFIGS)
 def test_gue_experiments_run_no_eigh(capsys, config):
-    # a GUE instance is drawn as its spectrum and its Haar eigenbasis, so no
+    # a GUE instance is drawn as its spectrum and its Haar eigenframe, so no
     # Hamiltonian is formed and no Hermitian eigh runs
     with recording_eigh() as calls:
         code = cli.run({"seed": 2, **config})
     capsys.readouterr()
     assert code == EXIT_PASS
     assert calls == []
+
+
+@pytest.mark.parametrize("config", GUE_CONFIGS)
+def test_gue_experiments_draw_only_the_observable_eigenframe(capsys, monkeypatch,
+                                                             config):
+    # each instance draws the D x D/D_S frame W = V^dag L, never the D x D V
+    draws = []
+    sample = hilbert.sample_haar_unitary
+    monkeypatch.setattr(hilbert, "sample_haar_unitary", lambda dim, **kw: (
+        draws.append((dim, kw.get("columns"))) or sample(dim, **kw)))
+    assert cli.run({"seed": 2, **config}) == EXIT_PASS
+    capsys.readouterr()
+    d, d_s = 2 ** 5, 2 ** 1
+    assert draws == [(d, d // d_s)] * 2
 
 
 def test_verify_theorem_holds_no_dim_squared_array(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _dense import (
+    completed_eigenbasis,
     dense_correlator_trace,
     dense_embed,
     dense_matrix,
@@ -57,7 +58,7 @@ def assert_angle_route_agrees(setup, source, times, series, tol=SERIES_TOL):
     p_r = dense_embed(setup, "observable")
     k = embed_isometry(setup, "core")
     for i, t in enumerate(times):
-        geom = halmos_decompose(p_r, Projector(next(evolve_basis_series(source, k, [t]))))
+        geom = halmos_decompose(p_r, Projector(dense_unitary(source, t) @ k))
         np.testing.assert_allclose(series.cos2[i], np.sort(geom.cos2), rtol=0, atol=tol)
         for n, direct in ((1, series.g2[i]), (2, series.g4[i])):
             assert abs(correlator_from_angles(geom, n) - direct) <= tol
@@ -157,7 +158,7 @@ def test_series_haar_cue_saturates_to_typical_variance():
 
 
 def test_gue_eigen_law_series_matches_the_dense_gue_stat():
-    # [stat] a GUE source drawn as its spectrum and Haar eigenbasis against
+    # [stat] a GUE source drawn as its spectrum and thin Haar eigenframe against
     # the dense H + eigh route: the means and variances of G2, G4 and sigma2
     # at t = 1 and 3 agree within 4 standard errors of their difference
     setup, n, times = default_setup(5, 1, 2), 2000, [1.0, 3.0]
@@ -166,7 +167,8 @@ def test_gue_eigen_law_series_matches_the_dense_gue_stat():
         series = correlator_series(setup, source, times)
         return np.stack([series.g2, series.g4, series.sigma2])
 
-    law = np.array([moments(UnitarySource.gue(32, derive_rng(17, "law", i)))
+    law = np.array([moments(UnitarySource.gue(32, derive_rng(17, "law", i),
+                                              columns=setup.d_r))
                     for i in range(n)])
     dense = np.array([moments(UnitarySource.hamiltonian(
         gue_hamiltonian(32, rng=derive_rng(17, "dense", i)))) for i in range(n)])
@@ -280,10 +282,9 @@ def series_cases():
     ]
 
 
-@pytest.mark.parametrize("case", range(15))
-def test_series_matches_dense_evolution_oracle(case):
-    setup, source, times = series_cases()[case]
-    series = correlator_series(setup, source, times)
+def assert_dense_route_agrees(setup, source, times, series):
+    """Dense oracle: G^2, G^4 by the dense trace and the angle route, and the
+    commutator norm from the dense D x D commutator, each to 1e-12."""
     p_r = dense_embed(setup, "observable")
     p_rho = dense_embed(setup, "core")
     for i, t in enumerate(times):
@@ -297,6 +298,52 @@ def test_series_matches_dense_evolution_oracle(case):
         assert abs(series.commutator_norm[i] - comm) <= 1e-12
 
 
+@pytest.mark.parametrize("case", range(15))
+def test_series_matches_dense_evolution_oracle(case):
+    setup, source, times = series_cases()[case]
+    assert_dense_route_agrees(setup, source, times,
+                              correlator_series(setup, source, times))
+
+
+def nested_setup():
+    """D = 64 with a Haar two-site |chi> on out-of-order observed sites and
+    |psi> = |chi> (x) |psi'> on a spread core, so ran(P_rho) lies in ran(P_R)."""
+    chi = sample_haar_unitary(4, seed=34, columns=1)[:, 0]
+    rest = sample_haar_unitary(2, seed=35, columns=1)[:, 0]
+    return ManyBodySetup(6, 2, 3, chi, np.kron(chi, rest),
+                         observed_sites=(4, 1), core_sites=(4, 1, 5))
+
+
+@pytest.mark.parametrize("setup", [default_setup(6, 1, 3), nested_setup()],
+                         ids=["default", "nested"])
+def test_gue_eigenframe_series_matches_the_completed_dense_hamiltonian(setup):
+    # the thin frame W = V^dag L, completed to a unitary V^dag, gives a dense
+    # H = V diag(E) V^dag; the register-frame dense route on that H, through
+    # its own eigh, reproduces the eigenframe series
+    times = [0.0, 0.7, 2.5]
+    source = UnitarySource.gue(setup.dim, derive_rng(18, "frame"), columns=setup.d_r)
+    vecs = completed_eigenbasis(setup, source)
+    np.testing.assert_allclose(vecs.conj().T @ embed_isometry(setup, "observable"),
+                               source.frame, rtol=0, atol=1e-12)
+    dense = UnitarySource.hamiltonian((vecs * source.evals) @ vecs.conj().T)
+    series = correlator_series(setup, source, times)
+    assert_dense_route_agrees(setup, dense, times, series)
+    assert_angle_route_agrees(setup, dense, times, series, tol=1e-12)
+
+
+def test_gue_source_needs_the_core_inside_the_observable_range():
+    # |psi> is no |chi> (x) |psi'>, so L^dag K is no isometry and Y = W L^dag K
+    # would not be V^dag K
+    setup = entangled_pair_setup()
+    source = UnitarySource.gue(setup.dim, derive_rng(19, "frame"), columns=setup.d_r)
+    with pytest.raises(ValueError, match="core range inside the observable's"):
+        correlator_series(setup, source, [0.0, 1.0])
+    # a frame drawn for another observable rank is refused too
+    source = UnitarySource.gue(setup.dim, derive_rng(19, "frame"), columns=setup.d_r // 2)
+    with pytest.raises(ValueError, match="frame has shape"):
+        correlator_series(setup, source, [0.0])
+
+
 @pytest.mark.parametrize("source, times", [
     (UnitarySource.hamiltonian(gue_hamiltonian(64, seed=63)), [1.5, 3.0]),
     (UnitarySource.haar_cue(64, seed=64), [1, 2]),
@@ -304,10 +351,16 @@ def test_series_matches_dense_evolution_oracle(case):
 ])
 def test_commutator_norm_reads_the_residual(monkeypatch, source, times):
     # a basis scaled by 1.01 keeps the chain G2 >= G4 >= G2^2 at these
-    # scrambled times but is no isometry; R^dag R = 1 - m would hide that
-    evolve_series = dynamics.evolve_basis_series
-    monkeypatch.setattr(dynamics, "evolve_basis_series", lambda *a: (
-        1.01 * kt for kt in evolve_series(*a)))
+    # scrambled times but is no isometry; R^dag R = 1 - m would hide that.
+    # A Hamiltonian's core basis is scaled in its eigenframe, as Y
+    if source.kind == "hamiltonian":
+        frame = dynamics._eigenframe
+        monkeypatch.setattr(dynamics, "_eigenframe", lambda *a: (
+            lambda evals, w, y: (evals, w, 1.01 * y))(*frame(*a)))
+    else:
+        evolve_series = dynamics.evolve_basis_series
+        monkeypatch.setattr(dynamics, "evolve_basis_series", lambda *a: (
+            1.01 * kt for kt in evolve_series(*a)))
     with pytest.raises(ValueError, match="commutator identity"):
         correlator_series(default_setup(6, 1, 3), source, times)
 
@@ -325,6 +378,20 @@ def test_series_peak_memory_scales_with_the_core_basis(kind):
     finally:
         tracemalloc.stop()
     assert peak < 12 * setup.dim * setup.d_rho * 16
+
+
+def test_gue_series_peak_memory_scales_with_the_observable_frame():
+    # a GUE source draws the thin D x D_R frame, not the D x D eigenbasis: the
+    # n = 9 peak stays within 5 D x D_R blocks, where the full draw needs 8
+    setup = default_setup(9, 1, 4)
+    tracemalloc.start()
+    try:
+        source = UnitarySource.gue(setup.dim, derive_rng(20, "frame"), columns=setup.d_r)
+        correlator_series(setup, source, range(11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * setup.dim * setup.d_r * 16
 
 
 @pytest.mark.parametrize("case", range(15))
@@ -351,11 +418,17 @@ def test_time_zero_angles_vanish_and_every_axis_is_thermal(split):
 
 @pytest.mark.parametrize("case", range(6))
 def test_evolve_basis_matches_dense_unitary(case):
+    # a Hamiltonian evolves in its eigenframe, U(t) K = V exp(-iEt) Y, so its
+    # Y = V^dag K is held against the dense unitary
     setup, source, times = oracle_cases()[case]
     k = embed_isometry(setup, "core")
+    if source.kind == "hamiltonian":
+        evals, _, y = hilbert._eigenframe(setup, source)
     for t in times:
-        np.testing.assert_allclose(next(evolve_basis_series(source, k, [t])),
-                                   dense_unitary(source, t) @ k, rtol=0, atol=1e-12)
+        kt = (source.evecs @ (np.exp(-1j * t * evals)[:, None] * y)
+              if source.kind == "hamiltonian"
+              else next(evolve_basis_series(source, k, [t])))
+        np.testing.assert_allclose(kt, dense_unitary(source, t) @ k, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("case", range(6))
@@ -365,6 +438,16 @@ def test_evolve_basis_series_matches_evolve_basis(case):
     # ascending, repeated, ascending again, then back to an earlier time; each
     # block must equal a one-time series started afresh from K
     grid = list(times) + [times[-1], times[-1] + 2, times[0] + 1]
+    if source.kind == "hamiltonian":
+        # no block is evolved: each time of a series over the grid equals a
+        # one-time series
+        series = correlator_series(setup, source, grid)
+        for i, t in enumerate(grid):
+            one = correlator_series(setup, source, [t])
+            for name in ("g2", "g4", "commutator_norm", "cos2"):
+                np.testing.assert_allclose(getattr(series, name)[i],
+                                           getattr(one, name)[0], rtol=0, atol=1e-12)
+        return
     for t, kt in zip(grid, evolve_basis_series(source, k, grid), strict=True):
         np.testing.assert_allclose(kt, next(evolve_basis_series(source, k, [t])),
                                    rtol=0, atol=1e-12)

@@ -124,6 +124,15 @@ def test_gue_eigensystem_has_the_semicircle_scale_and_a_unitary_basis():
     assert np.linalg.norm(evecs.conj().T @ evecs - np.eye(256)) <= 1e-10 * 256
 
 
+def test_thin_gue_eigensystem_is_the_leading_columns_of_the_full_draw():
+    # the spectrum comes first from the stream, so it is unchanged, and the
+    # thin QR gives the full draw's leading columns to roundoff
+    evals, evecs = sample_gue_eigensystem(64, np.random.default_rng(12))
+    thin_evals, frame = sample_gue_eigensystem(64, np.random.default_rng(12), columns=8)
+    assert np.array_equal(thin_evals, evals) and frame.shape == (64, 8)
+    np.testing.assert_allclose(frame, evecs[:, :8], rtol=0, atol=1e-12)
+
+
 def test_gue_eigensystem_rejects_bad_dim():
     with pytest.raises(ValueError, match="dimension"):
         sample_gue_eigensystem(0, np.random.default_rng(0))
@@ -451,7 +460,6 @@ class TestEvolve:
                 u = np.kron(np.kron(np.eye(2 ** a), gate), np.eye(2 ** (n - a - 2))) @ u
 
     @pytest.mark.parametrize("source", [
-        UnitarySource.hamiltonian(gue_hamiltonian(16, seed=2)),
         UnitarySource.haar_cue(16, seed=3),
         UnitarySource.circuit(4, seed=4),
     ], ids=lambda s: s.kind)
@@ -463,6 +471,15 @@ class TestEvolve:
             np.testing.assert_allclose(block, k, rtol=0, atol=1e-12)
             block[...] = 7.0
             assert np.array_equal(k, k_before)
+
+    @pytest.mark.parametrize("source", [
+        UnitarySource.hamiltonian(gue_hamiltonian(16, seed=2)),
+        UnitarySource.gue(16, np.random.default_rng(2), columns=8),
+    ], ids=lambda s: s.kind)
+    def test_hamiltonian_sources_are_not_evolved_in_the_register(self, source):
+        # correlator_series reduces them in their eigenframe instead
+        with pytest.raises(ValueError, match="cue and circuit"):
+            next(evolve_basis_series(source, np.eye(16, 3), [0]))
 
     @pytest.mark.parametrize("k", [
         embed_isometry(ManyBodySetup(6, 1, 2, np.eye(2)[0], np.eye(4)[0]), "core"),
