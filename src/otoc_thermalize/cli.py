@@ -8,7 +8,10 @@ plotted without custom parsers. Each run also evaluates a block of verdicts,
 one per checked inequality, carrying the formula string, the worst-case LHS
 and RHS over all rows, and the remaining slack. Exit codes: 0 all verdicts
 pass, 1 configuration error, 2 a provable inequality failed (a soundness
-bug, never statistics), 3 a statistical tolerance failed.
+bug, never statistics), 3 a statistical tolerance failed. Exit 2 comes only
+from a failed ``[sound]`` verdict, an AssertionError or an ``InvariantError``;
+any other ValueError of the library rejects an input and exits 1, so the
+runner checks only what the library never sees or sees after instance work.
 
 All randomness flows from one master seed through per-instance derived
 streams, so identical configurations produce byte-identical output.
@@ -30,6 +33,7 @@ import numpy as np
 from .dynamics import correlator_series, typicality_experiment
 from .hilbert import (
     DIM_CAP_DEFAULT,
+    InvariantError,
     ManyBodySetup,
     Projector,
     UnitarySource,
@@ -47,6 +51,7 @@ from .predictor import (
     weighted_correlator,
 )
 from .thermalization import (
+    FLOAT_SLACK,
     bound_thermal_dimension,
     core_sizing,
     thermal_axes,
@@ -57,9 +62,6 @@ EXIT_PASS = 0
 EXIT_CONFIG = 1
 EXIT_SOUND = 2
 EXIT_STAT = 3
-
-#: slack granted to provable inequalities before declaring a soundness bug
-SOUND_SLACK = 1e-9
 
 CSV_COLUMNS = ("experiment", "seed", "N", "N_S", "N_sigma", "t",
                "g2", "g4", "sigma2", "lambda", "bound", "measured", "pass")
@@ -216,17 +218,14 @@ def _reject_leftovers(experiment, params):
         raise ConfigError(f"unknown config key(s) for {experiment}: {keys}")
 
 
-def _qubit_counts(params, n_default, n_s_default, n_sigma_default, nested):
+def _qubit_counts(params, n_default, n_s_default, n_sigma_default):
     n = _take_int(params, "n", n_default, minimum=1)
     n_s = _take_int(params, "n_s", n_s_default, minimum=1)
     n_sigma = _take_int(params, "n_sigma", n_sigma_default, minimum=0)
     dim_cap = _take_int(params, "dim_cap", DIM_CAP_DEFAULT, minimum=2)
     if 2 ** n > dim_cap:
         raise ConfigError(f"total dimension 2^{n} exceeds dim_cap {dim_cap}")
-    if nested and not n_s <= n_sigma <= n:
-        raise ConfigError(
-            f"need N_S <= N_sigma <= N, got ({n_s}, {n_sigma}, {n})")
-    if not nested and (n_s > n or n_sigma > n):
+    if n_s > n or n_sigma > n:
         raise ConfigError(
             f"need N_S <= N and N_sigma <= N, got ({n_s}, {n_sigma}, {n})")
     return n, n_s, n_sigma
@@ -285,7 +284,7 @@ class _Worst:
     def verdict(self) -> Verdict:
         if not self.seen:
             return Verdict(self.anchor, self.kind, True, 0.0, 0.0)
-        return Verdict(self.anchor, self.kind, self.slack >= -SOUND_SLACK,
+        return Verdict(self.anchor, self.kind, self.slack >= -FLOAT_SLACK,
                        self.lhs, self.rhs)
 
 
@@ -295,7 +294,7 @@ class _Worst:
 
 def _run_verify_theorem(cfg: ExperimentConfig):
     params = dict(cfg.params)
-    n, n_s, n_sigma = _qubit_counts(params, 7, 1, 4, nested=False)
+    n, n_s, n_sigma = _qubit_counts(params, 7, 1, 4)
     n_instances = _take_int(params, "n_instances", 50, minimum=1)
     n_bases = _take_int(params, "n_bases", 20, minimum=0)
     lambdas = _take_float_list(params, "lambda_grid", [0.05, 0.1, 0.2, 0.5])
@@ -333,12 +332,10 @@ def _run_verify_theorem(cfg: ExperimentConfig):
 
 def _run_haar_typicality(cfg: ExperimentConfig):
     params = dict(cfg.params)
-    n, n_s, n_sigma = _qubit_counts(params, 6, 1, 4, nested=False)
-    n_samples = _take_int(params, "n_samples", 200, minimum=2)
+    n, n_s, n_sigma = _qubit_counts(params, 6, 1, 4)
+    n_samples = _take_int(params, "n_samples", 200)
     kappa = _take_float(params, "kappa", 3.0)
     _reject_leftovers(cfg.experiment, params)
-    if not kappa > 0:
-        raise ConfigError(f"kappa must be positive, got {kappa}")
     d, d_s, d_sigma = 2 ** n, 2 ** n_s, 2 ** n_sigma
     result = typicality_experiment(d, d_s, d_sigma, n_samples, seed=cfg.seed,
                                    kappa=kappa)
@@ -367,6 +364,10 @@ def _time_grid(params, source_kind):
             raise ConfigError(f"t_stop {t_stop} < t_start {t_start}")
         grid = np.linspace(t_start, t_stop, t_count)
     else:
+        clash = sorted({"t_start", "t_stop", "t_count"} & params.keys())
+        if clash:
+            raise ConfigError(f"times conflicts with {', '.join(clash)}; "
+                              f"give either times or t_start/t_stop/t_count")
         grid = np.asarray(_take_float_list(params, "times", None))
         if grid.size == 0:
             raise ConfigError("times must be a nonempty comma list")
@@ -382,7 +383,7 @@ def _time_grid(params, source_kind):
 
 def _run_many_body_sweep(cfg: ExperimentConfig):
     params = dict(cfg.params)
-    n, n_s, n_sigma = _qubit_counts(params, 8, 1, 4, nested=True)
+    n, n_s, n_sigma = _qubit_counts(params, 8, 1, 4)
     source_kind = _take_str(params, "source", "gue",
                             choices=("gue", "cue", "circuit"))
     n_instances = _take_int(params, "n_instances", 3, minimum=1)
@@ -391,8 +392,6 @@ def _run_many_body_sweep(cfg: ExperimentConfig):
     _reject_leftovers(cfg.experiment, params)
     if any(lam <= 0 for lam in lambdas):
         raise ConfigError("lambda_grid values must be positive")
-    if source_kind == "circuit" and n < 2:
-        raise ConfigError(f"source 'circuit' needs n >= 2 qubits, got {n}")
     setup = _product_setup(n, n_s, n_sigma)
     d = setup.dim
 
@@ -420,7 +419,7 @@ def _run_many_body_sweep(cfg: ExperimentConfig):
             sigma2 = float(series.sigma2[j])
             chain.update(g4, g2)
             identity.update(
-                abs(g2 - g4 - float(series.commutator_norm[j])), SOUND_SLACK)
+                abs(g2 - g4 - float(series.commutator_norm[j])), FLOAT_SLACK)
             if not lambdas:
                 rows.append(_row(cfg.experiment, cfg.seed, n, n_s, n_sigma,
                                  t=float(t), g2=g2, g4=g4, sigma2=sigma2))
@@ -433,7 +432,7 @@ def _run_many_body_sweep(cfg: ExperimentConfig):
                     cfg.experiment, cfg.seed, n, n_s, n_sigma, t=float(t),
                     g2=g2, g4=g4, sigma2=sigma2, lam=lam, bound=bound,
                     measured=float(achieved),
-                    ok=achieved >= bound - SOUND_SLACK))
+                    ok=achieved >= bound - FLOAT_SLACK))
     verdicts = [chain.verdict(), identity.verdict()]
     if lambdas:
         verdicts.append(dimension.verdict())
@@ -442,7 +441,7 @@ def _run_many_body_sweep(cfg: ExperimentConfig):
 
 def _run_predictor_demo(cfg: ExperimentConfig):
     params = dict(cfg.params)
-    n, n_s, n_sigma = _qubit_counts(params, 7, 1, 4, nested=True)
+    n, n_s, n_sigma = _qubit_counts(params, 7, 1, 4)
     n_instances = _take_int(params, "n_instances", 5, minimum=1)
     n_windows = _take_int(params, "n_windows", 10, minimum=1)
     t0 = _take_float(params, "t0", 0.0)
@@ -453,17 +452,6 @@ def _run_predictor_demo(cfg: ExperimentConfig):
     kappa_rr = _take_float(params, "kappa_rr", 0.0)
     lambdas = _take_float_list(params, "lambda_grid", [])
     _reject_leftovers(cfg.experiment, params)
-    if t_horizon <= 0 or t_obs <= 0:
-        raise ConfigError("t_horizon and t_obs must be positive")
-    if not 0.0 < xi < math.pi:
-        raise ConfigError(f"xi must lie in (0, pi), got {xi}")
-    if not math.isfinite(xi * t_horizon):
-        raise ConfigError(f"xi*t_horizon overflows, got xi={xi}, "
-                          f"t_horizon={t_horizon}")
-    if t_obs >= xi * t_horizon:
-        raise ConfigError(
-            f"need t_obs < xi*t_horizon for a nontrivial window, got "
-            f"t_obs={t_obs}, xi*t_horizon={xi * t_horizon}")
     last_end = t0 + (n_windows - 1) * t_obs + t_horizon
     if not math.isfinite(last_end):
         raise ConfigError(
@@ -518,7 +506,7 @@ def _run_predictor_demo(cfg: ExperimentConfig):
             rows.append(_row(
                 cfg.experiment, cfg.seed, n, n_s, n_sigma,
                 t=t0 + k * t_obs, bound=rhs, measured=lhs,
-                ok=lhs <= rhs + SOUND_SLACK))
+                ok=lhs <= rhs + FLOAT_SLACK))
     for lam in lambdas:
         value, _vacuous = time_interval_bound(
             epsilon, kappa_rr, xi, t_obs, t_horizon, d_s, d_sigma, lam)
@@ -532,14 +520,10 @@ def _run_sizing_table(cfg: ExperimentConfig):
     lambda_grid = _take_float_list(params, "lambda_rel_grid",
                                    [0.1, 0.2, 0.5, 0.9])
     f_grid = _take_float_list(params, "f_grid", [0.1, 0.2, 0.5, 0.9])
-    d_s = _take_int(params, "d_s", 2, minimum=2)
+    d_s = _take_int(params, "d_s", 2)
     _reject_leftovers(cfg.experiment, params)
     if not lambda_grid or not f_grid:
         raise ConfigError("lambda_rel_grid and f_grid must be nonempty")
-    if any(lam_rel <= 0 for lam_rel in lambda_grid):
-        raise ConfigError("lambda_rel_grid values must be positive")
-    if any(not 0 < f_target <= 1 for f_target in f_grid):
-        raise ConfigError("f_grid values must lie in (0, 1]")
     n_s = d_s.bit_length() - 1 if d_s & (d_s - 1) == 0 else None
     floor = _Worst("D_sigma_min >= (D_S*(D_S-1)/4)*(3/(lambda_rel*f))^3",
                    "sound")
@@ -563,8 +547,8 @@ def _run_sizing_table(cfg: ExperimentConfig):
 
 def _run_negative_demo(cfg: ExperimentConfig):
     params = dict(cfg.params)
-    n, n_s, n_sigma = _qubit_counts(params, 8, 1, 4, nested=False)
-    n_samples = _take_int(params, "n_samples", 200, minimum=2)
+    n, n_s, n_sigma = _qubit_counts(params, 8, 1, 4)
+    n_samples = _take_int(params, "n_samples", 200)
     _reject_leftovers(cfg.experiment, params)
     d, d_sigma = 2 ** n, 2 ** n_sigma
     report = fourth_order_negative_demo(
@@ -675,16 +659,16 @@ def run(config: Dict[str, object]) -> int:
         cfg = ExperimentConfig.from_mapping(dict(config))
         runner, _ = EXPERIMENTS[cfg.experiment]
         result = runner(cfg)
-    except ConfigError as exc:
+    except (AssertionError, InvariantError) as exc:
+        # a checked statement of proven math failed: a soundness bug
+        print(f"soundness failure: {exc}", file=sys.stderr)
+        return EXIT_SOUND
+    except (ConfigError, ValueError) as exc:  # any other ValueError rejects an input
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ArithmeticError as exc:  # a finite config number overflowed a formula
         print(f"config error: {exc}: a value is out of numeric range", file=sys.stderr)
         return EXIT_CONFIG
-    except (AssertionError, ValueError) as exc:
-        # post-validation failures are soundness bugs in the checked math
-        print(f"soundness failure: {exc}", file=sys.stderr)
-        return EXIT_SOUND
     rows, verdicts = result[0], result[1]
     note = result[2] if len(result) > 2 else None
     _emit(cfg, rows, verdicts)

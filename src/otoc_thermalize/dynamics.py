@@ -37,6 +37,7 @@ import numpy as np
 
 from .geometry import variance_from_moments
 from .hilbert import (
+    InvariantError,
     ManyBodySetup,
     UnitarySource,
     _eigenframe,
@@ -144,13 +145,13 @@ class CorrelatorSeries:
     cos2: np.ndarray
 
     def validate(self) -> None:
-        """Check the chain and the identity to ``SERIES_TOL``; raise on failure."""
+        """Check the chain and the identity to ``SERIES_TOL``; raise InvariantError."""
         g2, g4 = self.g2, self.g4
         if not (np.all(g4 <= g2 + SERIES_TOL) and np.all(g2 ** 2 <= g4 + SERIES_TOL)):
-            raise ValueError("inequality chain G2 >= G4 >= (G2)^2 violated")
+            raise InvariantError("inequality chain G2 >= G4 >= (G2)^2 violated")
         gap = np.abs((g2 - g4) - self.commutator_norm)
         if not np.all(gap <= SERIES_TOL):
-            raise ValueError(
+            raise InvariantError(
                 f"commutator identity violated: max gap {gap.max():.3e}")
 
 
@@ -196,7 +197,7 @@ def correlator_series(setup: ManyBodySetup, source: UnitarySource,
     CorrelatorSeries
         Validated (inequality chain and commutator identity enforced);
         sigma2 is checked by ``variance_from_moments``, which raises
-        ValueError on a NaN or a value below ``VARIANCE_CLAMP``.
+        InvariantError on a NaN or a value below ``VARIANCE_CLAMP``.
     """
     if source.dim != setup.dim:
         raise ValueError(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import Projector
+from .hilbert import InvariantError, Projector
 
 #: Maximum correlator order n in G^(2n) (higher moments are out of scope).
 MAX_CORRELATOR_ORDER = 8
@@ -112,7 +112,7 @@ def variance_from_moments(g2: float, g4: float) -> float:
     """sigma^2 = G^4 - (G^2)^2 >= 0 (Cauchy-Schwarz), roundoff clamped to 0."""
     sigma2 = g4 - g2 * g2
     if not sigma2 >= VARIANCE_CLAMP:  # NaN fails too
-        raise ValueError(f"angle variance {sigma2:.3e} is NaN or negative beyond tolerance")
+        raise InvariantError(f"angle variance {sigma2:.3e} is NaN or negative beyond tolerance")
     return max(sigma2, 0.0)
 
 

@@ -39,6 +39,10 @@ RANK_TOL = 1e-8
 STATE_NORM_TOL = 1e-12
 
 
+class InvariantError(ValueError):
+    """A checked statement of proven math failed; other ValueErrors reject inputs."""
+
+
 def derive_rng(seed, *key):
     """Derive an independent random generator from a master seed and a key.
 
@@ -189,7 +193,7 @@ class Projector:
         return self.basis.shape[1]
 
     def validate(self) -> None:
-        """Raise ValueError unless the basis columns are orthonormal at tolerance.
+        """Raise InvariantError unless the basis columns are orthonormal at tolerance.
 
         ||V^dag V - 1||_F <= min(IDEMPOTENCE_TOL D, RANK_TOL/sqrt(r)) is checked
         at O(D r^2); it bounds the idempotence and trace defects of V V^dag.
@@ -198,7 +202,7 @@ class Projector:
         defect = np.linalg.norm(v.conj().T @ v - np.eye(self.rank))
         if not defect <= min(IDEMPOTENCE_TOL * self.dim,
                              RANK_TOL / math.sqrt(max(self.rank, 1))):
-            raise ValueError(f"basis columns not orthonormal: defect {defect:.3e}")
+            raise InvariantError(f"basis columns not orthonormal: defect {defect:.3e}")
 
     @classmethod
     def coordinate(cls, dim: int, rank: int) -> "Projector":

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import derive_rng, sample_haar_unitary
+from .hilbert import InvariantError, derive_rng, sample_haar_unitary
 
 #: sin(xi) closer to zero than this makes the window constants singular.
 SIN_XI_TOL = 1e-12
@@ -200,7 +200,7 @@ def weighted_autocorrelator(evals: np.ndarray, a_eig: np.ndarray,
     """
     val = weighted_correlator(evals, a_eig, a_eig, w)
     if abs(val.imag) > 1e-9:
-        raise ValueError("autocorrelator average was not real")
+        raise InvariantError("autocorrelator average was not real")
     return val.real
 
 
@@ -213,7 +213,7 @@ def theorem_bound(autocorr_avg_plus: float, norm_a: float, norm_b: float,
     the normalized Hilbert-Schmidt square norms <A,A> and <B,B>.
     """
     if autocorr_avg_plus < -NEGATIVE_CLAMP:
-        raise ValueError(
+        raise InvariantError(
             f"CP autocorrelator average must be nonnegative, got {autocorr_avg_plus}")
     if norm_a < 0 or norm_b < 0:
         raise ValueError("operator norms must be nonnegative")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import (correlator_from_angles, correlator_trace, halmos_decompose,
                        variance_from_moments)
-from .hilbert import Projector, sample_haar_unitary, derive_rng
+from .hilbert import InvariantError, Projector, sample_haar_unitary, derive_rng
 
 #: Absolute float slack allowed when checking exact inequalities.
 FLOAT_SLACK = 1e-9
@@ -80,7 +80,7 @@ def empirical_nonthermal_fraction(cos2: np.ndarray, q: np.ndarray,
     state j has <b|P_R|b> = sum_k cos2_k |q_kj|^2; ``q = 1`` is the
     principal-axes basis. The inequality is strict and ``TIE_TOL`` wide, so
     boundary ties count as thermal, as in ``thermal_axes``. The columns of
-    ``q`` must be orthonormal (checked; violation raises). A stack ``q`` of
+    ``q`` must be orthonormal (checked; InvariantError otherwise). A stack ``q`` of
     shape (s, d_rho, n) is scored in one pass and gives an array of s
     fractions; a single basis gives a float.
     """
@@ -92,7 +92,7 @@ def empirical_nonthermal_fraction(cos2: np.ndarray, q: np.ndarray,
         raise ValueError("basis must contain at least one column")
     defect = np.linalg.norm(q.conj().swapaxes(-1, -2) @ q - np.eye(n), axis=(-2, -1))
     if not np.all(defect <= BASIS_TOL):
-        raise ValueError(f"basis not orthonormal: defect {np.max(defect):.3e}")
+        raise InvariantError(f"basis not orthonormal: defect {np.max(defect):.3e}")
     expect = cos2 @ np.abs(q) ** 2
     fractions = np.count_nonzero(np.abs(expect - g2) > lam + TIE_TOL, axis=-1) / n
     return float(fractions) if q.ndim == 2 else fractions
@@ -179,12 +179,12 @@ class ThermalizationReport:
     empirical_f: Sequence[float]
     converse_bound: float
 
-    def sound(self, slack: float = FLOAT_SLACK) -> bool:
-        """True when every measured fraction respects the bounds."""
+    def sound(self) -> bool:
+        """True when every measured fraction respects the bounds to ``FLOAT_SLACK``."""
         fractions = [self.worst_basis_f, *self.empirical_f]
-        if any(f > self.f_lambda_bound + slack for f in fractions):
+        if any(f > self.f_lambda_bound + FLOAT_SLACK for f in fractions):
             return False
-        return self.dim_thermal_achieved >= self.dim_thermal_bound - slack
+        return self.dim_thermal_achieved >= self.dim_thermal_bound - FLOAT_SLACK
 
 
 def thermalization_report(p_r: Projector, p_rho: Projector, lam: float,

@@ -144,7 +144,7 @@ def test_fraction_and_dimension_bounds_hold_with_zero_violations():
                     violations += 1
             if rep.dim_thermal_achieved < dim_floor - BOUND_SLACK:
                 violations += 1
-            assert rep.sound(slack=BOUND_SLACK)
+            assert rep.sound()
     assert instances == 100
     assert violations == 0
 

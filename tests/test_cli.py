@@ -1,5 +1,7 @@
 """Tests for the experiment runner: config parsing, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -9,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from _dense import (
     completed_eigenbasis,
@@ -20,6 +23,7 @@ from _dense import (
 from otoc_thermalize import cli, dynamics, hilbert, thermalization
 from otoc_thermalize.geometry import halmos_decompose
 from otoc_thermalize.hilbert import (
+    InvariantError,
     Projector,
     UnitarySource,
     derive_rng,
@@ -223,6 +227,17 @@ def test_many_body_sweep_rejects_one_qubit_circuit(tmp_path, capsys):
     assert "config error" in err and "circuit" in err
 
 
+@pytest.mark.parametrize("key", ["t_start", "t_stop", "t_count"])
+def test_many_body_sweep_times_conflict_with_a_linspace_bound(capsys, key):
+    code = cli.run({"experiment": "many-body-sweep", "n": 4, "n_instances": 1,
+                    "times": [0, 1], key: 2})
+    out, err = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == (f"config error: times conflicts with {key}; "
+                   f"give either times or t_start/t_stop/t_count\n")
+
+
 @pytest.mark.parametrize("timing, message", [
     ("t_stop = nan", "finite"), ("t_start = -inf", "finite"),
     ("times = 0, inf", "finite"), ("times = 0, x", "number"),
@@ -373,12 +388,22 @@ def test_soundness_failure_exits_two(monkeypatch, capsys):
 
 
 def test_library_error_reports_soundness(monkeypatch, capsys):
-    def stub(cfg):
-        raise AssertionError("correlator trace was not real")
+    # only a broken invariant is a soundness failure; any other library
+    # ValueError rejects an input
+    for error, code, prefix in [
+            (AssertionError("correlator trace was not real"), EXIT_SOUND,
+             "soundness failure"),
+            (InvariantError("inequality chain violated"), EXIT_SOUND,
+             "soundness failure"),
+            (ValueError("lambda must be positive"), EXIT_CONFIG, "config error")]:
+        def stub(cfg):
+            raise error
 
-    monkeypatch.setitem(cli.EXPERIMENTS, "stub-experiment", (stub, "stub"))
-    assert cli.run({"experiment": "stub-experiment"}) == EXIT_SOUND
-    assert "soundness failure" in capsys.readouterr().err
+        monkeypatch.setitem(cli.EXPERIMENTS, "stub-experiment", (stub, "stub"))
+        assert cli.run({"experiment": "stub-experiment"}) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"{prefix}: {error}\n"
 
 
 def test_verify_theorem_negative_variance_exits_two(monkeypatch, capsys):
@@ -408,9 +433,9 @@ def test_many_body_sweep_negative_variance_exits_two(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("grid, message", [
-    ("f_grid = 0, 0.5", "f_grid"),
-    ("lambda_rel_grid = -1", "lambda_rel_grid"),
-])
+    ("f_grid = 0, 0.5", "f_target"),
+    ("lambda_rel_grid = -1", "lambda_rel"),
+], ids=["f_grid = 0, 0.5-f_grid", "lambda_rel_grid = -1-lambda_rel_grid"])
 def test_sizing_table_out_of_range_grid_is_config_error(tmp_path, capsys,
                                                          grid, message):
     cfg = write_config(tmp_path, f"experiment = sizing-table\n{grid}\n")
@@ -443,13 +468,14 @@ def test_finite_config_number_out_of_float_range_is_config_error(
 @pytest.mark.parametrize("config, message", [
     ({"t0": 1e308, "t_obs": 1e307, "t_horizon": 1e308, "n_windows": 12},
      "last window"),
-    ({"t0": 1e308, "t_obs": 1e308, "t_horizon": 1.5e308}, "xi*t_horizon"),
+    ({"t0": -1.5e308, "t_obs": 1.0, "t_horizon": 1.5e308}, "w0"),
     ({"t0": 1e308, "t_obs": 1e300, "t_horizon": 1e307, "n_windows": 3},
      "numeric range"),
     ({"epsilon": -0.1, "lambda_grid": [0.5]}, "epsilon"),
     ({"kappa_rr": -1.0, "lambda_grid": [0.5]}, "kappa_rr"),
+    ({"xi": math.pi - 1e-15}, "sin(xi)"),
 ], ids=["window-end-overflow", "horizon-overflow", "phase-overflow",
-        "negative-epsilon", "negative-kappa-rr"])
+        "negative-epsilon", "negative-kappa-rr", "vanishing-sin-xi"])
 def test_predictor_demo_window_and_bound_config_errors(capsys, config, message):
     code = cli.run({"experiment": "predictor-demo", "n": 5,
                     "n_instances": 1, **config})
@@ -616,3 +642,80 @@ def test_experiments_other_than_verify_theorem_build_no_projector(
     assert cli.run(config) == EXIT_PASS
     capsys.readouterr()
     assert built == []
+
+
+# ---------------------------------------------------------------------------
+# Config fuzz: a bad input is a config error, never a soundness failure.
+# ---------------------------------------------------------------------------
+
+#: the invalid kinds of a key's value: 0, a negative number, a non-finite
+#: float, a string, a bool or a list
+_BAD_VALUES = st.one_of(st.just(0), st.sampled_from([-1, -2.5]),
+                        st.sampled_from([math.nan, math.inf, -math.inf]),
+                        st.just("x"), st.booleans(),
+                        st.sampled_from([[], [1, 2], [0.5, -1.0]]))
+_QUBITS = {"n_s": st.integers(1, 2), "n_sigma": st.integers(0, 4),
+           "dim_cap": st.sampled_from([2, 16, 64])}
+_LAMBDAS = st.lists(st.floats(0.05, 1.0), min_size=1, max_size=2)
+# keys always set, so that a valid draw stays at D <= 16 and 3 instances
+FUZZ_REQUIRED = {
+    "verify-theorem": {"n": st.integers(1, 4), "n_instances": st.integers(1, 3),
+                       "n_bases": st.integers(0, 3)},
+    "haar-typicality": {"n": st.integers(1, 4), "n_samples": st.integers(2, 3)},
+    "many-body-sweep": {"n": st.integers(1, 4), "n_instances": st.integers(1, 3)},
+    "predictor-demo": {"n": st.integers(1, 4), "n_instances": st.integers(1, 3),
+                       "n_windows": st.integers(1, 3)},
+    "sizing-table": {},
+    "negative-demo": {"n": st.integers(1, 4), "n_samples": st.integers(2, 3)},
+}
+FUZZ_OPTIONAL = {
+    "verify-theorem": {**_QUBITS, "lambda_grid": _LAMBDAS},
+    "haar-typicality": {**_QUBITS, "kappa": st.floats(0.5, 4.0)},
+    "many-body-sweep": {
+        **_QUBITS, "source": st.sampled_from(["gue", "cue", "circuit"]),
+        "times": st.lists(st.integers(0, 4), min_size=1, max_size=3),
+        "t_start": st.integers(0, 2), "t_stop": st.integers(2, 4),
+        "t_count": st.integers(1, 3), "lambda_grid": _LAMBDAS},
+    "predictor-demo": {
+        **_QUBITS, "t0": st.floats(-5.0, 5.0), "t_horizon": st.floats(1.0, 50.0),
+        "t_obs": st.floats(0.5, 3.0), "xi": st.floats(0.1, 3.0),
+        "epsilon": st.floats(0.0, 0.1), "kappa_rr": st.floats(0.0, 0.1),
+        "lambda_grid": _LAMBDAS},
+    "sizing-table": {"lambda_rel_grid": _LAMBDAS, "f_grid": _LAMBDAS,
+                     "d_s": st.integers(2, 8)},
+    "negative-demo": dict(_QUBITS),
+}
+_COMMON = {"seed": st.integers(0, 3), "format": st.sampled_from(["csv", "json"])}
+
+
+def _one_time_grid(params):
+    """Keep ``times`` or the t_start/t_stop/t_count grid, which conflict."""
+    if "times" not in params:
+        return params
+    return {key: value for key, value in params.items()
+            if key not in ("t_start", "t_stop", "t_count")}
+
+
+def _fuzz_config(experiment):
+    """A valid small config of ``experiment`` with up to two keys made bad."""
+    optional = {**FUZZ_OPTIONAL[experiment], **_COMMON}
+    keys = sorted({**FUZZ_REQUIRED[experiment], **optional})
+    valid = st.fixed_dictionaries(FUZZ_REQUIRED[experiment],
+                                  optional=optional).map(_one_time_grid)
+    bad = st.dictionaries(st.sampled_from(keys), _BAD_VALUES, max_size=2)
+    return st.tuples(valid, bad).map(
+        lambda pair: {"experiment": experiment, **pair[0], **pair[1]})
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(config=st.sampled_from(sorted(FUZZ_REQUIRED)).flatmap(_fuzz_config))
+@example(config={"experiment": "predictor-demo", "n": 4, "n_instances": 1,
+                 "n_windows": 1, "xi": math.pi - 1e-15})
+def test_fuzzed_config_exits_pass_config_or_stat(config):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(config)
+    assert code in (EXIT_PASS, EXIT_CONFIG, EXIT_STAT), (code, err.getvalue())
+    if code == EXIT_CONFIG:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("config error: ")

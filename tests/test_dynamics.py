@@ -21,6 +21,7 @@ from otoc_thermalize.geometry import (
     halmos_decompose,
 )
 from otoc_thermalize.hilbert import (
+    InvariantError,
     ManyBodySetup,
     Projector,
     UnitarySource,
@@ -206,13 +207,13 @@ def test_series_validate_detects_corruption():
         times=np.array([0.0]), g2=np.array([0.5]), g4=np.array([0.6]),
         sigma2=np.array([0.0]), commutator_norm=np.array([0.0]),
         cos2=np.array([[0.5]]))
-    with pytest.raises(ValueError, match="chain"):
+    with pytest.raises(InvariantError, match="chain"):
         series.validate()
     series = CorrelatorSeries(
         times=np.array([0.0]), g2=np.array([0.5]), g4=np.array([0.4]),
         sigma2=np.array([0.15]), commutator_norm=np.array([0.3]),
         cos2=np.array([[0.5]]))
-    with pytest.raises(ValueError, match="commutator"):
+    with pytest.raises(InvariantError, match="commutator"):
         series.validate()
 
 
@@ -220,12 +221,12 @@ def test_series_validate_rejects_an_all_nan_series():
     nan = np.array([np.nan])
     series = CorrelatorSeries(times=np.array([0.0]), g2=nan, g4=nan, sigma2=nan,
                               commutator_norm=nan, cos2=np.array([[np.nan]]))
-    with pytest.raises(ValueError, match="chain"):
+    with pytest.raises(InvariantError, match="chain"):
         series.validate()
     series = CorrelatorSeries(
         times=np.array([0.0]), g2=np.array([0.5]), g4=np.array([0.25]),
         sigma2=np.array([0.0]), commutator_norm=nan, cos2=np.array([[0.5]]))
-    with pytest.raises(ValueError, match="commutator"):
+    with pytest.raises(InvariantError, match="commutator"):
         series.validate()
 
 
@@ -361,7 +362,7 @@ def test_commutator_norm_reads_the_residual(monkeypatch, source, times):
         evolve_series = dynamics.evolve_basis_series
         monkeypatch.setattr(dynamics, "evolve_basis_series", lambda *a: (
             1.01 * kt for kt in evolve_series(*a)))
-    with pytest.raises(ValueError, match="commutator identity"):
+    with pytest.raises(InvariantError, match="commutator identity"):
         correlator_series(default_setup(6, 1, 3), source, times)
 
 

@@ -14,7 +14,7 @@ from _dense import (
     projector_from_matrix,
     recording_eigh,
 )
-from otoc_thermalize.hilbert import Projector, sample_haar_unitary
+from otoc_thermalize.hilbert import InvariantError, Projector, sample_haar_unitary
 from otoc_thermalize.geometry import (
     MAX_CORRELATOR_ORDER,
     SubspaceGeometry,
@@ -197,7 +197,7 @@ def test_angle_variance_rejects_a_nan_cross_gram():
     # NaN fails every comparison, so "sigma2 < clamp" alone would let it through
     cross = np.array([[np.nan, 0.0], [0.0, 1.0]])
     geom = SubspaceGeometry(dim=4, d_r=2, d_rho=2, cross=cross, angles=np.zeros(2))
-    with pytest.raises(ValueError, match="NaN"):
+    with pytest.raises(InvariantError, match="NaN"):
         angle_variance(geom)
 
 

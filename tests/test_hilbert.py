@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from _dense import dense_embed, dense_matrix, dense_unitary, gue_hamiltonian
 from otoc_thermalize.hilbert import (
+    InvariantError,
     ManyBodySetup,
     Projector,
     UnitarySource,
@@ -167,12 +168,12 @@ class TestProjector:
 
     def test_validate_rejects_non_idempotent(self):
         # V V^dag = diag(1/2, 1/2, 0, 0) is not idempotent
-        with pytest.raises(ValueError, match="orthonormal"):
+        with pytest.raises(InvariantError, match="orthonormal"):
             Projector(np.sqrt(0.5) * np.eye(4, 2))
 
     def test_validate_rejects_wrong_rank(self):
         # V V^dag = diag(1, 1, 0, 0) has trace 2, not the 3 columns of V
-        with pytest.raises(ValueError, match="orthonormal"):
+        with pytest.raises(InvariantError, match="orthonormal"):
             Projector(np.diag([1.0, 1.0, 0.0, 0.0])[:, :3])
 
     def test_validate_runs_at_construction(self, monkeypatch):
@@ -189,7 +190,7 @@ class TestProjector:
             Projector(np.array([[np.nan], [0.0]]))
 
     def test_rejects_more_columns_than_rows(self):
-        with pytest.raises(ValueError, match="orthonormal"):
+        with pytest.raises(InvariantError, match="orthonormal"):
             Projector(np.eye(2, 3))
 
     @pytest.mark.parametrize("rank", [-1, 9])
@@ -223,7 +224,7 @@ class TestProjector:
         # and min(IDEMPOTENCE_TOL * D, RANK_TOL / sqrt(r))
         v = np.eye(dim, rank, dtype=complex)
         v[0, 0] = np.sqrt(1.0 + 2e-8)
-        with pytest.raises(ValueError, match="orthonormal"):
+        with pytest.raises(InvariantError, match="orthonormal"):
             Projector(v)
 
     @pytest.mark.parametrize("dim, rank", [(8, 2), (1024, 4)])

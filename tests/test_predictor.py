@@ -15,6 +15,7 @@ from _dense import (
 )
 from otoc_thermalize import predictor
 from otoc_thermalize.hilbert import (
+    InvariantError,
     ManyBodySetup,
     UnitarySource,
     derive_rng,
@@ -252,7 +253,7 @@ def test_autocorrelator_average_is_nonnegative_for_cp_window():
 def test_autocorrelator_rejects_a_complex_average(monkeypatch):
     monkeypatch.setattr(predictor, "weighted_correlator",
                         lambda *args: 0.5 + 1e-6j)
-    with pytest.raises(ValueError, match="not real"):
+    with pytest.raises(InvariantError, match="not real"):
         weighted_autocorrelator(np.zeros(2), np.eye(2), WeightingFunction.tent(4.0))
 
 
@@ -264,7 +265,7 @@ def test_theorem_bound_trivial_cases():
     pair = canonical_window_pair(0.0, 20.0, 1.0)
     assert theorem_bound(0.0, 0.0, 1.0, pair) == 0.0
     assert theorem_bound(0.5, 1.0, 0.0, pair) == 0.0
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(InvariantError, match="nonnegative"):
         theorem_bound(-1.0, 1.0, 1.0, pair)
 
 

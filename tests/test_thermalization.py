@@ -15,6 +15,7 @@ from _dense import (
 from test_geometry import CASES, isometry_pair
 from otoc_thermalize import thermalization
 from otoc_thermalize.hilbert import (
+    InvariantError,
     Projector,
     derive_rng,
     sample_haar_unitary,
@@ -206,14 +207,14 @@ def test_empirical_fraction_one_for_maximal_variance():
 def test_empirical_fraction_rejects_nonorthonormal_basis():
     geom = halmos_decompose(*maximal_variance_pair())
     bad = np.ones((2, 2), dtype=complex)
-    with pytest.raises(ValueError, match="orthonormal"):
+    with pytest.raises(InvariantError, match="orthonormal"):
         empirical_nonthermal_fraction(geom.cos2, bad, 0.5, 0.1)
 
 
 def test_empirical_fraction_rejects_a_nan_basis():
     q = np.eye(4, dtype=complex)
     q[0, 0] = np.nan
-    with pytest.raises(ValueError, match="orthonormal"):
+    with pytest.raises(InvariantError, match="orthonormal"):
         empirical_nonthermal_fraction(np.linspace(0, 1, 4), q, 0.5, 0.1)
 
 
@@ -334,7 +335,7 @@ def test_stacked_fractions_equal_per_basis_fractions():
 def test_stacked_fraction_rejects_one_bad_basis(bad):
     stack = sample_haar_unitary(4, seed=6, count=5)
     stack[3, 0, 0] = 2.0 if bad == "nonorthonormal" else np.nan
-    with pytest.raises(ValueError, match="orthonormal"):
+    with pytest.raises(InvariantError, match="orthonormal"):
         empirical_nonthermal_fraction(np.linspace(0, 1, 4), stack, 0.5, 0.1)
 
 
