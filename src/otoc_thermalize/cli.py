@@ -52,6 +52,7 @@ from .predictor import (
 )
 from .thermalization import (
     FLOAT_SLACK,
+    Check,
     bound_thermal_dimension,
     core_sizing,
     thermal_axes,
@@ -69,21 +70,6 @@ CSV_COLUMNS = ("experiment", "seed", "N", "N_S", "N_sigma", "t",
 
 class ConfigError(Exception):
     """Invalid configuration; the message names the violated constraint."""
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """One checked inequality with its worst case over all emitted rows."""
-
-    anchor: str            # formula string for the inequality
-    kind: str              # "sound" (provable) or "stat" (tolerance)
-    passed: bool
-    lhs: float
-    rhs: float
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
 
 
 @dataclass(frozen=True)
@@ -223,7 +209,7 @@ def _qubit_counts(params, n_default, n_s_default, n_sigma_default):
     n_s = _take_int(params, "n_s", n_s_default, minimum=1)
     n_sigma = _take_int(params, "n_sigma", n_sigma_default, minimum=0)
     dim_cap = _take_int(params, "dim_cap", DIM_CAP_DEFAULT, minimum=2)
-    if 2 ** n > dim_cap:
+    if n > dim_cap.bit_length() - 1:  # 2**n > dim_cap, without forming 2**n
         raise ConfigError(f"total dimension 2^{n} exceeds dim_cap {dim_cap}")
     if n_s > n or n_sigma > n:
         raise ConfigError(
@@ -263,29 +249,19 @@ def _row(experiment, seed, n, n_s, n_sigma, t=None, g2=None, g4=None,
 
 
 class _Worst:
-    """Track the row with the least slack for one aggregated inequality."""
+    """The row check with the least slack of one sound inequality: its verdict."""
 
-    def __init__(self, anchor: str, kind: str):
-        self.anchor = anchor
-        self.kind = kind
-        self.lhs = -math.inf
-        self.rhs = math.inf
-        self.slack = math.inf
-        self.seen = False
+    def __init__(self, formula: str):
+        self.verdict = Check(formula, -math.inf, math.inf, "sound")
 
-    def update(self, lhs: float, rhs: float):
-        self.seen = True
-        slack = rhs - lhs
-        # a NaN side is the worst case: the first one is kept, and its NaN
-        # slack fails the verdict
-        if not math.isnan(self.slack) and not slack >= self.slack:
-            self.lhs, self.rhs, self.slack = float(lhs), float(rhs), slack
-
-    def verdict(self) -> Verdict:
-        if not self.seen:
-            return Verdict(self.anchor, self.kind, True, 0.0, 0.0)
-        return Verdict(self.anchor, self.kind, self.slack >= -FLOAT_SLACK,
-                       self.lhs, self.rhs)
+    def update(self, lhs: float, rhs: float) -> bool:
+        """Check one row; return its pass cell and keep the check if it is worst."""
+        check = self.verdict._replace(lhs=float(lhs), rhs=float(rhs))
+        slack = self.verdict.rhs - self.verdict.lhs
+        # a NaN side is the worst case: the first one is kept, and it fails
+        if not math.isnan(slack) and not check.rhs - check.lhs >= slack:
+            self.verdict = check
+        return check.ok
 
 
 # ---------------------------------------------------------------------------
@@ -312,22 +288,22 @@ def _run_verify_theorem(cfg: ExperimentConfig):
                 for lam in lambdas]
 
     reports = _map_instances(one_instance, n_instances)
-    fraction = _Worst("f_lambda <= min(1, (3/lambda)*(sigma2/4)^(1/3))", "sound")
-    dimension = _Worst("dim(H_th) >= D_rho*(1 - sigma2/lambda^2)", "sound")
-    converse = _Worst("sigma2 <= lambda^2 + (1 - lambda^2)*f_max", "sound")
+    fraction = _Worst("f_lambda <= min(1, (3/lambda)*(sigma2/4)^(1/3))")
+    dimension = _Worst("dim(H_th) >= D_rho*(1 - sigma2/lambda^2)")
+    converse = _Worst("sigma2 <= lambda^2 + (1 - lambda^2)*f_max")
     rows = []
     for per_lambda in reports:
         for rep in per_lambda:
             f_measured = max([rep.worst_basis_f, *rep.empirical_f])
-            fraction.update(f_measured, rep.f_lambda_bound)
-            dimension.update(rep.dim_thermal_bound, rep.dim_thermal_achieved)
+            f_ok = fraction.update(f_measured, rep.f_lambda_bound)
+            dim_ok = dimension.update(rep.dim_thermal_bound, rep.dim_thermal_achieved)
             converse.update(rep.sigma2, rep.converse_bound)
             rows.append(_row(
                 cfg.experiment, cfg.seed, n, n_s, n_sigma, t=0.0,
                 g2=rep.g2, g4=rep.g4, sigma2=rep.sigma2, lam=rep.lam,
                 bound=rep.f_lambda_bound, measured=f_measured,
-                ok=rep.sound()))
-    return rows, [fraction.verdict(), dimension.verdict(), converse.verdict()]
+                ok=f_ok and dim_ok))
+    return rows, [fraction.verdict, dimension.verdict, converse.verdict]
 
 
 def _run_haar_typicality(cfg: ExperimentConfig):
@@ -350,9 +326,7 @@ def _run_haar_typicality(cfg: ExperimentConfig):
             cfg.experiment, cfg.seed, n, n_s, n_sigma, t=float(i),
             g2=g2, g4=g4, sigma2=g4 - g2 * g2,
             bound=scale, measured=dev, ok=dev <= scale))
-    verdicts = [Verdict(check.formula, "stat", check.ok, check.lhs, check.rhs)
-                for check in result.checks.values()]
-    return rows, verdicts
+    return rows, list(result.checks.values())
 
 
 def _time_grid(params, source_kind):
@@ -408,10 +382,9 @@ def _run_many_body_sweep(cfg: ExperimentConfig):
         return correlator_series(setup, source, times)
 
     results = _map_instances(one_instance, n_instances)
-    chain = _Worst("G4(t) <= G2(t)", "sound")
-    identity = _Worst("|G2 - G4 - ||[P_R, P_rho(t)]||_F^2/(2 D_rho)| <= 1e-9",
-                      "sound")
-    dimension = _Worst("dim(H_th)(t) >= D_rho*(1 - sigma2(t)/lambda^2)", "sound")
+    chain = _Worst("G4(t) <= G2(t)")
+    identity = _Worst("|G2 - G4 - ||[P_R, P_rho(t)]||_F^2/(2 D_rho)| <= 1e-9")
+    dimension = _Worst("dim(H_th)(t) >= D_rho*(1 - sigma2(t)/lambda^2)")
     rows = []
     for series in results:
         for j, t in enumerate(series.times):
@@ -427,15 +400,14 @@ def _run_many_body_sweep(cfg: ExperimentConfig):
             for lam in lambdas:
                 bound = bound_thermal_dimension(sigma2, lam, setup.d_rho)
                 achieved = int(np.count_nonzero(thermal_axes(series.cos2[j], lam)))
-                dimension.update(bound, achieved)
                 rows.append(_row(
                     cfg.experiment, cfg.seed, n, n_s, n_sigma, t=float(t),
                     g2=g2, g4=g4, sigma2=sigma2, lam=lam, bound=bound,
                     measured=float(achieved),
-                    ok=achieved >= bound - FLOAT_SLACK))
-    verdicts = [chain.verdict(), identity.verdict()]
+                    ok=dimension.update(bound, achieved)))
+    verdicts = [chain.verdict, identity.verdict]
     if lambdas:
-        verdicts.append(dimension.verdict())
+        verdicts.append(dimension.verdict)
     return rows, verdicts
 
 
@@ -488,10 +460,10 @@ def _run_predictor_demo(cfg: ExperimentConfig):
 
     results = _map_instances(one_instance, n_instances)
     theorem = _Worst("|avg_w <B2,U_t(A2)>| <= "
-                     "(sqrt(auto/W) + w0*sqrt(<A2,A2>))*sqrt(<B2,B2>)", "sound")
+                     "(sqrt(auto/W) + w0*sqrt(<A2,A2>))*sqrt(<B2,B2>)")
     synopsis = _Worst("normalized: |avg| <= t_obs/(xi*T) "
-                      "+ (xi/|sin xi|)*sqrt(auto_normalized)", "sound")
-    positive = _Worst("CP-window autocorrelator >= 0", "sound")
+                      "+ (xi/|sin xi|)*sqrt(auto_normalized)")
+    positive = _Worst("CP-window autocorrelator >= 0")
     rows = []
     scale = math.sqrt(norm_a * norm_b)
     for auto, lhs_list in results:
@@ -501,18 +473,17 @@ def _run_predictor_demo(cfg: ExperimentConfig):
         normalized_rhs = synopsis_bound(auto_clamped / norm_a, t_obs,
                                         t_horizon, xi)
         for k, lhs in enumerate(lhs_list):
-            theorem.update(lhs, rhs)
             synopsis.update(lhs / scale, normalized_rhs)
             rows.append(_row(
                 cfg.experiment, cfg.seed, n, n_s, n_sigma,
                 t=t0 + k * t_obs, bound=rhs, measured=lhs,
-                ok=lhs <= rhs + FLOAT_SLACK))
+                ok=theorem.update(lhs, rhs)))
     for lam in lambdas:
         value, _vacuous = time_interval_bound(
             epsilon, kappa_rr, xi, t_obs, t_horizon, d_s, d_sigma, lam)
         rows.append(_row(cfg.experiment, cfg.seed, n, n_s, n_sigma,
                          lam=lam, bound=value))
-    return rows, [theorem.verdict(), synopsis.verdict(), positive.verdict()]
+    return rows, [theorem.verdict, synopsis.verdict, positive.verdict]
 
 
 def _run_sizing_table(cfg: ExperimentConfig):
@@ -525,9 +496,8 @@ def _run_sizing_table(cfg: ExperimentConfig):
     if not lambda_grid or not f_grid:
         raise ConfigError("lambda_rel_grid and f_grid must be nonempty")
     n_s = d_s.bit_length() - 1 if d_s & (d_s - 1) == 0 else None
-    floor = _Worst("D_sigma_min >= (D_S*(D_S-1)/4)*(3/(lambda_rel*f))^3",
-                   "sound")
-    rounding = _Worst("2^N_sigma >= D_sigma_min", "sound")
+    floor = _Worst("D_sigma_min >= (D_S*(D_S-1)/4)*(3/(lambda_rel*f))^3")
+    rounding = _Worst("2^N_sigma >= D_sigma_min")
     rows = []
     for lam_rel in lambda_grid:
         for f_target in f_grid:
@@ -542,7 +512,7 @@ def _run_sizing_table(cfg: ExperimentConfig):
                 cfg.experiment, cfg.seed, None, n_s, sizing.n_sigma,
                 t=f_target, lam=lam_rel, bound=sizing.sigma2_threshold_rel,
                 measured=float(sizing.d_sigma_min)))
-    return rows, [floor.verdict(), rounding.verdict()]
+    return rows, [floor.verdict, rounding.verdict]
 
 
 def _run_negative_demo(cfg: ExperimentConfig):
@@ -550,32 +520,15 @@ def _run_negative_demo(cfg: ExperimentConfig):
     n, n_s, n_sigma = _qubit_counts(params, 8, 1, 4)
     n_samples = _take_int(params, "n_samples", 200)
     _reject_leftovers(cfg.experiment, params)
-    d, d_sigma = 2 ** n, 2 ** n_sigma
     report = fourth_order_negative_demo(
-        2 ** n, 2 ** n_s, d_sigma, n_samples=n_samples, seed=cfg.seed)
-    # sharp leading-order prediction for the rms premise deviation,
-    # 2 (D_sigma - 1)/(D_sigma^2 sqrt(D^2 - 1)); the verdict checks the
-    # measurement against it within a factor 2, and the satisfiability
-    # conclusion is reported as the run note
-    predicted = 2.0 * (d_sigma - 1) / (d_sigma ** 2 * math.sqrt(d ** 2 - 1.0))
-    if predicted == 0.0:
-        agreed = report.measured_rms <= 1e-12
-        verdict = Verdict("rms premise deviation = 0 for a trivial core",
-                          "stat", agreed, report.measured_rms, 1e-12)
-    else:
-        log_ratio = abs(math.log2(report.measured_rms / predicted)) \
-            if report.measured_rms > 0 else math.inf
-        agreed = log_ratio <= 1.0
-        verdict = Verdict(
-            "|log2(rms[(G2_rho-rho)^2 - 1/D_sigma^2] / "
-            "(2*(D_sigma-1)/(D_sigma^2*sqrt(D^2-1))))| <= 1",
-            "stat", agreed, log_ratio, 1.0)
+        2 ** n, 2 ** n_s, 2 ** n_sigma, n_samples=n_samples, seed=cfg.seed)
+    # the verdict is the library's check; the satisfiability conclusion is the note
     rows = [_row(cfg.experiment, cfg.seed, n, n_s, n_sigma,
                  bound=report.threshold, measured=report.measured_rms,
-                 ok=agreed)]
+                 ok=report.check.ok)]
     note = (f"{report.verdict} (rms {report.measured_rms:.6e} vs "
             f"threshold {report.threshold:.6e})")
-    return rows, [verdict], note
+    return rows, [report.check], note
 
 
 EXPERIMENTS = {
@@ -621,12 +574,12 @@ def render_csv(rows: Sequence[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(rows: Sequence[dict], verdicts: Sequence[Verdict]) -> str:
+def render_json(rows: Sequence[dict], verdicts: Sequence[Check]) -> str:
     payload = {
         "rows": list(rows),
         "verdicts": [
-            {"anchor": v.anchor, "kind": v.kind, "passed": bool(v.passed),
-             "lhs": float(v.lhs), "rhs": float(v.rhs), "slack": float(v.slack)}
+            {"anchor": v.formula, "kind": v.kind, "passed": v.ok,
+             "lhs": float(v.lhs), "rhs": float(v.rhs), "slack": float(v.rhs - v.lhs)}
             for v in verdicts
         ],
     }
@@ -643,12 +596,12 @@ def _emit(cfg: ExperimentConfig, rows, verdicts) -> None:
             fh.write(text)
 
 
-def _print_verdicts(experiment: str, verdicts: Sequence[Verdict],
+def _print_verdicts(experiment: str, verdicts: Sequence[Check],
                     note: Optional[str] = None) -> None:
     for v in verdicts:
-        status = "PASS" if v.passed else "FAIL"
-        print(f"[{v.kind}] {status} {v.anchor} | lhs={v.lhs!r} rhs={v.rhs!r} "
-              f"slack={v.slack!r}", file=sys.stderr)
+        status = "PASS" if v.ok else "FAIL"
+        print(f"[{v.kind}] {status} {v.formula} | lhs={v.lhs!r} rhs={v.rhs!r} "
+              f"slack={v.rhs - v.lhs!r}", file=sys.stderr)
     if note:
         print(f"{experiment}: {note}", file=sys.stderr)
 
@@ -669,13 +622,12 @@ def run(config: Dict[str, object]) -> int:
     except ArithmeticError as exc:  # a finite config number overflowed a formula
         print(f"config error: {exc}: a value is out of numeric range", file=sys.stderr)
         return EXIT_CONFIG
-    rows, verdicts = result[0], result[1]
-    note = result[2] if len(result) > 2 else None
+    rows, verdicts, *note = result
     _emit(cfg, rows, verdicts)
-    _print_verdicts(cfg.experiment, verdicts, note)
-    if any(v.kind == "sound" and not v.passed for v in verdicts):
+    _print_verdicts(cfg.experiment, verdicts, *note)
+    if any(v.kind == "sound" and not v.ok for v in verdicts):
         return EXIT_SOUND
-    if any(v.kind == "stat" and not v.passed for v in verdicts):
+    if any(v.kind == "stat" and not v.ok for v in verdicts):
         return EXIT_STAT
     return EXIT_PASS
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .hilbert import (
     evolve_basis_series,
     sample_haar_unitary,
 )
+from .thermalization import Check
 
 #: Float slack for the pointwise inequality chain and the commutator identity.
 SERIES_TOL = 1e-9
@@ -226,15 +227,6 @@ def correlator_series(setup: ManyBodySetup, source: UnitarySource,
     return series
 
 
-class Check(NamedTuple):
-    """One tolerance check, stated by ``formula``; it passes iff ``lhs <= rhs``."""
-
-    formula: str
-    lhs: float
-    rhs: float
-    ok = property(lambda self: bool(self.lhs <= self.rhs))
-
-
 @dataclass(frozen=True)
 class TypicalityResult:
     """Monte Carlo statistics of the correlators against Haar predictions."""
@@ -300,11 +292,11 @@ def typicality_experiment(d: int, d_s: int, d_sigma: int, n_samples: int,
     se_g2 = max(math.sqrt(pred.var_g2 / n_samples), ROUNDOFF)
     se_g4 = max(float(g4s.std(ddof=1)) / math.sqrt(n_samples), ROUNDOFF)
     if pred.var_g2 == 0:
-        var_check = Check("var(G2) <= eps^2 (var_pred = 0)", var_g2, ROUNDOFF ** 2)
+        var_check = Check("var(G2) <= eps^2 (var_pred = 0)", var_g2, ROUNDOFF ** 2, "stat")
     else:
         var_check = Check("|log2(var(G2)/var_pred)| <= 1",
                           abs(math.log2(var_g2 / pred.var_g2))
-                          if var_g2 > 0 else math.inf, 1.0)
+                          if var_g2 > 0 else math.inf, 1.0, "stat")
     tail_g2 = float(np.mean(np.abs(g2s - pred.mean_g2)
                             > kappa * pred.fluctuation_scale(1)))
     tail_g4 = float(np.mean(np.abs(g4s - pred.mean_g4)
@@ -316,15 +308,15 @@ def typicality_experiment(d: int, d_s: int, d_sigma: int, n_samples: int,
         prediction=pred,
         checks={
             "mean_g2": Check("|mean(G2) - 1/D_S| <= 4*SE",
-                             abs(mean_g2 - pred.mean_g2), 4 * se_g2),
+                             abs(mean_g2 - pred.mean_g2), 4 * se_g2, "stat"),
             "mean_g4": Check("|mean(G4) - haar_mean(G4)| <= 4*SE",
-                             abs(mean_g4 - pred.mean_g4), 4 * se_g4),
+                             abs(mean_g4 - pred.mean_g4), 4 * se_g4, "stat"),
             "var_g2": var_check,
             "sigma2": Check("|mean(sigma2) - sigma2_typ| <= 0.2*sigma2_typ",
                             abs(mean_sigma2 - pred.sigma2_typ),
-                            0.2 * pred.sigma2_typ),
+                            0.2 * pred.sigma2_typ, "stat"),
             "tails": Check("tail fraction beyond kappa*concentration scale <= 0.01",
-                           max(tail_g2, tail_g4), 0.01),
+                           max(tail_g2, tail_g4), 0.01, "stat"),
         },
         samples_g2=g2s, samples_g4=g4s,
     )

@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .hilbert import InvariantError, derive_rng, sample_haar_unitary
+from .thermalization import Check
 
 #: sin(xi) closer to zero than this makes the window constants singular.
 SIN_XI_TOL = 1e-12
@@ -321,8 +322,8 @@ class NegativeDemoReport:
     require the squared two-point function [G_rho-rho^2(t)]^2 to sit within
     1/D_R^2 of 1/D_sigma^2. ``measured_rms`` is the root-mean-square of the
     premise deviation [G_rho-rho^2]^2 - 1/D_sigma^2 over Haar samples,
-    ``heuristic_scale`` the a-priori estimate D_sigma/D^2 of that deviation,
-    and ``threshold`` the required 1/D_R^2.
+    ``threshold`` the required 1/D_R^2, and ``check`` holds ``measured_rms``
+    within a factor 2 of its sharp value 2 (D_sigma - 1)/(D_sigma^2 sqrt(D^2 - 1)).
     """
 
     d: int
@@ -330,9 +331,8 @@ class NegativeDemoReport:
     d_sigma: int
     n_samples: int
     threshold: float
-    heuristic_scale: float
     measured_rms: float
-    ratio: float
+    check: Check
     verdict: str
     trivial_core: bool
 
@@ -368,11 +368,19 @@ def fourth_order_negative_demo(d: int, d_s: int, d_sigma: int,
     measured = float(np.sqrt(np.mean(dev ** 2)))
     threshold = 1.0 / d_r ** 2
     trivial = d_sigma == 1
+    if trivial:
+        check = Check("rms premise deviation = 0 for a trivial core",
+                      measured, 1e-12, "stat")
+    else:
+        predicted = 2.0 * (d_sigma - 1) / (d_sigma ** 2 * math.sqrt(d ** 2 - 1.0))
+        check = Check("|log2(rms[(G2_rho-rho)^2 - 1/D_sigma^2] / "
+                      "(2*(D_sigma-1)/(D_sigma^2*sqrt(D^2-1))))| <= 1",
+                      abs(math.log2(measured / predicted))
+                      if measured > 0 else math.inf, 1.0, "stat")
     verdict = ("premise satisfiable" if measured <= threshold
                else "premise unsatisfiable")
     return NegativeDemoReport(
         d=d, d_s=d_s, d_sigma=d_sigma, n_samples=n_samples,
-        threshold=threshold, heuristic_scale=d_sigma / d ** 2,
-        measured_rms=measured, ratio=measured / threshold,
+        threshold=threshold, measured_rms=measured, check=check,
         verdict=verdict, trivial_core=trivial,
     )

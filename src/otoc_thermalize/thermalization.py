@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +25,26 @@ from .hilbert import InvariantError, Projector, sample_haar_unitary, derive_rng
 
 #: Absolute float slack allowed when checking exact inequalities.
 FLOAT_SLACK = 1e-9
+
+
+class Check(NamedTuple):
+    """One checked inequality ``formula``, ``lhs <= rhs``; ``ok`` is the only pass rule.
+
+    A ``"sound"`` check (proven math) passes when rhs - lhs >= -FLOAT_SLACK, a
+    ``"stat"`` check (a tolerance) when lhs <= rhs; a NaN on either side fails both.
+    """
+
+    formula: str
+    lhs: float
+    rhs: float
+    kind: str
+
+    @property
+    def ok(self) -> bool:
+        if self.kind == "sound":
+            return bool(self.rhs - self.lhs >= -FLOAT_SLACK)
+        return bool(self.lhs <= self.rhs)
+
 
 #: Tolerance on the orthonormality defect of a supplied basis.
 BASIS_TOL = 1e-8
@@ -178,13 +198,6 @@ class ThermalizationReport:
     worst_basis_f: float
     empirical_f: Sequence[float]
     converse_bound: float
-
-    def sound(self) -> bool:
-        """True when every measured fraction respects the bounds to ``FLOAT_SLACK``."""
-        fractions = [self.worst_basis_f, *self.empirical_f]
-        if any(f > self.f_lambda_bound + FLOAT_SLACK for f in fractions):
-            return False
-        return self.dim_thermal_achieved >= self.dim_thermal_bound - FLOAT_SLACK
 
 
 def thermalization_report(p_r: Projector, p_rho: Projector, lam: float,

@@ -28,7 +28,7 @@ from otoc_thermalize.hilbert import (
     UnitarySource,
     derive_rng,
 )
-from otoc_thermalize.thermalization import thermal_axes
+from otoc_thermalize.thermalization import Check, thermal_axes
 from otoc_thermalize.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -37,7 +37,6 @@ from otoc_thermalize.cli import (
     EXIT_SOUND,
     EXIT_STAT,
     ExperimentConfig,
-    Verdict,
     parse_config_text,
 )
 
@@ -380,7 +379,7 @@ def test_statistical_failure_exits_three(tmp_path, capsys):
 
 def test_soundness_failure_exits_two(monkeypatch, capsys):
     def stub(cfg):
-        return [], [Verdict("1 <= 0", "sound", False, 1.0, 0.0)]
+        return [], [Check("1 <= 0", 1.0, 0.0, "sound")]
 
     monkeypatch.setitem(cli.EXPERIMENTS, "stub-experiment", (stub, "stub"))
     assert cli.run({"experiment": "stub-experiment"}) == EXIT_SOUND
@@ -430,6 +429,20 @@ def test_many_body_sweep_negative_variance_exits_two(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "soundness failure: angle variance" in err
+
+
+def test_a_row_and_its_verdict_fail_alike_at_the_rounding_edge(monkeypatch, capsys):
+    # a floor 1e-9 above the achieved dimension, whose difference rounds just
+    # past -1e-9: the row's pass cell and the verdict are one check
+    monkeypatch.setattr(cli, "bound_thermal_dimension",
+                        lambda sigma2, lam, d_rho: d_rho + 1e-9)
+    config = {"experiment": "many-body-sweep", "seed": 1, "n": 8,
+              "n_instances": 1, "times": 0, "lambda_grid": 0.1}
+    assert cli.run(config) == EXIT_SOUND
+    out, err = capsys.readouterr()
+    rows = out.splitlines()[1:]
+    assert rows and all(row.endswith(",false") for row in rows)
+    assert "[sound] FAIL dim(H_th)(t) >= " in err
 
 
 @pytest.mark.parametrize("grid, message", [
@@ -489,12 +502,12 @@ def test_predictor_demo_window_and_bound_config_errors(capsys, config, message):
     (math.nan, 1.0), (0.0, math.nan), (math.inf, math.inf),
 ])
 def test_worst_fails_on_a_nan_slack(lhs, rhs):
-    worst = cli._Worst("lhs <= rhs", "sound")
+    worst = cli._Worst("lhs <= rhs")
     worst.update(0.0, 1.0)
     worst.update(lhs, rhs)
     worst.update(0.5, 0.75)
-    verdict = worst.verdict()
-    assert not verdict.passed
+    verdict = worst.verdict
+    assert not verdict.ok
     assert (verdict.lhs, verdict.rhs) == pytest.approx((lhs, rhs), nan_ok=True)
 
 
@@ -604,6 +617,15 @@ def test_predictor_demo_rejects_a_register_over_dim_cap(capsys):
     assert code == EXIT_CONFIG
     assert out == ""
     assert "exceeds dim_cap 64" in err
+
+
+def test_a_huge_qubit_count_is_rejected_without_forming_its_dimension(capsys):
+    code = cli.run({"experiment": "verify-theorem", "n": 10 ** 12})
+    out, err = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == ("config error: total dimension 2^1000000000000 exceeds "
+                   "dim_cap 16384\n")
 
 
 @pytest.mark.parametrize("n, n_s, n_sigma", [(5, 1, 2), (6, 2, 3), (7, 1, 4)])

@@ -29,16 +29,20 @@ def _matches(printed, claimed):
 
 def test_quick_start_prints_the_values_in_its_comments():
     code = _block_after("## Quick start", "python")
-    claims = [VALUE.search(line.partition("#")[2]).group(1)
-              for line in code.splitlines() if line.startswith("print(")]
+    prints = [line for line in code.splitlines() if line.startswith("print(")]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README quick start", "exec"), {})
-    printed = out.getvalue().split()
-    assert claims == ["0.486", "0.032", "5.14", "8", "True"]
-    assert len(printed) == len(claims)
-    for value, claim in zip(printed, claims):
-        assert _matches(value, claim), (value, claim)
+    printed = [line.split() for line in out.getvalue().splitlines()]
+    assert len(printed) == len(prints)
+    # a line that prints k values claims the first k numbers of its comment
+    claims = [VALUE.findall(line.partition("#")[2])[:len(values)]
+              for line, values in zip(prints, printed)]
+    assert claims == [["0.486"], ["0.032"], ["5.14"], ["8"], ["0.0", "1.0"]]
+    for values, claimed in zip(printed, claims):
+        assert len(values) == len(claimed)
+        for value, claim in zip(values, claimed):
+            assert _matches(value, claim), (value, claim)
 
 
 def test_sweep_session_prints_the_rows_and_verdicts_shown(tmp_path, capsys):
