@@ -38,6 +38,7 @@ from .hilbert import (
     Projector,
     UnitarySource,
     _eigenframe,
+    _one_blas_thread,
     derive_rng,
     sample_haar_unitary,
 )
@@ -607,11 +608,17 @@ def _print_verdicts(experiment: str, verdicts: Sequence[Check],
 
 
 def run(config: Dict[str, object]) -> int:
-    """Execute the experiment a config mapping names; returns the exit code."""
+    """Execute the experiment a config mapping names; returns the exit code.
+
+    numpy's OpenBLAS runs on one thread while the experiment runs, so the
+    output depends on the config and seed alone and the instance pool is the
+    only parallelism; the caller's thread count is restored on return.
+    """
     try:
         cfg = ExperimentConfig.from_mapping(dict(config))
         runner, _ = EXPERIMENTS[cfg.experiment]
-        result = runner(cfg)
+        with _one_blas_thread():
+            result = runner(cfg)
     except (AssertionError, InvariantError) as exc:
         # a checked statement of proven math failed: a soundness bug
         print(f"soundness failure: {exc}", file=sys.stderr)
@@ -621,6 +628,10 @@ def run(config: Dict[str, object]) -> int:
         return EXIT_CONFIG
     except ArithmeticError as exc:  # a finite config number overflowed a formula
         print(f"config error: {exc}: a value is out of numeric range", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a config size no allocation can hold
+        print(f"config error: {exc}: the config asks for more memory than there is",
+              file=sys.stderr)
         return EXIT_CONFIG
     rows, verdicts, *note = result
     _emit(cfg, rows, verdicts)

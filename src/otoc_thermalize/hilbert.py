@@ -16,13 +16,24 @@ its spectrum E and the observable and core bases in its eigenframe,
 W = V^dag L and Y = V^dag K, where U(t) is the phase exp(-iEt). A GUE
 Hamiltonian is never formed: its law is unitarily invariant, so W is itself
 a D x D_R Haar isometry, and ``sample_gue_eigensystem`` draws the spectrum
-and that thin frame alone.
+and that thin frame alone. The spectrum is that of a real tridiagonal
+matrix, found from its diagonal and off-diagonal by LAPACK ``dsterf`` in
+numpy's own bundled OpenBLAS, reached through ctypes (``_openblas``); where
+that library is not found, the dense ``eigvalsh`` of the same matrix stands
+in, with the same eigenvalues. ``_one_blas_thread`` pins that OpenBLAS to one
+thread through the same handle, so that the command line's output depends
+on its config and seed alone.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
 import numbers
+import os
 import zlib
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
@@ -129,6 +140,100 @@ def sample_haar_unitary(dim: int, seed=None, rng=None,
     return q
 
 
+class _OpenBLAS:
+    """The routines of numpy's bundled ILP64 OpenBLAS that this module calls."""
+
+    def __init__(self, lib):
+        self.dsterf = lib.scipy_dsterf_64_
+        self.get_num_threads = lib.scipy_openblas_get_num_threads64_
+        self.set_num_threads = lib.scipy_openblas_set_num_threads64_
+        int64_p, double_p = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+        self.dsterf.argtypes = [int64_p, double_p, double_p, int64_p]
+        self.dsterf.restype = None
+        self.get_num_threads.argtypes = []
+        self.get_num_threads.restype = ctypes.c_int
+        self.set_num_threads.argtypes = [ctypes.c_int]
+        self.set_num_threads.restype = None
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas() -> Optional[_OpenBLAS]:
+    """numpy's bundled OpenBLAS, or None where it is not the known ILP64 build.
+
+    Looked up on first use and cached. The library is the
+    ``libscipy_openblas64_`` that numpy's wheel ships in ``numpy.libs``; its
+    ``64_`` symbols take 64-bit integers, which its configuration string
+    confirms (``USE64BITINT``). Any other build (MKL, conda, LP64) gives
+    None, and its callers fall back to numpy's own routines.
+    """
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                           "libscipy_openblas64_*")
+    for path in sorted(glob.glob(pattern)):
+        try:
+            lib = ctypes.CDLL(path)
+            config = lib.scipy_openblas_get_config64_
+            blas = _OpenBLAS(lib)
+        except (OSError, AttributeError):
+            continue
+        config.argtypes, config.restype = [], ctypes.c_char_p
+        if b"USE64BITINT" in (config() or b"").split():
+            return blas
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread; restore the caller's count.
+
+    Where ``_openblas`` finds no library the thread count is left as it is.
+    The count is process-wide, so blocks in several threads at once restore
+    it in the order they end.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    before = blas.get_num_threads()
+    blas.set_num_threads(1)
+    try:
+        yield
+    finally:
+        blas.set_num_threads(before)
+
+
+def _tridiagonal_eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the real symmetric tridiagonal matrix (diag, off).
+
+    LAPACK ``dsterf`` (Pal-Walker-Kahan QR) reads the two diagonals alone, in
+    O(D^2) time and O(D) memory. Without ``_openblas`` the dense D x D matrix
+    goes to ``np.linalg.eigvalsh``, whose reduction leaves a tridiagonal
+    matrix as it is and ends in the same ``dsterf``: the eigenvalues agree
+    bit for bit, and a failure to converge is an ``InvariantError`` on both
+    routes. ctypes releases the GIL for the call.
+    """
+    blas = _openblas()
+    if blas is None:
+        tri = np.diag(diag)
+        k = np.arange(len(off))
+        tri[k + 1, k] = tri[k, k + 1] = off
+        try:
+            return np.linalg.eigvalsh(tri)
+        except np.linalg.LinAlgError as exc:  # its dsterf failed, as below
+            raise InvariantError(f"eigvalsh failed on a tridiagonal matrix: {exc}") from exc
+    evals = np.array(diag, dtype=np.float64)  # dsterf overwrites d and e
+    work = np.append(np.asarray(off, dtype=np.float64), 0.0)  # >= 1 entry at D = 1
+    if evals.ndim != 1 or work.shape != evals.shape:
+        raise ValueError(f"need a diagonal of length D >= 1 and an off-diagonal of "
+                         f"length D - 1, got {np.shape(diag)} and {np.shape(off)}")
+    info = ctypes.c_int64(0)
+    double_p = ctypes.POINTER(ctypes.c_double)
+    blas.dsterf(ctypes.byref(ctypes.c_int64(len(evals))), evals.ctypes.data_as(double_p),
+                work.ctypes.data_as(double_p), ctypes.byref(info))
+    if info.value != 0:
+        raise InvariantError(f"dsterf failed on a tridiagonal matrix: info {info.value}")
+    return evals
+
+
 def sample_gue_eigensystem(dim: int, rng, columns: Optional[int] = None) -> tuple:
     """Draw the eigenvalues and eigenvectors of a GUE Hamiltonian, never forming it.
 
@@ -138,8 +243,11 @@ def sample_gue_eigensystem(dim: int, rng, columns: Optional[int] = None) -> tupl
     Haar on U(dim) and independent of the spectrum, and the two are drawn
     apart. The spectrum is that of the beta = 2 tridiagonal model (Dumitriu &
     Edelman 2002): diagonal N(0, 1), off-diagonals sqrt(chi^2_{2k} / 2) =
-    sqrt(Gamma(k, 1)) for k = dim-1 .. 1, scaled by 1/sqrt(dim); its
-    ``eigvalsh`` runs on a real tridiagonal matrix. The eigenbasis is one
+    sqrt(Gamma(k, 1)) for k = dim-1 .. 1, scaled by 1/sqrt(dim). LAPACK
+    ``dsterf`` finds it from the two diagonals at O(dim^2) time and O(dim)
+    memory; where numpy's OpenBLAS is not found, the dense ``eigvalsh`` of
+    the dim x dim tridiagonal matrix gives the same eigenvalues at O(dim^3)
+    (``_tridiagonal_eigvalsh``). The eigenbasis is one
     ``sample_haar_unitary`` draw from the same generator, after the
     spectrum. Neither step runs a complex dim x dim ``eigh``.
 
@@ -154,11 +262,11 @@ def sample_gue_eigensystem(dim: int, rng, columns: Optional[int] = None) -> tupl
     (evals, evecs) : ascending eigenvalues (dim,) and a dim x m isometry
         (by default the dim x dim unitary of eigenvectors, one per column).
     """
-    tri = np.diag(rng.standard_normal(dim))
-    k = np.arange(dim - 1)
-    tri[k + 1, k] = tri[k, k + 1] = np.sqrt(rng.gamma(dim - 1.0 - k))
-    evals = np.linalg.eigvalsh(tri) / math.sqrt(dim)
-    del tri  # freed before the Haar draw
+    if dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim}")
+    diag = rng.standard_normal(dim)
+    off = np.sqrt(rng.gamma(dim - 1.0 - np.arange(dim - 1)))
+    evals = _tridiagonal_eigvalsh(diag, off) / math.sqrt(dim)
     return evals, sample_haar_unitary(dim, rng=rng, columns=columns)
 
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -626,6 +627,75 @@ def test_a_huge_qubit_count_is_rejected_without_forming_its_dimension(capsys):
     assert out == ""
     assert err == ("config error: total dimension 2^1000000000000 exceeds "
                    "dim_cap 16384\n")
+
+
+def test_a_time_grid_too_large_to_allocate_is_a_config_error(monkeypatch, capsys):
+    # the MemoryError is injected: numpy would raise it for 10**15 float64s
+    linspace = np.linspace
+
+    def guarded(start, stop, num, **kw):
+        if num > 10 ** 9:
+            raise MemoryError("Unable to allocate 7.11 PiB for an array with "
+                              f"shape ({num},) and data type float64")
+        return linspace(start, stop, num, **kw)
+
+    monkeypatch.setattr(np, "linspace", guarded)
+    code = cli.run({"experiment": "many-body-sweep", "n": 4, "t_count": 10 ** 15})
+    out, err = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("config error: Unable to allocate 7.11 PiB")
+    assert err.count("\n") == 1
+
+
+needs_openblas = pytest.mark.skipif(
+    hilbert._openblas() is None,
+    reason="numpy's bundled ILP64 OpenBLAS (libscipy_openblas64_) is not loaded, "
+           "so the command line leaves the BLAS thread count unpinned")
+
+
+@needs_openblas
+def test_gue_sweep_is_byte_identical_under_one_and_two_blas_threads(tmp_path):
+    # the README's counterexample: at 2 BLAS threads an unpinned run moves
+    # the last digits of stdout from the t = 1 row on
+    cfg = write_config(tmp_path, "experiment = many-body-sweep\nsource = gue\n"
+                                 "n = 10\nn_instances = 2\nt_start = 0\n"
+                                 "t_stop = 10\nt_count = 11\n")
+    runs = [subprocess.run(
+        [sys.executable, "-m", "otoc_thermalize.cli", "run", "--config", cfg,
+         "--seed", "5"], capture_output=True, text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": threads}) for threads in "12"]
+    assert [run.returncode for run in runs] == [EXIT_PASS] * 2
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stderr == runs[1].stderr
+    assert len(runs[0].stdout.splitlines()) == 1 + 2 * 11  # a row per instance and time
+
+
+@needs_openblas
+@pytest.mark.parametrize("error, code", [(None, EXIT_PASS),
+                                         (ValueError("bad input"), EXIT_CONFIG)])
+def test_run_pins_one_blas_thread_and_restores_the_callers_count(
+        monkeypatch, capsys, error, code):
+    blas = hilbert._openblas()
+    seen = []
+
+    def stub(cfg):
+        seen.append(blas.get_num_threads())
+        if error is not None:
+            raise error
+        return [], []
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "stub-experiment", (stub, "stub"))
+    before = blas.get_num_threads()
+    blas.set_num_threads(2)
+    try:
+        assert cli.run({"experiment": "stub-experiment"}) == code
+        after = blas.get_num_threads()
+    finally:
+        blas.set_num_threads(before)
+    capsys.readouterr()
+    assert seen == [1]
+    assert after == 2
 
 
 @pytest.mark.parametrize("n, n_s, n_sigma", [(5, 1, 2), (6, 2, 3), (7, 1, 4)])

@@ -1,13 +1,17 @@
 """Unit tests for the Hilbert-space substrate."""
 
+import ctypes
 import math
 import re
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from _dense import dense_embed, dense_matrix, dense_unitary, gue_hamiltonian
+from otoc_thermalize import hilbert
 from otoc_thermalize.hilbert import (
     InvariantError,
     ManyBodySetup,
@@ -160,6 +164,100 @@ def test_gue_eigensystem_spectral_moments_stat(dim):
     var_se = math.sqrt((np.mean(centred ** 4) - np.mean(centred ** 2) ** 2) / n)
     assert abs(m2.var(ddof=1) - 2.0 / dim ** 2) <= 4 * var_se
     assert abs(m4.mean() - (2.0 + 1.0 / dim ** 2)) <= 4 * m4.std(ddof=1) / math.sqrt(n)
+
+
+needs_openblas = pytest.mark.skipif(
+    hilbert._openblas() is None,
+    reason="numpy's bundled ILP64 OpenBLAS (libscipy_openblas64_) is not loaded, "
+           "so the GUE spectrum takes the dense eigvalsh route")
+
+
+@needs_openblas
+@pytest.mark.parametrize("dim", [1, 2, 3, 256, 1024])
+def test_dsterf_spectrum_equals_the_dense_fallback(monkeypatch, dim):
+    for seed in range(3):
+        fast = sample_gue_eigensystem(dim, np.random.default_rng(seed), columns=1)[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(hilbert, "_openblas", lambda: None)
+            dense = sample_gue_eigensystem(dim, np.random.default_rng(seed), columns=1)[0]
+        assert np.array_equal(fast, dense)
+
+
+def test_gue_tests_pass_on_the_dense_fallback(monkeypatch):
+    # a build without the library draws the spectrum by dense eigvalsh
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(hilbert, "_openblas", lambda: None)
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, **kw: calls.append(a.shape) or eigvalsh(a, **kw))
+    test_gue_eigensystem_has_the_semicircle_scale_and_a_unitary_basis()
+    test_thin_gue_eigensystem_is_the_leading_columns_of_the_full_draw()
+    test_gue_eigensystem_rejects_bad_dim()
+    test_gue_eigensystem_of_dim_one_is_a_normal_energy_and_a_phase()
+    assert calls == [(256, 256), (64, 64), (64, 64), (1, 1)]
+
+
+@needs_openblas
+def test_gue_spectrum_forms_no_dim_squared_array():
+    # one 1024 x 1024 float64 array is 8 MiB; dsterf reads the two diagonals
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        sample_gue_eigensystem(1024, rng, columns=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024 * 8
+
+
+def _fake_library(config=b"OpenBLAS 0.3 USE64BITINT DYNAMIC_ARCH", drop=None):
+    names = ("scipy_openblas_get_config64_", "scipy_dsterf_64_",
+             "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+    return types.SimpleNamespace(**{name: lambda *args: config
+                                    for name in names if name != drop})
+
+
+@pytest.mark.parametrize("paths, lib", [
+    ([], None),
+    (["libscipy_openblas64_-lp64.so"], _fake_library(b"OpenBLAS 0.3 DYNAMIC_ARCH")),
+    (["libscipy_openblas64_-old.so"], _fake_library(drop="scipy_dsterf_64_")),
+], ids=["no-library", "lp64-build", "missing-symbol"])
+def test_openblas_is_found_only_as_the_known_ilp64_build(monkeypatch, paths, lib):
+    monkeypatch.setattr(hilbert.glob, "glob", lambda pattern: paths)
+    monkeypatch.setattr(hilbert.ctypes, "CDLL", lambda path: lib)
+    assert hilbert._openblas.__wrapped__() is None
+    monkeypatch.setattr(hilbert.ctypes, "CDLL", lambda path: _fake_library())
+    assert (hilbert._openblas.__wrapped__() is None) == (not paths)
+
+
+@needs_openblas
+@pytest.mark.parametrize("diag, off", [(np.ones(3), np.ones(3)), (np.ones(0), np.ones(0)),
+                                       (np.ones((2, 2)), np.ones(3))])
+def test_dsterf_rejects_diagonals_of_mismatched_shape(diag, off):
+    with pytest.raises(ValueError, match="off-diagonal of length D - 1"):
+        hilbert._tridiagonal_eigvalsh(diag, off)
+
+
+def test_dsterf_failure_is_an_invariant_error(monkeypatch):
+    @ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                      ctypes.POINTER(ctypes.c_int64))
+    def failing(n, d, e, info):
+        info[0] = 7
+
+    monkeypatch.setattr(hilbert, "_openblas",
+                        lambda: types.SimpleNamespace(dsterf=failing))
+    with pytest.raises(InvariantError, match="dsterf .* info 7"):
+        sample_gue_eigensystem(3, np.random.default_rng(0))
+
+
+def test_dense_fallback_failure_is_the_same_invariant_error(monkeypatch):
+    def failing(a, **kw):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(hilbert, "_openblas", lambda: None)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(InvariantError, match="eigvalsh failed .* did not converge"):
+        sample_gue_eigensystem(3, np.random.default_rng(0))
 
 
 class TestProjector:
