@@ -52,7 +52,6 @@ from .predictor import (
     weighted_correlator,
 )
 from .thermalization import (
-    FLOAT_SLACK,
     Check,
     bound_thermal_dimension,
     core_sizing,
@@ -243,9 +242,10 @@ def _map_instances(fn: Callable[[int], object], count: int) -> List[object]:
 
 
 def _row(experiment, seed, n, n_s, n_sigma, t=None, g2=None, g4=None,
-         sigma2=None, lam=None, bound=None, measured=None, ok=True):
+         sigma2=None, lam=None, bound=None, measured=None, *, ok):
+    """One output row; ``ok`` is its checks' conjunction, None for a row without one."""
     values = (experiment, seed, n, n_s, n_sigma, t, g2, g4, sigma2,
-              lam, bound, measured, bool(ok))
+              lam, bound, measured, ok)
     return dict(zip(CSV_COLUMNS, values))
 
 
@@ -384,28 +384,31 @@ def _run_many_body_sweep(cfg: ExperimentConfig):
 
     results = _map_instances(one_instance, n_instances)
     chain = _Worst("G4(t) <= G2(t)")
-    identity = _Worst("|G2 - G4 - ||[P_R, P_rho(t)]||_F^2/(2 D_rho)| <= 1e-9")
+    identity = _Worst("|G2 - G4 - ||[P_R, P_rho(t)]||_F^2/(2 D_rho)| <= 0")
     dimension = _Worst("dim(H_th)(t) >= D_rho*(1 - sigma2(t)/lambda^2)")
     rows = []
     for series in results:
         for j, t in enumerate(series.times):
             g2, g4 = float(series.g2[j]), float(series.g4[j])
             sigma2 = float(series.sigma2[j])
-            chain.update(g4, g2)
-            identity.update(
-                abs(g2 - g4 - float(series.commutator_norm[j])), FLOAT_SLACK)
+            # each row check is made, so each verdict sees every row
+            chain_ok = chain.update(g4, g2)
+            identity_ok = identity.update(
+                abs(g2 - g4 - float(series.commutator_norm[j])), 0.0)
             if not lambdas:
                 rows.append(_row(cfg.experiment, cfg.seed, n, n_s, n_sigma,
-                                 t=float(t), g2=g2, g4=g4, sigma2=sigma2))
+                                 t=float(t), g2=g2, g4=g4, sigma2=sigma2,
+                                 ok=chain_ok and identity_ok))
                 continue
             for lam in lambdas:
                 bound = bound_thermal_dimension(sigma2, lam, setup.d_rho)
                 achieved = int(np.count_nonzero(thermal_axes(series.cos2[j], lam)))
+                dim_ok = dimension.update(bound, achieved)
                 rows.append(_row(
                     cfg.experiment, cfg.seed, n, n_s, n_sigma, t=float(t),
                     g2=g2, g4=g4, sigma2=sigma2, lam=lam, bound=bound,
                     measured=float(achieved),
-                    ok=dimension.update(bound, achieved)))
+                    ok=chain_ok and identity_ok and dim_ok))
     verdicts = [chain.verdict, identity.verdict]
     if lambdas:
         verdicts.append(dimension.verdict)
@@ -482,8 +485,9 @@ def _run_predictor_demo(cfg: ExperimentConfig):
     for lam in lambdas:
         value, _vacuous = time_interval_bound(
             epsilon, kappa_rr, xi, t_obs, t_horizon, d_s, d_sigma, lam)
+        # a bound to read, with no checked inequality: the pass cell is empty
         rows.append(_row(cfg.experiment, cfg.seed, n, n_s, n_sigma,
-                         lam=lam, bound=value))
+                         lam=lam, bound=value, ok=None))
     return rows, [theorem.verdict, synopsis.verdict, positive.verdict]
 
 
@@ -504,15 +508,15 @@ def _run_sizing_table(cfg: ExperimentConfig):
         for f_target in f_grid:
             sizing = core_sizing(lam_rel, f_target, d_s)
             exact = (d_s * (d_s - 1) / 4.0) * (3.0 / (lam_rel * f_target)) ** 3
-            floor.update(exact * (1.0 - 1e-9), float(sizing.d_sigma_min))
-            rounding.update(float(sizing.d_sigma_min),
-                            float(2 ** sizing.n_sigma))
+            floor_ok = floor.update(exact * (1.0 - 1e-9), float(sizing.d_sigma_min))
+            rounding_ok = rounding.update(float(sizing.d_sigma_min),
+                                          float(2 ** sizing.n_sigma))
             # t carries the target fraction f; bound is the sigma^2 threshold
             # in the relative-lambda convention, measured the minimal D_sigma
             rows.append(_row(
                 cfg.experiment, cfg.seed, None, n_s, sizing.n_sigma,
                 t=f_target, lam=lam_rel, bound=sizing.sigma2_threshold_rel,
-                measured=float(sizing.d_sigma_min)))
+                measured=float(sizing.d_sigma_min), ok=floor_ok and rounding_ok))
     return rows, [floor.verdict, rounding.verdict]
 
 

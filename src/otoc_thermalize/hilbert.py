@@ -1,8 +1,8 @@
 """Complex linear algebra substrate.
 
 Projectors on C^D, product states on the qubits of a register, Haar-random
-unitary sampling, and time evolution from several unitary sources
-(Hamiltonian, circular unitary ensemble, brickwork circuit). A ``Projector``
+unitary sampling, and time evolution from three unitary sources (GUE
+Hamiltonian, circular unitary ensemble, brickwork circuit). A ``Projector``
 is its D x rank orthonormal basis; its D x D matrix is never formed. A product
 state |s><s| (x) 1 is never formed as one: ``embed_isometry`` is its
 isometry L, and ``contract_isometry`` applies L^dag by contracting <s| into
@@ -10,13 +10,13 @@ the factor's qubits. A CUE or circuit source acts on a D x r basis K through
 ``evolve_basis_series``: it yields U(t) K on a time grid without forming
 U(t), carrying a circuit's block forward; a single time is a one-point grid.
 A state is placed on its qubits in one way (``_on_sites``), and a brickwork
-gate is a 4 x 4 matmul on a (2^a, 4, rest) view of the block. A Hamiltonian
-H = V diag(E) V^dag is not evolved in the register: ``_eigenframe`` gives
-its spectrum E and the observable and core bases in its eigenframe,
-W = V^dag L and Y = V^dag K, where U(t) is the phase exp(-iEt). A GUE
-Hamiltonian is never formed: its law is unitarily invariant, so W is itself
-a D x D_R Haar isometry, and ``sample_gue_eigensystem`` draws the spectrum
-and that thin frame alone. The spectrum is that of a real tridiagonal
+gate is a 4 x 4 matmul on a (2^a, 4, rest) view of the block. A GUE
+Hamiltonian H = V diag(E) V^dag is not evolved in the register, and is never
+formed: ``_eigenframe`` gives its spectrum E and the observable and core
+bases in its eigenframe, W = V^dag L and Y = V^dag K, where U(t) is the
+phase exp(-iEt). Its law is unitarily invariant, so W is itself a D x D_R
+Haar isometry, and ``sample_gue_eigensystem`` draws the spectrum and that
+thin frame alone. The spectrum is that of a real tridiagonal
 matrix, found from its diagonal and off-diagonal by LAPACK ``dsterf`` in
 numpy's own bundled OpenBLAS, reached through ctypes (``_openblas``); where
 that library is not found, the dense ``eigvalsh`` of the same matrix stands
@@ -44,7 +44,6 @@ import numpy as np
 DIM_CAP_DEFAULT = 2 ** 14
 
 #: Frobenius-norm tolerances, scaled by the dimension where noted.
-HERMITICITY_TOL = 1e-10   # times D
 IDEMPOTENCE_TOL = 1e-10   # times D
 RANK_TOL = 1e-8
 STATE_NORM_TOL = 1e-12
@@ -457,14 +456,12 @@ def contract_isometry(setup: ManyBodySetup, which: str,
 
 @dataclass(frozen=True)
 class UnitarySource:
-    """A family of unitaries U(t), one of four variants.
+    """A family of unitaries U(t), one of three variants.
 
-    ``hamiltonian``: autonomous evolution exp(-i H t) for a given H, kept as
-    its eigenvalues ``evals`` and eigenvectors ``evecs`` (``eigh`` once).
-    ``gue``: exp(-i H t) for a GUE H, kept as its eigenvalues and its
+    ``gue``: exp(-i H t) for a GUE H, kept as its eigenvalues ``evals`` and its
     eigenframe ``frame`` = W = V^dag L of a ``columns``-dimensional range L,
     a thin Haar draw (``sample_gue_eigensystem``); the rest of the eigenbasis
-    V is never drawn. Both are reduced in their eigenframe (``_eigenframe``).
+    V is never drawn. It is reduced in its eigenframe (``_eigenframe``).
     ``haar_cue``: each integer t > 0 labels an independent Haar unitary drawn
     from the seed, with t = 0 the identity; this realizes "evolve to the
     Haar-typicality regime" without a model Hamiltonian.
@@ -480,20 +477,7 @@ class UnitarySource:
     seed: Optional[int] = None
     n_sites: Optional[int] = None
     evals: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    evecs: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     frame: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-
-    @classmethod
-    def hamiltonian(cls, h: np.ndarray) -> "UnitarySource":
-        """Autonomous source exp(-i H t) for a Hermitian matrix H."""
-        h = np.asarray(h, dtype=complex)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError(f"Hamiltonian must be square, got {h.shape}")
-        defect = np.linalg.norm(h - h.conj().T)
-        if not defect <= HERMITICITY_TOL * h.shape[0]:
-            raise ValueError(f"Hamiltonian not Hermitian: defect {defect:.3e}")
-        evals, evecs = np.linalg.eigh(h)
-        return cls(kind="hamiltonian", dim=h.shape[0], evals=evals, evecs=evecs)
 
     @classmethod
     def gue(cls, dim: int, rng, columns: int) -> "UnitarySource":
@@ -536,20 +520,15 @@ def _apply_circuit(source: UnitarySource, k: np.ndarray, start: int,
 
 
 def _eigenframe(setup: ManyBodySetup, source: UnitarySource) -> tuple:
-    """(E, W, Y) of a Hamiltonian source: its spectrum and, in its eigenframe,
-    the observable basis W = V^dag L (D x D_R) and core basis Y = V^dag K (D x D_eta).
+    """(E, W, Y) of a GUE source: its spectrum and, in its eigenframe, the
+    observable basis W = V^dag L (D x D_R) and core basis Y = V^dag K (D x D_eta).
 
-    There U(t) is the phase exp(-iEt), so U(t) K = V exp(-iEt) Y. An explicit
-    H contracts both from its eigenvectors V (``contract_isometry``). A GUE
-    source holds W alone and needs the core inside the observable's range,
+    There U(t) is the phase exp(-iEt), so U(t) K = V exp(-iEt) Y. The source
+    holds W alone and needs the core inside the observable's range,
     K = L (L^dag K), which holds when |psi> = |chi> (x) |psi'> on the core
     sites; then Y = W (L^dag K), and ValueError is raised when L^dag K is no
     isometry.
     """
-    if source.kind == "hamiltonian":
-        v = source.evecs
-        return (source.evals, contract_isometry(setup, "observable", v).conj().T,
-                contract_isometry(setup, "core", v).conj().T)
     if source.frame.shape != (setup.dim, setup.d_r):
         raise ValueError(f"GUE frame has shape {source.frame.shape}; the observable "
                          f"needs {(setup.dim, setup.d_r)}")
@@ -567,7 +546,7 @@ def evolve_basis_series(source: UnitarySource, k: np.ndarray,
                         times: Sequence[float]) -> Iterator[np.ndarray]:
     """Yield U(t) K for each t in ``times``, in order, never forming U(t).
 
-    K is a D x r matrix and the source a CUE or circuit one (a Hamiltonian
+    K is a D x r matrix and the source a CUE or circuit one (a GUE source
     is reduced in its eigenframe, ``_eigenframe``). Times are nonnegative
     integers, t = 0 giving a copy of K. Costs per time: for CUE, the
     leading m columns of the Haar unitary (D x m Gaussians and a thin QR,

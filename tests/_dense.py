@@ -7,11 +7,13 @@ eigendecomposition route ``eigh_range_basis``; ``recording_eigh`` shows
 whether a block of code took an eigendecomposition route at all.
 ``principal_axes`` is the singular-vector route to the principal axes, which
 the library never forms. ``dense_unitary`` is the D x D unitary U(t) of a
-source: V exp(-iEt) V^dag for a Hamiltonian, the basis evolution applied to
-K = 1 for the others. ``gue_hamiltonian`` draws a dense GUE matrix, whose
-``eigh`` the library's eigen-law draw ``sample_gue_eigensystem`` is held
-against. ``completed_eigenbasis`` completes a GUE source's thin eigenframe
-to a full eigenbasis, so its dense H can be formed.
+source: V exp(-iEt) V^dag for an eigenframe source with eigenvectors V, the
+basis evolution applied to K = 1 for the others. ``gue_hamiltonian`` draws a
+dense GUE matrix, whose ``eigh`` the library's eigen-law draw
+``sample_gue_eigensystem`` is held against. ``hamiltonian_source`` turns an
+explicit Hermitian H into the eigenframe source the library reads, through
+its ``eigh``; ``completed_eigenbasis`` completes a GUE source's thin
+eigenframe to a full eigenbasis, so its dense H can be formed.
 """
 
 import contextlib
@@ -28,6 +30,7 @@ from otoc_thermalize.hilbert import (
     DIM_CAP_DEFAULT,
     Projector,
     UnitarySource,
+    contract_isometry,
     derive_rng,
     embed_isometry,
     evolve_basis_series,
@@ -51,14 +54,39 @@ def gue_hamiltonian(dim, seed=None, rng=None):
     return (a + a.conj().T) / (2.0 * math.sqrt(dim))
 
 
-def dense_unitary(source, t):
+#: Frobenius-norm tolerance of an explicit Hamiltonian's Hermiticity, times D.
+HERMITICITY_TOL = 1e-10
+
+
+def hamiltonian_source(h, setup=None):
+    """exp(-iHt) for a Hermitian matrix H, as ``(source, V)`` with H = V diag(E) V^dag.
+
+    ``eigh`` gives E and V. The source is the one the library reduces in its
+    eigenframe: E and the frame W = V^dag L of the setup's observable
+    isometry L (without a setup, of the whole space: W = V^dag). V is kept
+    apart for ``dense_unitary``. ``eigh`` reads one triangle only, so H is
+    checked for Hermiticity first, and a NaN fails that check.
+    """
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"Hamiltonian must be square, got {h.shape}")
+    defect = np.linalg.norm(h - h.conj().T)
+    if not defect <= HERMITICITY_TOL * h.shape[0]:
+        raise ValueError(f"Hamiltonian not Hermitian: defect {defect:.3e}")
+    evals, vecs = np.linalg.eigh(h)
+    frame = (vecs.conj().T if setup is None
+             else contract_isometry(setup, "observable", vecs).conj().T)
+    return UnitarySource(kind="gue", dim=h.shape[0], evals=evals, frame=frame), vecs
+
+
+def dense_unitary(source, t, vecs=None):
     """The D x D unitary U(t) of a source.
 
-    V exp(-iEt) V^dag for a Hamiltonian with eigenvectors V; for a CUE or
-    circuit source, ``evolve_basis_series`` at one time on K = 1.
+    V exp(-iEt) V^dag for an eigenframe source with eigenvectors ``vecs``;
+    for a CUE or circuit source, ``evolve_basis_series`` at one time on K = 1.
     """
-    if source.kind == "hamiltonian":
-        return (source.evecs * np.exp(-1j * t * source.evals)) @ source.evecs.conj().T
+    if source.kind == "gue":
+        return (vecs * np.exp(-1j * t * source.evals)) @ vecs.conj().T
     return next(evolve_basis_series(source, np.eye(source.dim, dtype=complex), [t]))
 
 

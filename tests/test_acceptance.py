@@ -14,6 +14,7 @@ from _dense import (
     dense_embed,
     dense_unitary,
     gue_hamiltonian,
+    hamiltonian_source,
     swap_representation_check,
     to_eigenbasis,
     two_point_operators,
@@ -296,32 +297,35 @@ def test_series_chain_and_commutator_identity():
     # Every correlator series satisfies G2 >= G4 >= (G2)^2 and the gap
     # G2 - G4 equals the normalised commutator Frobenius norm to 1e-9,
     # including the commuting t=0 point where both sides vanish.
+    gue_setup = _product_setup(6, 1, 3)
     cases = [
         (
-            _product_setup(6, 1, 3),
-            UnitarySource.hamiltonian(
-                gue_hamiltonian(64, rng=derive_rng(1208, "chain-gue"))
+            gue_setup,
+            *hamiltonian_source(
+                gue_hamiltonian(64, rng=derive_rng(1208, "chain-gue")), gue_setup
             ),
             np.linspace(0.0, 8.0, 17),
         ),
         (
             _product_setup(8, 1, 4),
             UnitarySource.haar_cue(256, seed=12081),
+            None,
             np.arange(0, 6),
         ),
         (
             _product_setup(8, 1, 4),
             UnitarySource.circuit(8, seed=12082),
+            None,
             np.arange(0, 6),
         ),
     ]
-    for setup, source, times in cases:
+    for setup, source, vecs, times in cases:
         series = correlator_series(setup, source, times)
         # the angle route on dense projectors agrees with the series to 1e-9
         p_r = dense_embed(setup, "observable")
         k = embed_isometry(setup, "core")
         for i, t in enumerate(times):
-            p_t = Projector(dense_unitary(source, t) @ k)
+            p_t = Projector(dense_unitary(source, t, vecs) @ k)
             geom = halmos_decompose(p_r, p_t)
             assert np.max(np.abs(series.cos2[i] - np.sort(geom.cos2))) <= 1e-9
             assert abs(correlator_from_angles(geom, 1) - series.g2[i]) <= 1e-9

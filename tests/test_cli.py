@@ -1,6 +1,7 @@
 """Tests for the experiment runner: config parsing, determinism, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -262,17 +263,16 @@ def test_verify_theorem_rejects_non_finite_lambda(tmp_path, capsys, grid):
 
 
 def _sweep_source(kind, seed, i, setup):
-    """The source many-body-sweep builds for instance i; a GUE one as a dense H
-    whose eigenframe is completed to a full eigenbasis."""
+    """(source, V) for the source many-body-sweep builds for instance i; V is a
+    GUE source's eigenframe completed to a full eigenbasis, None for the others."""
     n = setup.n_total
     if kind == "gue":
         gue = UnitarySource.gue(setup.dim, derive_rng(seed, "sweep-gue", i), columns=setup.d_r)
-        vecs = completed_eigenbasis(setup, gue)
-        return UnitarySource.hamiltonian((vecs * gue.evals) @ vecs.conj().T)
+        return gue, completed_eigenbasis(setup, gue)
     child = int(derive_rng(seed, "sweep-source", i).integers(1 << 63))
     if kind == "cue":
-        return UnitarySource.haar_cue(2 ** n, seed=child)
-    return UnitarySource.circuit(n, seed=child)
+        return UnitarySource.haar_cue(2 ** n, seed=child), None
+    return UnitarySource.circuit(n, seed=child), None
 
 
 @pytest.mark.parametrize("source", ["gue", "cue", "circuit"])
@@ -290,9 +290,10 @@ def test_many_body_sweep_thermal_dimensions_match_dense_route(tmp_path, source):
     p_rho = dense_embed(setup, "core")
     expected = []
     for i in range(2):
-        src = _sweep_source(source, seed, i, setup)
+        src, vecs = _sweep_source(source, seed, i, setup)
         for t in (0, 1, 3):
-            geom = halmos_decompose(p_r, Projector(dense_unitary(src, t) @ p_rho.basis))
+            geom = halmos_decompose(p_r, Projector(dense_unitary(src, t, vecs)
+                                                   @ p_rho.basis))
             expected += [float(np.count_nonzero(thermal_axes(geom.cos2, lam)))
                          for lam in lambdas]
     assert [float(row["measured"]) for row in read_rows(out)] == expected
@@ -444,6 +445,103 @@ def test_a_row_and_its_verdict_fail_alike_at_the_rounding_edge(monkeypatch, caps
     rows = out.splitlines()[1:]
     assert rows and all(row.endswith(",false") for row in rows)
     assert "[sound] FAIL dim(H_th)(t) >= " in err
+
+
+IDENTITY_VERDICT = "|G2 - G4 - ||[P_R, P_rho(t)]||_F^2/(2 D_rho)| <= 0"
+SWEEP_CONFIG = {"experiment": "many-body-sweep", "seed": 1, "n": 4, "n_sigma": 2,
+                "source": "cue", "n_instances": 1, "times": [0, 1, 2]}
+
+
+def _corrupt_series(monkeypatch, j, **changes):
+    """Make many-body-sweep read series whose arrays change at time index j;
+    each change maps a series field to a function of that field's array."""
+    series_of = cli.correlator_series
+
+    def corrupted(*args):
+        series = series_of(*args)
+        fields = {}
+        for name, change in changes.items():
+            values = getattr(series, name).copy()
+            values[j] = change(series)[j]
+            fields[name] = values
+        return dataclasses.replace(series, **fields)
+
+    monkeypatch.setattr(cli, "correlator_series", corrupted)
+
+
+def _pass_cells(out):
+    return [row.rpartition(",")[2] for row in out.splitlines()[1:]]
+
+
+def test_sweep_identity_gap_fails_its_verdict_and_rows(monkeypatch, capsys):
+    # a gap of 1.5e-9 exceeds the identity's one 1e-9 rule; each of the two
+    # lambda rows of that time fails, and no other row does
+    _corrupt_series(monkeypatch, 1,
+                    commutator_norm=lambda s: s.commutator_norm + 1.5e-9)
+    assert cli.run({**SWEEP_CONFIG, "lambda_grid": [0.1, 0.5]}) == EXIT_SOUND
+    out, err = capsys.readouterr()
+    assert _pass_cells(out) == ["true", "true", "false", "false", "true", "true"]
+    assert f"[sound] FAIL {IDENTITY_VERDICT} | " in err
+    assert "[sound] PASS G4(t) <= G2(t) | " in err
+
+
+def test_sweep_nan_commutator_norm_fails_the_identity(monkeypatch, capsys):
+    _corrupt_series(monkeypatch, 2, commutator_norm=lambda s: s.commutator_norm * np.nan)
+    assert cli.run(SWEEP_CONFIG) == EXIT_SOUND
+    out, err = capsys.readouterr()
+    assert _pass_cells(out) == ["true", "true", "false"]
+    assert f"[sound] FAIL {IDENTITY_VERDICT} | lhs=nan rhs=0.0" in err
+
+
+def test_sweep_chain_violation_fails_only_its_row(monkeypatch, capsys):
+    # G4 moves 2e-6 above G2 and the commutator norm with it, so the identity
+    # still holds and the chain alone fails
+    _corrupt_series(monkeypatch, 1, g4=lambda s: s.g2 + 2e-6,
+                    commutator_norm=lambda s: s.commutator_norm - (s.g2 + 2e-6 - s.g4))
+    assert cli.run(SWEEP_CONFIG) == EXIT_SOUND
+    out, err = capsys.readouterr()
+    assert _pass_cells(out) == ["true", "false", "true"]
+    assert "[sound] FAIL G4(t) <= G2(t) | " in err
+    assert f"[sound] PASS {IDENTITY_VERDICT} | " in err
+
+
+def test_sizing_row_too_small_a_core_fails_its_cell_and_the_rounding(monkeypatch, capsys):
+    # one grid point sized one core qubit short: 2^11 < D_sigma_min = 2315
+    sizing_of = cli.core_sizing
+
+    def short(lam_rel, f_target, d_s):
+        sizing = sizing_of(lam_rel, f_target, d_s)
+        if (lam_rel, f_target) == (0.2, 0.9):
+            sizing = dataclasses.replace(sizing, n_sigma=sizing.n_sigma - 1)
+        return sizing
+
+    monkeypatch.setattr(cli, "core_sizing", short)
+    assert cli.run({"experiment": "sizing-table"}) == EXIT_SOUND
+    out, err = capsys.readouterr()
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    failed = [(row[9], row[5], row[4]) for row in rows if row[-1] == "false"]
+    assert failed == [("0.2", "0.9", "11")]
+    assert sum(row[-1] == "true" for row in rows) == len(rows) - 1
+    assert "[sound] FAIL 2^N_sigma >= D_sigma_min | lhs=2315.0 rhs=2048.0" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_predictor_demo_lambda_rows_have_an_empty_pass_cell(capsys, fmt):
+    # a lambda row carries the time-interval bound, which no check decides
+    code = cli.run({"experiment": "predictor-demo", "n": 4, "n_sigma": 2,
+                    "n_instances": 1, "n_windows": 2, "lambda_grid": [0.2, 0.5],
+                    "format": fmt})
+    assert code == EXIT_PASS
+    out = capsys.readouterr().out
+    if fmt == "csv":
+        cells = [(row.split(",")[9], row.rpartition(",")[2])
+                 for row in out.splitlines()[1:]]
+    else:
+        cells = [("" if row["lambda"] is None else str(row["lambda"]), row["pass"])
+                 for row in json.loads(out)["rows"]]
+    empty = "" if fmt == "csv" else None
+    ok = "true" if fmt == "csv" else True
+    assert cells == [("", ok), ("", ok), ("0.2", empty), ("0.5", empty)]
 
 
 @pytest.mark.parametrize("grid, message", [

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _dense import dense_embed, dense_matrix, dense_unitary, gue_hamiltonian
+from _dense import (
+    dense_embed,
+    dense_matrix,
+    dense_unitary,
+    gue_hamiltonian,
+    hamiltonian_source,
+)
 from otoc_thermalize import hilbert
 from otoc_thermalize.hilbert import (
     InvariantError,
@@ -491,32 +497,32 @@ def test_contract_isometry_rejects_a_block_of_the_wrong_height():
 
 class TestEvolve:
     def test_identity_at_time_zero(self):
-        src = UnitarySource.hamiltonian(gue_hamiltonian(8, seed=0))
-        np.testing.assert_allclose(dense_unitary(src, 0.0), np.eye(8), atol=1e-14)
+        src, vecs = hamiltonian_source(gue_hamiltonian(8, seed=0))
+        np.testing.assert_allclose(dense_unitary(src, 0.0, vecs), np.eye(8), atol=1e-14)
 
     def test_diagonal_hamiltonian_phase(self):
-        src = UnitarySource.hamiltonian(np.diag([0.0, 1.0]))
-        u = dense_unitary(src, np.pi)
+        src, vecs = hamiltonian_source(np.diag([0.0, 1.0]))
+        u = dense_unitary(src, np.pi, vecs)
         np.testing.assert_allclose(u, np.diag([1.0, -1.0]), atol=1e-12)
 
     def test_group_law_on_random_time_pairs(self):
-        src = UnitarySource.hamiltonian(gue_hamiltonian(12, seed=21))
+        src, vecs = hamiltonian_source(gue_hamiltonian(12, seed=21))
         rng = np.random.default_rng(0)
         for t1, t2 in rng.uniform(-5, 5, size=(10, 2)):
-            lhs = dense_unitary(src, t1) @ dense_unitary(src, t2)
-            rhs = dense_unitary(src, t1 + t2)
+            lhs = dense_unitary(src, t1, vecs) @ dense_unitary(src, t2, vecs)
+            rhs = dense_unitary(src, t1 + t2, vecs)
             assert np.linalg.norm(lhs - rhs) <= UNITARITY_TOL * 12
 
     def test_rejects_non_hermitian_hamiltonian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            UnitarySource.hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            hamiltonian_source(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_a_nan_hamiltonian(self):
         # eigh reads one triangle only, so the NaN must fail the hermiticity check
         h = np.eye(4)
         h[1, 2] = np.nan
         with pytest.raises(ValueError, match="Hermitian"):
-            UnitarySource.hamiltonian(h)
+            hamiltonian_source(h)
 
     def test_ensemble_sources_need_integer_times(self):
         src = UnitarySource.haar_cue(4, seed=0)
@@ -572,7 +578,6 @@ class TestEvolve:
             assert np.array_equal(k, k_before)
 
     @pytest.mark.parametrize("source", [
-        UnitarySource.hamiltonian(gue_hamiltonian(16, seed=2)),
         UnitarySource.gue(16, np.random.default_rng(2), columns=8),
     ], ids=lambda s: s.kind)
     def test_hamiltonian_sources_are_not_evolved_in_the_register(self, source):

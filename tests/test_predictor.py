@@ -10,6 +10,7 @@ import pytest
 from _dense import (
     dense_unitary,
     gue_hamiltonian,
+    hamiltonian_source,
     to_eigenbasis,
     two_point_operators,
 )
@@ -309,9 +310,9 @@ def test_two_point_specialization_norms_and_identity():
         (setup.d_s - 1) / setup.d_s ** 2, abs=1e-12)
     assert np.vdot(b2, b2).real / d == pytest.approx(setup.d_sigma - 1.0, abs=1e-12)
 
-    source = UnitarySource.hamiltonian(gue_hamiltonian(d, seed=5))
+    source, vecs = hamiltonian_source(gue_hamiltonian(d, seed=5), setup)
     for t in (0.0, 0.7, -1.3):
-        u = dense_unitary(source, t)
+        u = dense_unitary(source, t, vecs)
         cross = np.vdot(b2, u @ a2 @ u.conj().T) / d
         series = correlator_series(setup, source, [-t])
         assert cross.real == pytest.approx(

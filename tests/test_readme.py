@@ -1,5 +1,6 @@
 """The README's examples run, and print what the README says they print."""
 
+import ast
 import contextlib
 import io
 import re
@@ -7,7 +8,8 @@ from pathlib import Path
 
 from otoc_thermalize import cli
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 # a number or boolean not glued to a name, so "G2" and "sigma2" are skipped
 VALUE = re.compile(r"(?<![\w.])(\d+(?:\.\d+)?|True|False)\b")
@@ -66,3 +68,44 @@ def test_sweep_session_prints_the_rows_and_verdicts_shown(tmp_path, capsys):
             assert any(line.startswith(prefix) for line in lines), shown_line
         else:
             assert shown_line in lines
+
+
+def _invariant_error_sites():
+    """(names, raising): the functions and methods in ``src/``, each by its
+    qualified name and by that name after its module's, mapped to the
+    qualified name, and the qualified names of those that ``raise
+    InvariantError``."""
+    names, raising = {}, set()
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.FunctionDef):
+                qual = prefix + child.name
+                names[qual] = names[f"{module}.{qual}"] = qual
+                for raised in ast.walk(child):
+                    exc = getattr(raised, "exc", None) if isinstance(raised, ast.Raise) else None
+                    if isinstance(exc, ast.Call):
+                        exc = exc.func
+                    if isinstance(exc, ast.Name) and exc.id == "InvariantError":
+                        raising.add(qual)
+
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return names, raising
+
+
+def test_invariant_error_sites_are_the_readme_list():
+    # the bullets after "checks its own math:" name, before their colon,
+    # every function that raises InvariantError, and only functions that exist
+    rest = README[README.index("checks its own math:\n\n"):].split("\n\n")[1]
+    bullets = [line[2:] for line in rest.splitlines() if line.startswith("* ")]
+    named = [name for bullet in bullets
+             for name in re.findall(r"`([\w.]+)`", bullet.partition(": ")[0])]
+    names, raising = _invariant_error_sites()
+    assert raising, "no raise InvariantError found in src/"
+    missing = sorted(name for name in named if name not in names)
+    assert not missing, f"README names functions that are not in src/: {missing}"
+    unlisted = sorted(raising - {names[name] for name in named})
+    assert not unlisted, f"README does not list these InvariantError sites: {unlisted}"
