@@ -482,13 +482,18 @@ def _run_predictor_demo(cfg: ExperimentConfig):
                 cfg.experiment, cfg.seed, n, n_s, n_sigma,
                 t=t0 + k * t_obs, bound=rhs, measured=lhs,
                 ok=theorem.update(lhs, rhs)))
+    vacuous = []
     for lam in lambdas:
-        value, _vacuous = time_interval_bound(
+        value, clamped = time_interval_bound(
             epsilon, kappa_rr, xi, t_obs, t_horizon, d_s, d_sigma, lam)
+        if clamped:
+            vacuous.append(repr(lam))
         # a bound to read, with no checked inequality: the pass cell is empty
         rows.append(_row(cfg.experiment, cfg.seed, n, n_s, n_sigma,
                          lam=lam, bound=value, ok=None))
-    return rows, [theorem.verdict, synopsis.verdict, positive.verdict]
+    note = (f"time-interval bound vacuous (clamped to 1) at lambda = "
+            f"{', '.join(vacuous)}" if vacuous else None)
+    return rows, [theorem.verdict, synopsis.verdict, positive.verdict], note
 
 
 def _run_sizing_table(cfg: ExperimentConfig):

@@ -20,9 +20,13 @@ thin frame alone. The spectrum is that of a real tridiagonal
 matrix, found from its diagonal and off-diagonal by LAPACK ``dsterf`` in
 numpy's own bundled OpenBLAS, reached through ctypes (``_openblas``); where
 that library is not found, the dense ``eigvalsh`` of the same matrix stands
-in, with the same eigenvalues. ``_one_blas_thread`` pins that OpenBLAS to one
-thread through the same handle, so that the command line's output depends
-on its config and seed alone.
+in, with the same eigenvalues. A single Haar draw is factored where it is
+drawn, by LAPACK ``zgeqrf`` and ``zungqr`` through the same handle
+(``_qr_in_place``), so it holds one D x m array, column-major; a stack of
+draws, and every draw where the library is not found, goes through
+``np.linalg.qr``, bit for bit the same. ``_one_blas_thread`` pins that
+OpenBLAS to one thread through the same handle, so that the command line's
+output depends on its config and seed alone.
 """
 
 from __future__ import annotations
@@ -100,9 +104,18 @@ def sample_haar_unitary(dim: int, seed=None, rng=None,
     generator would give in full, to roundoff (the thin and the full QR may
     round differently); with ``m = dim`` it is the full draw.
 
+    A single draw is factored in place: the swapped complex view of the
+    normal draw is already the column-major D x m matrix that LAPACK takes,
+    so ``_qr_in_place`` overwrites it with Q and the result is that
+    column-major buffer, the one D x m array the draw holds. Where
+    ``_openblas`` finds no library, ``np.linalg.qr`` gives the same bits in a
+    row-major array, through about three more D x m copies.
+
     With ``count = k`` the k draws come from one ``k x m x 2D`` normal draw
-    and one stacked QR. The stack equals k consecutive single draws from the
-    same generator, bit for bit, and leaves the generator in the same state.
+    and one stacked ``np.linalg.qr`` (a ctypes call per slice would drop and
+    retake the GIL k times). The stack equals k consecutive single draws
+    from the same generator, bit for bit, and leaves the generator in the
+    same state.
 
     Parameters
     ----------
@@ -119,7 +132,8 @@ def sample_haar_unitary(dim: int, seed=None, rng=None,
     -------
     numpy.ndarray
         D x m complex isometry, ``U^dag U = 1`` to ``1e-10 * D``, or a
-        k x D x m stack of them.
+        k x D x m stack of them. Its layout follows the route, so a sum
+        whose order depends on layout reads a C-ordered copy.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
@@ -130,9 +144,14 @@ def sample_haar_unitary(dim: int, seed=None, rng=None,
         raise ValueError(f"count must be a nonnegative integer, got {count!r}")
     rng = _resolve_rng(seed, rng)
     shape = (m, 2 * dim) if count is None else (count, m, 2 * dim)
-    a = rng.standard_normal(shape).view(complex).swapaxes(-1, -2) / math.sqrt(2.0)
-    q, r = np.linalg.qr(a)
-    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    a = rng.standard_normal(shape).view(complex).swapaxes(-1, -2)
+    blas = _openblas() if count is None else None
+    if blas is None:
+        q, r = np.linalg.qr(a / math.sqrt(2.0))
+        diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    else:
+        a /= math.sqrt(2.0)  # complex division, rounded as a / sqrt(2) is
+        q, diag = a, _qr_in_place(blas, a)
     # map zero pivots (probability zero, but finite-precision safe) to phase 1
     diag[diag == 0] = 1.0
     q *= (diag / np.abs(diag))[..., None, :]
@@ -144,11 +163,19 @@ class _OpenBLAS:
 
     def __init__(self, lib):
         self.dsterf = lib.scipy_dsterf_64_
+        self.zgeqrf = lib.scipy_zgeqrf_64_
+        self.zungqr = lib.scipy_zungqr_64_
         self.get_num_threads = lib.scipy_openblas_get_num_threads64_
         self.set_num_threads = lib.scipy_openblas_set_num_threads64_
         int64_p, double_p = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+        void_p = ctypes.c_void_p
         self.dsterf.argtypes = [int64_p, double_p, double_p, int64_p]
-        self.dsterf.restype = None
+        # (M, N, A, LDA, TAU, WORK, LWORK, INFO) and (M, N, K, A, ...)
+        self.zgeqrf.argtypes = [int64_p, int64_p, void_p, int64_p, void_p, void_p,
+                                int64_p, int64_p]
+        self.zungqr.argtypes = [int64_p] + self.zgeqrf.argtypes
+        for routine in (self.dsterf, self.zgeqrf, self.zungqr):
+            routine.restype = None
         self.get_num_threads.argtypes = []
         self.get_num_threads.restype = ctypes.c_int
         self.set_num_threads.argtypes = [ctypes.c_int]
@@ -178,6 +205,63 @@ def _openblas() -> Optional[_OpenBLAS]:
         if b"USE64BITINT" in (config() or b"").split():
             return blas
     return None
+
+
+def _lapack_qr(blas, name: str, dim: int, m: int, a: np.ndarray, tau: np.ndarray,
+               work: np.ndarray, lwork: int) -> None:
+    """Call ``zgeqrf`` or ``zungqr`` (``name``) on the column-major D x m ``a``.
+
+    ``zungqr`` takes K = m reflectors; ``lwork = -1`` asks for the optimal
+    workspace size in ``work[0]`` and reads no entry of ``a``. A nonzero
+    ``info`` (an illegal argument; neither routine fails on finite input)
+    is an InvariantError.
+    """
+    info = ctypes.c_int64(0)
+    sizes = (dim, m, m) if name == "zungqr" else (dim, m)
+    getattr(blas, name)(*(ctypes.byref(ctypes.c_int64(n)) for n in sizes),
+                        a.ctypes.data, ctypes.byref(ctypes.c_int64(dim)),
+                        tau.ctypes.data, work.ctypes.data,
+                        ctypes.byref(ctypes.c_int64(lwork)), ctypes.byref(info))
+    if info.value != 0:
+        raise InvariantError(f"{name} failed on a {dim} x {m} matrix: info {info.value}")
+
+
+@functools.lru_cache(maxsize=None)
+def _qr_work_size(dim: int, m: int) -> int:
+    """The workspace size of a D x m ``_qr_in_place``, from one query per shape.
+
+    numpy's ``qr`` gives each routine max(1, m, its optimum), and both
+    routines choose their blocking by whether the workspace reaches that
+    optimum, so one buffer of the larger size takes numpy's path in both.
+    """
+    blas, query = _openblas(), np.zeros(1, dtype=complex)
+    sizes = [1, m]
+    for name in ("zgeqrf", "zungqr"):
+        _lapack_qr(blas, name, dim, m, query, query, query, -1)
+        sizes.append(int(query[0].real))
+    return max(sizes)
+
+
+def _qr_in_place(blas, a: np.ndarray) -> np.ndarray:
+    """Overwrite the column-major D x m matrix ``a`` (m <= D) with the Q of its
+    QR decomposition; return the diagonal of R.
+
+    LAPACK ``zgeqrf`` leaves R and the Householder reflectors in ``a``, and
+    ``zungqr`` turns the reflectors into Q in the same buffer: the same two
+    routines, on the same workspace path, as ``np.linalg.qr``, so Q and R
+    agree with it bit for bit, with no D x m array but ``a``.
+    """
+    if not (a.ndim == 2 and a.dtype == complex and a.flags.f_contiguous
+            and 1 <= a.shape[1] <= a.shape[0]):
+        raise ValueError(f"need a column-major complex D x m array with 1 <= m <= D, "
+                         f"got {a.dtype} of shape {a.shape}")
+    dim, m = a.shape
+    tau = np.empty(m, dtype=complex)
+    work = np.empty(_qr_work_size(dim, m), dtype=complex)
+    _lapack_qr(blas, "zgeqrf", dim, m, a, tau, work, len(work))
+    diag = np.diagonal(a).copy()
+    _lapack_qr(blas, "zungqr", dim, m, a, tau, work, len(work))
+    return diag
 
 
 @contextlib.contextmanager

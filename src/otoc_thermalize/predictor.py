@@ -362,7 +362,8 @@ def fourth_order_negative_demo(d: int, d_s: int, d_sigma: int,
     for i in range(n_samples):
         u = sample_haar_unitary(d, rng=derive_rng(seed, "negative-demo", i),
                                 columns=d_rho)
-        c = u[:d_rho]
+        # a C-ordered corner: the order of the sum follows the layout
+        c = np.ascontiguousarray(u[:d_rho])
         g = np.sum(np.abs(c) ** 2) / d_rho
         dev[i] = g * g - 1.0 / d_sigma ** 2
     measured = float(np.sqrt(np.mean(dev ** 2)))

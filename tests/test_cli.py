@@ -22,7 +22,7 @@ from _dense import (
     predictor_demo_rows,
     recording_eigh,
 )
-from otoc_thermalize import cli, dynamics, hilbert, thermalization
+from otoc_thermalize import cli, dynamics, hilbert, predictor, thermalization
 from otoc_thermalize.geometry import halmos_decompose
 from otoc_thermalize.hilbert import (
     InvariantError,
@@ -544,6 +544,21 @@ def test_predictor_demo_lambda_rows_have_an_empty_pass_cell(capsys, fmt):
     assert cells == [("", ok), ("", ok), ("0.2", empty), ("0.5", empty)]
 
 
+def test_predictor_demo_names_the_lambdas_whose_bound_is_vacuous(capsys):
+    # at the defaults the raw bound is about 0.18/lambda^2, over 1 at both
+    code = cli.run({"experiment": "predictor-demo", "lambda_grid": [0.05, 0.2]})
+    out, err = capsys.readouterr()
+    assert code == EXIT_PASS
+    bounds = [row.split(",")[10] for row in out.splitlines()[1:]
+              if row.split(",")[9]]
+    assert bounds == ["1.0", "1.0"]
+    assert err.splitlines()[-1] == ("predictor-demo: time-interval bound vacuous "
+                                    "(clamped to 1) at lambda = 0.05, 0.2")
+    assert cli.run({"experiment": "predictor-demo", "n": 4, "n_instances": 1,
+                    "lambda_grid": [2.0]}) == EXIT_PASS
+    assert "vacuous" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid, message", [
     ("f_grid = 0, 0.5", "f_target"),
     ("lambda_rel_grid = -1", "lambda_rel"),
@@ -794,6 +809,53 @@ def test_run_pins_one_blas_thread_and_restores_the_callers_count(
     capsys.readouterr()
     assert seen == [1]
     assert after == 2
+
+
+CROSS_ROUTE_CONFIGS = [
+    {"experiment": "verify-theorem", "n": 6, "n_sigma": 3, "n_instances": 3,
+     "n_bases": 2, "lambda_grid": [0.1, 0.5]},
+    {"experiment": "haar-typicality", "n": 6, "n_sigma": 2, "n_samples": 20},
+    *({"experiment": "many-body-sweep", "source": source, "n": 6, "n_sigma": 3,
+       "n_instances": 2, "times": [0, 1, 3], "lambda_grid": [0.1, 0.5]}
+      for source in ("gue", "cue", "circuit")),
+    {"experiment": "predictor-demo", "n": 6, "n_sigma": 3, "n_instances": 2,
+     "n_windows": 3, "lambda_grid": [0.05, 0.5]},
+    {"experiment": "sizing-table"},
+    {"experiment": "negative-demo", "n": 6, "n_sigma": 2, "n_samples": 20},
+]
+
+
+@needs_openblas
+@pytest.mark.parametrize("config", CROSS_ROUTE_CONFIGS,
+                         ids=lambda c: c.get("source", c["experiment"]))
+def test_in_place_and_numpy_qr_draws_give_byte_identical_runs(monkeypatch, config):
+    # a single draw is factored in place, column-major; a one-draw stack takes
+    # np.linalg.qr, row-major. BLAS stays pinned, so only the QR route differs
+    def runs():
+        outputs = []
+        for seed in (1, 2, 3):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run({**config, "seed": seed})
+            outputs.append((code, out.getvalue(), err.getvalue()))
+        return outputs
+
+    in_place_calls = []
+    qr_in_place = hilbert._qr_in_place
+    with monkeypatch.context() as patch:
+        patch.setattr(hilbert, "_qr_in_place", lambda blas, a: (
+            in_place_calls.append(a.shape) or qr_in_place(blas, a)))
+        in_place = runs()
+    sample = hilbert.sample_haar_unitary
+
+    def numpy_qr_draw(dim, count=None, **kw):
+        return sample(dim, count=1, **kw)[0] if count is None else sample(dim, count=count, **kw)
+
+    for module in (hilbert, cli, dynamics, predictor, thermalization):
+        if hasattr(module, "sample_haar_unitary"):
+            monkeypatch.setattr(module, "sample_haar_unitary", numpy_qr_draw)
+    assert runs() == in_place
+    assert bool(in_place_calls) == (config["experiment"] != "sizing-table")
 
 
 @pytest.mark.parametrize("n, n_s, n_sigma", [(5, 1, 2), (6, 2, 3), (7, 1, 4)])

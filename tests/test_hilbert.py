@@ -87,6 +87,8 @@ def test_sampler_unitary_any_dim(dim, seed):
 @pytest.mark.parametrize("dim", [1, 2, 8, 32])
 @pytest.mark.parametrize("columns", [None, "half"])
 def test_sampler_stack_equals_consecutive_draws(dim, columns):
+    # a stack takes np.linalg.qr and a single draw LAPACK in place, where
+    # numpy's OpenBLAS is found: this compares the two routes
     m = None if columns is None else max(1, dim // 2)
     rng_stack, rng_seq = np.random.default_rng(dim), np.random.default_rng(dim)
     stack = sample_haar_unitary(dim, rng=rng_stack, columns=m, count=9)
@@ -216,9 +218,34 @@ def test_gue_spectrum_forms_no_dim_squared_array():
     assert peak < 1024 * 1024 * 8
 
 
+@needs_openblas
+@pytest.mark.parametrize("dim, m", [(1, 1), (2, 1), (8, 8), (256, 16), (1024, 512)])
+def test_in_place_draw_equals_the_numpy_qr_draw(monkeypatch, dim, m):
+    for seed in range(3):
+        fast = sample_haar_unitary(dim, seed=seed, columns=m)
+        with monkeypatch.context() as patch:
+            patch.setattr(hilbert, "_openblas", lambda: None)
+            dense = sample_haar_unitary(dim, seed=seed, columns=m)
+        assert fast.flags.f_contiguous and dense.flags.c_contiguous
+        assert np.array_equal(fast, dense)
+
+
+@needs_openblas
+def test_in_place_draw_holds_one_copy_of_its_result():
+    # the 1024 x 512 complex result is 8 MiB; LAPACK factors it where it was drawn
+    tracemalloc.start()
+    try:
+        sample_haar_unitary(1024, seed=0, columns=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 1024 * 512 * 16
+
+
 def _fake_library(config=b"OpenBLAS 0.3 USE64BITINT DYNAMIC_ARCH", drop=None):
-    names = ("scipy_openblas_get_config64_", "scipy_dsterf_64_",
-             "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+    names = ("scipy_openblas_get_config64_", "scipy_dsterf_64_", "scipy_zgeqrf_64_",
+             "scipy_zungqr_64_", "scipy_openblas_get_num_threads64_",
+             "scipy_openblas_set_num_threads64_")
     return types.SimpleNamespace(**{name: lambda *args: config
                                     for name in names if name != drop})
 
@@ -227,7 +254,9 @@ def _fake_library(config=b"OpenBLAS 0.3 USE64BITINT DYNAMIC_ARCH", drop=None):
     ([], None),
     (["libscipy_openblas64_-lp64.so"], _fake_library(b"OpenBLAS 0.3 DYNAMIC_ARCH")),
     (["libscipy_openblas64_-old.so"], _fake_library(drop="scipy_dsterf_64_")),
-], ids=["no-library", "lp64-build", "missing-symbol"])
+    (["libscipy_openblas64_-old.so"], _fake_library(drop="scipy_zgeqrf_64_")),
+    (["libscipy_openblas64_-old.so"], _fake_library(drop="scipy_zungqr_64_")),
+], ids=["no-library", "lp64-build", "missing-symbol", "missing-zgeqrf", "missing-zungqr"])
 def test_openblas_is_found_only_as_the_known_ilp64_build(monkeypatch, paths, lib):
     monkeypatch.setattr(hilbert.glob, "glob", lambda pattern: paths)
     monkeypatch.setattr(hilbert.ctypes, "CDLL", lambda path: lib)
@@ -254,6 +283,28 @@ def test_dsterf_failure_is_an_invariant_error(monkeypatch):
                         lambda: types.SimpleNamespace(dsterf=failing))
     with pytest.raises(InvariantError, match="dsterf .* info 7"):
         sample_gue_eigensystem(3, np.random.default_rng(0))
+
+
+@needs_openblas
+@pytest.mark.parametrize("a", [np.zeros((8, 3), dtype=complex),
+                               np.zeros((3, 8), dtype=complex, order="F"),
+                               np.zeros((8, 3), order="F"),
+                               np.zeros((8, 0), dtype=complex, order="F")],
+                         ids=["row-major", "wide", "real", "no-columns"])
+def test_in_place_qr_takes_only_a_column_major_complex_tall_matrix(a):
+    with pytest.raises(ValueError, match="column-major complex D x m"):
+        hilbert._qr_in_place(hilbert._openblas(), a)
+
+
+def test_zgeqrf_failure_is_an_invariant_error(monkeypatch):
+    @ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 7, ctypes.POINTER(ctypes.c_int64))
+    def failing(m, n, a, lda, tau, work, lwork, info):
+        info[0] = -4
+
+    monkeypatch.setattr(hilbert, "_openblas",
+                        lambda: types.SimpleNamespace(zgeqrf=failing))
+    with pytest.raises(InvariantError, match="zgeqrf failed on a 8 x 3 matrix: info -4"):
+        sample_haar_unitary(8, seed=0, columns=3)
 
 
 def test_dense_fallback_failure_is_the_same_invariant_error(monkeypatch):
