@@ -48,8 +48,7 @@ from .predictor import (
     synopsis_bound,
     theorem_bound,
     time_interval_bound,
-    weighted_autocorrelator,
-    weighted_correlator,
+    window_averages,
 )
 from .thermalization import (
     Check,
@@ -440,7 +439,8 @@ def _run_predictor_demo(cfg: ExperimentConfig):
         raise ConfigError("lambda_grid values must be positive")
     setup = _product_setup(n, n_s, n_sigma)
     d, d_s, d_sigma = setup.dim, setup.d_s, setup.d_sigma
-    # A2 = P_R - 1/D_S and B2 = D_sigma P_rho - 1 are never formed
+    # A2 = P_R - 1/D_S and B2 = D_sigma P_rho - 1 are read off the eigenframe
+    # a block of rows at a time (window_averages); their norms are closed forms
     norm_a = (1.0 / d_s) * (1.0 - 1.0 / d_s)
     norm_b = d_sigma - 1.0
     # the windows share one length and differ only in their start, so each
@@ -453,14 +453,11 @@ def _run_predictor_demo(cfg: ExperimentConfig):
                                    columns=setup.d_r)
         # V^dag P_R V = W W^dag and V^dag P_rho V = Y Y^dag in the eigenframe
         evals, w, y = _eigenframe(setup, source)
-        a_eig = w @ w.conj().T - np.eye(d) / d_s
-        b_eig = d_sigma * (y @ y.conj().T) - np.eye(d)
         # a finite window time can still overflow a phase E*t; that is a
         # config out of numeric range, not a NaN row
         with np.errstate(over="raise"):
-            auto = weighted_autocorrelator(evals, a_eig, pair.w_plus)
-            lhs = np.abs(weighted_correlator(evals, a_eig, b_eig, pair.w, shifts))
-        return auto, lhs.tolist()
+            auto, cross = window_averages(evals, w, y, d_s, d_sigma, pair, shifts)
+        return auto, np.abs(cross).tolist()
 
     results = _map_instances(one_instance, n_instances)
     theorem = _Worst("|avg_w <B2,U_t(A2)>| <= "

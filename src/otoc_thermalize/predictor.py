@@ -12,9 +12,11 @@ Cauchy-Schwarz bound on an explicit time grid is provided instead.
 
 Windows that differ only by a start shift s share one Bohr sum: moving a
 window multiplies its transform by exp(-i omega s), which splits over the
-eigenvalues as exp(-i E_n s) exp(+i E_m s). ``weighted_correlator`` forms
-the D x D grid conj(B) A w~(omega) once and reads each shift off it with
-one D-vector matvec; a single window is the shift-0 case.
+eigenvalues as exp(-i E_n s) exp(+i E_m s). ``window_averages`` reads the
+two-point operators A = P_R - 1/D_S and B = D_sigma P_rho - 1 off the
+eigenframe bases in blocks of rows, on and above the diagonal, and
+accumulates every shifted window from each block, so no D x D array is
+formed.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ NEGATIVE_CLAMP = 1e-12
 
 #: Tolerated negative eigenvalue (relative to the largest) of a Gram kernel.
 KERNEL_TOL = 1e-9
+
+#: Eigenframe rows per block of ``window_averages``, and windows per GEMM.
+BLOCK = 64
 
 
 def _sinc(x):
@@ -166,43 +171,62 @@ def canonical_window_pair(t0: float, t_horizon: float, t_obs: float,
     )
 
 
-def weighted_correlator(evals: np.ndarray, a_eig: np.ndarray,
-                        b_eig: np.ndarray, w: WeightingFunction,
-                        shifts=0.0):
-    """Exact window average of <B, U_t(A)> for autonomous dynamics.
+def window_averages(evals: np.ndarray, w: np.ndarray, y: np.ndarray,
+                    d_s: int, d_sigma: int, pair: WindowPair, shifts):
+    """Window averages of the two-point operators, from the eigenframe.
 
-    A and B are supplied in the Hamiltonian eigenbasis; the time integral
-    becomes a sum over Bohr frequencies omega_nm = E_n - E_m:
-    integral w(t) <B, U_t(A)> dt = (1/D) sum_nm conj(B_nm) A_nm w~(omega_nm).
+    With the spectrum E and the eigenframe bases W (D x D_R) and Y
+    (D x D_eta), the operators A = W W^dag - 1/D_S and B = D_sigma Y Y^dag - 1
+    are Hermitian matrices in the Hamiltonian eigenbasis, and each time
+    average is a sum over Bohr frequencies omega_nm = E_n - E_m. Returns
+    ``(auto, cross)``:
 
-    ``shifts`` moves the window to w(t - s). Its transform gains the phase
-    exp(-i omega_nm s) = p_n conj(p_m) with p = exp(-iEs), so the D x D
-    grid x = conj(B) A w~(omega) is formed once and each shift costs the
-    matvec p^T x conj(p); memory stays O(D^2) for any number of shifts. A
-    scalar shift returns a complex number, a sequence an array of them.
+    - auto = (1/D) sum_nm |A_nm|^2 sinc^2(omega t_obs/2), the tent-window
+      average of <A, U_t(A)>: a sum of nonnegative terms;
+    - cross[k] = (1/D) sum_nm conj(B_nm) A_nm w~(omega) exp(-i omega s_k),
+      the average of <B, U_t(A)> over the box window moved by s_k.
+
+    The box transform is exp(-i omega (t0 + T/2)) sinc(omega T/2); its phase
+    and the shift's split over the eigenvalues as q_n conj(q_m) with
+    q = exp(-i E (s_k + t0 + T/2)), so each window is the quadratic form
+    q^T x conj(q) of the real-kernel grid x = conj(B) A sinc(omega T/2). Both
+    grids are Hermitian, so both sums are real: only blocks on and above the
+    diagonal are formed, each term above it counting twice. Rows go in
+    blocks of ``BLOCK`` and windows in chunks of ``BLOCK`` (one GEMM of the
+    block against the chunk's phases), so no D x D array is formed and
+    memory does not grow with the number of windows.
     """
+    box, tent = pair.w, pair.w_plus
+    if box.kind != "box" or tent.kind != "tent":
+        raise ValueError("window_averages takes a box window against a tent")
     d = evals.shape[0]
-    omega = evals[:, None] - evals[None, :]
-    x = b_eig.conj() * a_eig * w.fourier(omega)
-    values = np.empty(np.size(shifts), dtype=complex)
-    for k, s in enumerate(np.ravel(shifts)):
-        p = np.exp(-1j * s * evals)
-        values[k] = p @ (x @ p.conj()) / d
-    return complex(values[0]) if np.ndim(shifts) == 0 else values
-
-
-def weighted_autocorrelator(evals: np.ndarray, a_eig: np.ndarray,
-                            w: WeightingFunction) -> float:
-    """Window average of the autocorrelator <A, U_t(A)>; real by symmetry.
-
-    For a completely positive window the result is a sum of nonnegative
-    terms and can only dip below zero by roundoff; the raw value is returned
-    so callers can check that property.
-    """
-    val = weighted_correlator(evals, a_eig, a_eig, w)
-    if abs(val.imag) > 1e-9:
-        raise InvariantError("autocorrelator average was not real")
-    return val.real
+    half = 0.5 * box.duration
+    centres = (box.t0 + half) + np.asarray(shifts, dtype=float)
+    auto = 0.0
+    cross = np.zeros(centres.size)
+    for lo in range(0, d, BLOCK):
+        hi = min(lo + BLOCK, d)
+        rows = np.arange(hi - lo)
+        # W[lo:hi] W[lo:]^dag as conj(conj(W[lo:hi]) W[lo:]^T): W[lo:].T is a view
+        a = w[lo:hi].conj() @ w[lo:].T
+        np.conjugate(a, out=a)
+        a[rows, rows] -= 1.0 / d_s
+        # conj(B) in the same rows and columns, which is what the sum reads
+        b_conj = y[lo:hi].conj() @ y[lo:].T
+        b_conj *= d_sigma
+        b_conj[rows, rows] -= 1.0
+        omega = evals[lo:hi, None] - evals[None, lo:]
+        # the columns right of the diagonal block stand for their mirror too
+        twice = np.ones(d - lo)
+        twice[hi - lo:] = 2.0
+        auto += np.sum((a.real ** 2 + a.imag ** 2)
+                       * (_sinc(0.5 * omega * tent.t_obs) ** 2 * twice))
+        x = b_conj * a * (_sinc(omega * half) * twice)
+        for k in range(0, centres.size, BLOCK):
+            q_conj = np.exp(1j * np.multiply.outer(evals[lo:], centres[k:k + BLOCK]))
+            z = x @ q_conj
+            cross[k:k + BLOCK] += np.sum(q_conj[:hi - lo].conj() * z, axis=0).real
+    return float(auto) / d, cross / d
 
 
 def theorem_bound(autocorr_avg_plus: float, norm_a: float, norm_b: float,

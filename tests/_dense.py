@@ -14,6 +14,10 @@ dense GUE matrix, whose ``eigh`` the library's eigen-law draw
 explicit Hermitian H into the eigenframe source the library reads, through
 its ``eigh``; ``completed_eigenbasis`` completes a GUE source's thin
 eigenframe to a full eigenbasis, so its dense H can be formed.
+``weighted_correlator`` and ``weighted_autocorrelator`` are the dense Bohr
+sums of a window average over the D x D frequency grid, for any operators
+and any window, which the blocked ``predictor.window_averages`` is held
+against.
 """
 
 import contextlib
@@ -28,6 +32,7 @@ from otoc_thermalize.geometry import (
 )
 from otoc_thermalize.hilbert import (
     DIM_CAP_DEFAULT,
+    InvariantError,
     Projector,
     UnitarySource,
     contract_isometry,
@@ -35,12 +40,7 @@ from otoc_thermalize.hilbert import (
     embed_isometry,
     evolve_basis_series,
 )
-from otoc_thermalize.predictor import (
-    canonical_window_pair,
-    theorem_bound,
-    weighted_autocorrelator,
-    weighted_correlator,
-)
+from otoc_thermalize.predictor import canonical_window_pair, theorem_bound
 
 
 def gue_hamiltonian(dim, seed=None, rng=None):
@@ -180,6 +180,28 @@ def two_point_operators(setup):
 def to_eigenbasis(vecs, a):
     """Matrix elements V^dag A V of A in the eigenbasis given by the columns of V."""
     return vecs.conj().T @ a @ vecs
+
+
+def weighted_correlator(evals, a_eig, b_eig, w):
+    """Window average of <B, U_t(A)> as the dense Bohr sum over D x D grids.
+
+    (1/D) sum_nm conj(B_nm) A_nm w~(E_n - E_m), for any A and B given in the
+    Hamiltonian eigenbasis and any window.
+    """
+    omega = evals[:, None] - evals[None, :]
+    return complex(np.sum(b_eig.conj() * a_eig * w.fourier(omega)) / evals.size)
+
+
+def weighted_autocorrelator(evals, a_eig, w):
+    """Window average of the autocorrelator <A, U_t(A)>.
+
+    Real for Hermitian A, since a real window has w~(-E) = conj(w~(E)); the
+    oracle takes any A, so a non-Hermitian one can make it complex.
+    """
+    val = weighted_correlator(evals, a_eig, a_eig, w)
+    if abs(val.imag) > 1e-9:
+        raise InvariantError("autocorrelator average was not real")
+    return val.real
 
 
 def predictor_demo_rows(setup, seed, n_instances, n_windows, t0, t_horizon,

@@ -18,6 +18,8 @@ from _dense import (
     swap_representation_check,
     to_eigenbasis,
     two_point_operators,
+    weighted_autocorrelator,
+    weighted_correlator,
 )
 from otoc_thermalize.dynamics import correlator_series, typicality_experiment
 from otoc_thermalize.geometry import (
@@ -39,8 +41,6 @@ from otoc_thermalize.predictor import (
     fourth_order_negative_demo,
     synopsis_bound,
     theorem_bound,
-    weighted_autocorrelator,
-    weighted_correlator,
 )
 from otoc_thermalize.thermalization import (
     core_sizing,

@@ -1,25 +1,29 @@
 """Tests for window transforms, auto-to-cross correlator bounds, and the
 fourth-order obstruction demo."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import _dense
 from _dense import (
     dense_unitary,
     gue_hamiltonian,
     hamiltonian_source,
     to_eigenbasis,
     two_point_operators,
+    weighted_autocorrelator,
+    weighted_correlator,
 )
-from otoc_thermalize import predictor
 from otoc_thermalize.hilbert import (
     InvariantError,
     ManyBodySetup,
     UnitarySource,
     derive_rng,
+    sample_gue_eigensystem,
     sample_haar_unitary,
 )
 from otoc_thermalize.dynamics import correlator_series
@@ -32,8 +36,7 @@ from otoc_thermalize.predictor import (
     synopsis_bound,
     theorem_bound,
     time_interval_bound,
-    weighted_autocorrelator,
-    weighted_correlator,
+    window_averages,
 )
 
 BOUND_SLACK = 1e-9
@@ -154,68 +157,103 @@ def test_canonical_pair_validation():
 # Bohr-frequency evaluation of window averages.
 # ---------------------------------------------------------------------------
 
+def _two_point_frame(n, n_s, n_sigma, seed):
+    """(E, W, Y, D_S, D_sigma) of a GUE instance with a random core frame.
+
+    W is the GUE eigenframe of a D/D_S-dimensional observable and Y a Haar
+    D x D/D_sigma core basis. With D_sigma = 1 the core is the whole space
+    and B = Y Y^dag - 1 vanishes; Y is then a permutation, whose Gram is
+    exactly 1, so both routes sum exact zeros rather than roundoff.
+    """
+    d, d_s, d_sigma = 2 ** n, 2 ** n_s, 2 ** n_sigma
+    rng = derive_rng(seed, "two-point-frame", n, n_s, n_sigma)
+    evals, w = sample_gue_eigensystem(d, rng, columns=d // d_s)
+    if d_sigma == 1:
+        y = np.eye(d)[rng.permutation(d)].astype(complex)
+    else:
+        y = sample_haar_unitary(d, rng=rng, columns=d // d_sigma)
+    return evals, w, y, d_s, d_sigma
+
+
+def _dense_two_point(w, y, d_s, d_sigma):
+    """A = W W^dag - 1/D_S and B = D_sigma Y Y^dag - 1 as dense D x D arrays."""
+    eye = np.eye(w.shape[0])
+    return w @ w.conj().T - eye / d_s, d_sigma * (y @ y.conj().T) - eye
+
+
 def test_weighted_correlator_matches_time_quadrature():
-    rng = derive_rng(31, "bohr-quadrature")
-    h = gue_hamiltonian(8, rng=rng)
-    a = _random_hermitian(8, rng)
-    b = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    evals, vecs = np.linalg.eigh(h)
-    a_eig = to_eigenbasis(vecs, a)
-    b_eig = to_eigenbasis(vecs, b)
-    w = WeightingFunction.box(0.0, 6.0)
-    grid = np.linspace(0.0, 6.0, 6001)
-    samples = np.empty(grid.size, dtype=complex)
-    for i, t in enumerate(grid):
-        phases = np.exp(-1j * evals * t)
-        u = (vecs * phases) @ vecs.conj().T
-        samples[i] = np.vdot(b, u @ a @ u.conj().T) / 8
-    direct = np.trapezoid(w.density(grid) * samples, grid)
-    bohr = weighted_correlator(evals, a_eig, b_eig, w)
-    assert abs(bohr - direct) <= 1e-5
+    evals, w, y, d_s, d_sigma = _two_point_frame(3, 1, 2, 31)
+    a_eig, b_eig = _dense_two_point(w, y, d_s, d_sigma)
+    pair = canonical_window_pair(0.5, 6.0, 1.5)
+    shifts = [0.0, 2.5]
+    auto, cross = window_averages(evals, w, y, d_s, d_sigma, pair, shifts)
+
+    def quadrature(window, b, start, stop):
+        # <B, U_t(A)> with U_t = exp(-iEt) in the eigenbasis
+        grid = np.linspace(start, stop, 6001)
+        samples = np.empty(grid.size, dtype=complex)
+        for i, t in enumerate(grid):
+            u = np.exp(-1j * evals * t)
+            samples[i] = np.vdot(b, u[:, None] * a_eig * u.conj()) / evals.size
+        return np.trapezoid(window.density(grid) * samples, grid)
+
+    assert abs(auto - quadrature(pair.w_plus, a_eig, -1.5, 1.5)) <= 1e-5
+    for s, value in zip(shifts, cross):
+        box = WeightingFunction.box(0.5 + s, 6.0)
+        assert abs(value - quadrature(box, b_eig, 0.5 + s, 6.5 + s)) <= 1e-5
 
 
-def _direct_shifted_correlator(evals, a_eig, b_eig, w, s):
-    """Oracle: the Bohr sum with the moved window's transform exp(-i omega s) w~."""
-    omega = evals[:, None] - evals[None, :]
-    phased = w.fourier(omega) * np.exp(-1j * omega * s)
-    return np.sum(b_eig.conj() * a_eig * phased) / evals.size
-
-
-_TAB_TIMES = np.linspace(-1.0, 3.0, 41)
-_TAB_WEIGHTS = np.exp(-(_TAB_TIMES - 0.8) ** 2)
-
-# each window with the per-window construction of its copy moved by s;
-# a tent is centred at 0 and has none, so only the oracle checks it
-SHIFTED_WINDOWS = {
-    "box": (WeightingFunction.box(1.5, 7.0),
-            lambda s: WeightingFunction.box(1.5 + s, 7.0)),
-    "tent": (WeightingFunction.tent(2.5), None),
-    "tabulated": (WeightingFunction.tabulated(_TAB_TIMES, _TAB_WEIGHTS),
-                  lambda s: WeightingFunction.tabulated(_TAB_TIMES + s,
-                                                        _TAB_WEIGHTS)),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(SHIFTED_WINDOWS))
-def test_shifted_windows_match_per_window_evaluation(kind):
-    w, moved = SHIFTED_WINDOWS[kind]
-    rng = derive_rng(17, "shifted-windows")
+def test_shifted_windows_match_per_window_evaluation():
+    # 70 windows: the second GEMM chunk starts at window 64
+    evals, w, y, d_s, d_sigma = _two_point_frame(7, 1, 4, 17)
     # repeated eigenvalues put omega = 0 entries off the diagonal
-    evals = np.array([-1.3, -1.3, -0.4, 0.2, 0.2, 0.2, 0.9, 1.7, 1.7, 2.1])
-    d = evals.size
-    a_eig = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    b_eig = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    shifts = np.array([-6.25, -0.5, 0.0, 0.75, 3.0, 40.0])
-    values = weighted_correlator(evals, a_eig, b_eig, w, shifts)
+    evals = np.round(evals, 1)
+    a_eig, b_eig = _dense_two_point(w, y, d_s, d_sigma)
+    shifts = 0.75 * np.arange(-5, 65)
+    pair = canonical_window_pair(1.5, 7.0, 0.75)
+    auto, values = window_averages(evals, w, y, d_s, d_sigma, pair, shifts)
     assert values.shape == shifts.shape
     for s, value in zip(shifts, values):
-        oracle = _direct_shifted_correlator(evals, a_eig, b_eig, w, s)
+        moved = canonical_window_pair(1.5 + s, 7.0, 0.75)
+        oracle = weighted_correlator(evals, a_eig, b_eig, moved.w)
         assert abs(value - oracle) <= 1e-12 * abs(oracle)
-        if moved is not None:
-            single = weighted_correlator(evals, a_eig, b_eig, moved(s))
-            assert isinstance(single, complex)
-            assert abs(value - single) <= 1e-12 * abs(single)
-    assert weighted_correlator(evals, a_eig, b_eig, w) == values[2]
+        single_auto, single = window_averages(evals, w, y, d_s, d_sigma,
+                                              moved, [0.0])
+        assert single_auto == auto
+        assert abs(value - single[0]) <= 1e-12 * abs(single[0])
+    # a chunk's windows come out the same whatever windows follow it
+    first = window_averages(evals, w, y, d_s, d_sigma, pair, shifts[:64])
+    assert first[0] == auto and np.array_equal(first[1], values[:64])
+
+
+@pytest.mark.parametrize("n, n_s, n_sigma", [
+    (1, 1, 0), (1, 1, 1), (2, 1, 2), (2, 2, 0), (3, 1, 2), (3, 3, 3),
+    (4, 2, 3), (4, 1, 0), (5, 1, 4), (5, 5, 1), (7, 1, 4), (7, 7, 0),
+    (8, 3, 5), (8, 8, 2)])
+def test_window_averages_match_the_dense_bohr_sums(n, n_s, n_sigma):
+    # D below one block (n <= 5) and over several (n = 7, 8); D_sigma = 1
+    # and D_S = D among them
+    evals, w, y, d_s, d_sigma = _two_point_frame(n, n_s, n_sigma, 23)
+    a_eig, b_eig = _dense_two_point(w, y, d_s, d_sigma)
+    pair = canonical_window_pair(1.3, 40.0, 1.5, xi=1.2)
+    shifts = 1.5 * np.arange(70)
+    auto, cross = window_averages(evals, w, y, d_s, d_sigma, pair, shifts)
+    oracle = weighted_autocorrelator(evals, a_eig, pair.w_plus)
+    assert abs(auto - oracle) <= 1e-12 * abs(oracle)
+    for s, value in zip(shifts, cross):
+        moved = canonical_window_pair(1.3 + s, 40.0, 1.5, xi=1.2)
+        oracle = weighted_correlator(evals, a_eig, b_eig, moved.w)
+        assert abs(value - oracle) <= 1e-12 * abs(oracle)
+    if d_sigma == 1:
+        assert not np.any(cross)
+
+
+def test_window_averages_reject_other_windows():
+    evals, w, y, d_s, d_sigma = _two_point_frame(2, 1, 1, 3)
+    pair = canonical_window_pair(0.0, 10.0, 1.0)
+    swapped = dataclasses.replace(pair, w=pair.w_plus, w_plus=pair.w)
+    with pytest.raises(ValueError, match="box window against a tent"):
+        window_averages(evals, w, y, d_s, d_sigma, swapped, [0.0])
 
 
 def _peak_traced_bytes(fn):
@@ -228,32 +266,39 @@ def _peak_traced_bytes(fn):
 
 
 def test_shifted_windows_keep_memory_independent_of_the_shift_count():
-    rng = derive_rng(3, "shift-memory")
-    d = 256
-    evals = np.sort(rng.standard_normal(d))
-    a_eig = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    b_eig = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    w = WeightingFunction.box(0.0, 50.0)
+    evals, w, y, d_s, d_sigma = _two_point_frame(8, 1, 4, 3)
+    d = evals.size
+    pair = canonical_window_pair(0.0, 50.0, 2.0)
     one = _peak_traced_bytes(
-        lambda: weighted_correlator(evals, a_eig, b_eig, w, [0.0]))
+        lambda: window_averages(evals, w, y, d_s, d_sigma, pair, [0.0]))
     many = _peak_traced_bytes(
-        lambda: weighted_correlator(evals, a_eig, b_eig, w,
-                                    np.linspace(0.0, 400.0, 200)))
+        lambda: window_averages(evals, w, y, d_s, d_sigma, pair,
+                                np.linspace(0.0, 400.0, 200)))
     assert many - one < d * d * np.dtype(complex).itemsize
 
 
+def test_window_averages_of_an_instance_stay_below_one_dense_array():
+    # n = 10 at predictor-demo's defaults: one D x D complex array is 16 MiB
+    evals, w, y, d_s, d_sigma = _two_point_frame(10, 1, 4, 9)
+    d = evals.size
+    pair = canonical_window_pair(0.0, 200.0, 2.0)
+    peak = _peak_traced_bytes(
+        lambda: window_averages(evals, w, y, d_s, d_sigma, pair,
+                                2.0 * np.arange(10)))
+    assert peak < d * d * np.dtype(complex).itemsize
+
+
 def test_autocorrelator_average_is_nonnegative_for_cp_window():
-    rng = derive_rng(7, "cp-positive")
-    evals, vecs = np.linalg.eigh(gue_hamiltonian(24, rng=rng))
-    tent = WeightingFunction.tent(4.0)
-    for _ in range(5):
-        a_eig = to_eigenbasis(vecs, _random_hermitian(24, rng))
-        assert weighted_autocorrelator(evals, a_eig, tent) >= -BOUND_SLACK
+    for seed in range(5):
+        evals, w, y, d_s, d_sigma = _two_point_frame(5, 2, 3, seed)
+        pair = canonical_window_pair(0.0, 40.0, 4.0)
+        auto, _ = window_averages(evals, w, y, d_s, d_sigma, pair, [0.0])
+        assert auto >= -BOUND_SLACK
 
 
 def test_autocorrelator_rejects_a_complex_average(monkeypatch):
-    monkeypatch.setattr(predictor, "weighted_correlator",
-                        lambda *args: 0.5 + 1e-6j)
+    # the dense oracle takes any A, whose autocorrelator need not be real
+    monkeypatch.setattr(_dense, "weighted_correlator", lambda *args: 0.5 + 1e-6j)
     with pytest.raises(InvariantError, match="not real"):
         weighted_autocorrelator(np.zeros(2), np.eye(2), WeightingFunction.tent(4.0))
 
