@@ -22,9 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -38,6 +36,7 @@ from .hilbert import (
     Projector,
     UnitarySource,
     _eigenframe,
+    _map_ordered,
     _one_blas_thread,
     derive_rng,
     sample_haar_unitary,
@@ -226,18 +225,16 @@ def _product_setup(n, n_s, n_sigma) -> ManyBodySetup:
 
 
 def _map_instances(fn: Callable[[int], object], count: int) -> List[object]:
-    """Run fn(0..count-1), in parallel when workers are available.
+    """Run fn(0..count-1) on the package's one pool (``hilbert._map_ordered``).
 
     Results are collected in index order and every instance draws from its
-    own derived stream, so the output is independent of scheduling.
+    own derived stream, so the output is independent of scheduling and of
+    the pool's width. Two or more instances take the pool, and the samples,
+    times or row blocks inside each instance then run inline on its thread;
+    a single instance runs on the caller's thread and leaves the pool to
+    them.
     """
-    if count <= 1:
-        return [fn(i) for i in range(count)]
-    workers = min(4, os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+    return _map_ordered(fn, count)
 
 
 def _row(experiment, seed, n, n_s, n_sigma, t=None, g2=None, g4=None,
@@ -617,8 +614,11 @@ def run(config: Dict[str, object]) -> int:
     """Execute the experiment a config mapping names; returns the exit code.
 
     numpy's OpenBLAS runs on one thread while the experiment runs, so the
-    output depends on the config and seed alone and the instance pool is the
-    only parallelism; the caller's thread count is restored on return.
+    output depends on the config and seed alone; the caller's thread count
+    is restored on return. The only parallelism is the one pool
+    (``hilbert._map_ordered``), one level deep: instances, or else the
+    samples, times or row blocks of a single one, whose results are reduced
+    in index order, so the output does not depend on the pool's width.
     """
     try:
         cfg = ExperimentConfig.from_mapping(dict(config))

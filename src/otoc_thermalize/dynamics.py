@@ -40,6 +40,7 @@ from .hilbert import (
     ManyBodySetup,
     UnitarySource,
     _eigenframe,
+    _map_contiguous,
     _on_sites,
     contract_isometry,
     derive_rng,
@@ -144,20 +145,24 @@ class CorrelatorSeries:
 
 
 def _observed_splits(setup: ManyBodySetup, source: UnitarySource,
-                     times: np.ndarray):
+                     times: np.ndarray, frame):
     """Yield (c, R) at each time: c = L^dag K_t and the residual R = (1 - P_R) K_t.
 
-    A GUE source yields them in its eigenframe, where R is V^dag R; a CUE or
-    circuit source in the register, with P_R = |chi><chi| (x) 1 applied on
-    its own qubits.
+    A GUE source yields them in its eigenframe ``frame`` = (E, W, Y), where R
+    is V^dag R; a CUE or circuit source in the register, from the core basis
+    ``frame`` = K, with P_R = |chi><chi| (x) 1 applied on its own qubits.
+    K_t is dropped before the yield, and R is formed in place of chi (x) c.
     """
     if source.kind != "gue":
-        for kt in evolve_basis_series(source, embed_isometry(setup, "core"), times):
+        for kt in evolve_basis_series(source, frame, times):
             c = contract_isometry(setup, "observable", kt)
-            yield c, kt - _on_sites(setup.observed_state, setup.observed_sites,
-                                    setup.n_total, c)
+            residual = _on_sites(setup.observed_state, setup.observed_sites,
+                                 setup.n_total, c)
+            np.subtract(kt, residual, out=residual)
+            del kt
+            yield c, residual
         return
-    evals, w, y = _eigenframe(setup, source)
+    evals, w, y = frame
     for t in times:
         if not np.isfinite(t):
             raise ValueError(f"time must be finite, got {t}")
@@ -167,9 +172,30 @@ def _observed_splits(setup: ManyBodySetup, source: UnitarySource,
         yield c, x - w @ c
 
 
+def _reduce(c: np.ndarray, residual: np.ndarray, d_rho: int) -> tuple:
+    """(G2, G4, sigma2, commutator norm, cos2) of one time, from its (c, R)."""
+    m = c.conj().T @ c
+    g2 = np.trace(m).real / d_rho
+    g4 = np.sum(np.abs(m) ** 2) / d_rho
+    cos2 = np.clip(np.linalg.eigvalsh(m), 0.0, 1.0)
+    # (1 - P_R) P_t P_R = R c^dag L^dag, so its squared Frobenius norm is
+    # tr(R^dag R c^dag c). R^dag R comes from R, not from 1 - m, so the
+    # commutator identity still tests that K_t is an isometry
+    gram = residual.conj().T @ residual
+    comm = np.sum(gram * m.T).real / d_rho
+    return g2, g4, variance_from_moments(g2, g4), comm, cos2
+
+
 def correlator_series(setup: ManyBodySetup, source: UnitarySource,
                       times: Sequence[float]) -> CorrelatorSeries:
     """Evaluate the correlator series for ``setup`` under ``source``.
+
+    The times of a GUE or CUE source are independent of each other, so they
+    go to the pool (``hilbert._map_contiguous``) in contiguous chunks, and
+    the rows come back in time order; a GUE source's eigenframe is formed
+    once per series. A circuit carries its block from one time to the next,
+    so its grid runs in order on one thread. Each time is reduced by the same
+    operations on either route, so the series does not depend on the pool.
 
     Parameters
     ----------
@@ -192,22 +218,20 @@ def correlator_series(setup: ManyBodySetup, source: UnitarySource,
             f"source dimension {source.dim} does not match setup {setup.dim}")
     d_rho = setup.d_rho
     times = np.asarray([float(t) for t in times])
-    g2 = np.empty(times.shape)
-    g4 = np.empty(times.shape)
-    sigma2 = np.empty(times.shape)
-    comm = np.empty(times.shape)
-    cos2 = np.empty(times.shape + (d_rho,))
-    for i, (c, residual) in enumerate(_observed_splits(setup, source, times)):
-        m = c.conj().T @ c
-        g2[i] = np.trace(m).real / d_rho
-        g4[i] = np.sum(np.abs(m) ** 2) / d_rho
-        sigma2[i] = variance_from_moments(g2[i], g4[i])
-        cos2[i] = np.clip(np.linalg.eigvalsh(m), 0.0, 1.0)
-        # (1 - P_R) P_t P_R = R c^dag L^dag, so its squared Frobenius norm is
-        # tr(R^dag R c^dag c). R^dag R comes from R, not from 1 - m, so the
-        # commutator identity still tests that K_t is an isometry
-        gram = residual.conj().T @ residual
-        comm[i] = np.sum(gram * m.T).real / d_rho
+    frame = (_eigenframe(setup, source) if source.kind == "gue"
+             else embed_isometry(setup, "core"))
+
+    def rows(span):
+        return [_reduce(c, residual, d_rho) for c, residual in
+                _observed_splits(setup, source, times[span.start:span.stop], frame)]
+
+    if source.kind == "circuit":
+        reduced = rows(range(len(times)))
+    else:
+        reduced = _map_contiguous(rows, len(times))
+    g2, g4, sigma2, comm = (np.array([r[k] for r in reduced], dtype=float)
+                            for k in range(4))
+    cos2 = np.array([r[4] for r in reduced]).reshape(times.shape + (d_rho,))
     return CorrelatorSeries(times=times, g2=g2, g4=g4, sigma2=sigma2,
                             commutator_norm=comm, cos2=cos2)
 
@@ -249,7 +273,10 @@ def typicality_experiment(d: int, d_s: int, d_sigma: int, n_samples: int,
     drawn from ``derive_rng(seed, "typicality", i)``. Only its leading
     D_rho columns enter the correlators (G^2 and G^4 read the
     D_R x D_rho corner), so each sample draws just those columns: D x D_rho
-    Gaussians and a thin QR, O(D D_rho^2) instead of O(D^3).
+    Gaussians and a thin QR, O(D D_rho^2) instead of O(D^3). The samples go
+    to the pool (``hilbert._map_contiguous``) in contiguous chunks and are
+    reduced in index order after all of them are drawn, so the result does
+    not depend on the pool.
 
     Raises
     ------
@@ -262,15 +289,19 @@ def typicality_experiment(d: int, d_s: int, d_sigma: int, n_samples: int,
         raise ValueError(f"kappa must be positive, got {kappa}")
     pred = haar_prediction(d, d_s, d_sigma)
     d_r, d_rho = pred.d_r, pred.d_rho
-    g2s = np.empty(n_samples)
-    g4s = np.empty(n_samples)
-    for i in range(n_samples):
-        q = sample_haar_unitary(d, rng=derive_rng(seed, "typicality", i),
-                                columns=d_rho)
-        c = q[:d_r]
-        m = c.conj().T @ c
-        g2s[i] = np.trace(m).real / d_rho
-        g4s[i] = np.sum(np.abs(m) ** 2) / d_rho
+
+    def moments(samples):
+        out = []
+        for i in samples:
+            q = sample_haar_unitary(d, rng=derive_rng(seed, "typicality", i),
+                                    columns=d_rho)
+            c = q[:d_r]
+            m = c.conj().T @ c
+            out.append((np.trace(m).real / d_rho, np.sum(np.abs(m) ** 2) / d_rho))
+        return out
+
+    # contiguous rows: a sum over a strided view may take another order
+    g2s, g4s = np.array(_map_contiguous(moments, n_samples), dtype=float).T.copy()
     mean_g2, mean_g4 = float(g2s.mean()), float(g4s.mean())
     mean_sigma2 = float((g4s - g2s ** 2).mean())
     var_g2 = float(g2s.var(ddof=1))

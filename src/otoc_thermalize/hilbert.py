@@ -26,12 +26,16 @@ drawn, by LAPACK ``zgeqrf`` and ``zungqr`` through the same handle
 draws, and every draw where the library is not found, goes through
 ``np.linalg.qr``, bit for bit the same. ``_one_blas_thread`` pins that
 OpenBLAS to one thread through the same handle, so that the command line's
-output depends on its config and seed alone.
+output depends on its config and seed alone. Beside that one BLAS thread
+policy there is one pool, ``_map_ordered``: instances, samples, time grids
+and row blocks map over it, one level deep, and reduce its results in index
+order, so the output does not depend on the pool's width either.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 import functools
 import glob
@@ -39,8 +43,9 @@ import math
 import numbers
 import os
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +56,12 @@ DIM_CAP_DEFAULT = 2 ** 14
 IDEMPOTENCE_TOL = 1e-10   # times D
 RANK_TOL = 1e-8
 STATE_NORM_TOL = 1e-12
+
+#: Most threads the one pool (``_map_ordered``) runs at once.
+POOL_CAP = 4
+
+#: Columns per panel of ``Projector.validate``'s Gram.
+PANEL = 64
 
 
 class InvariantError(ValueError):
@@ -284,6 +295,53 @@ def _one_blas_thread():
         blas.set_num_threads(before)
 
 
+#: True in the context of a task that runs on the pool.
+_ON_POOL = contextvars.ContextVar("otoc_thermalize_on_pool", default=False)
+
+
+def _pool_width(count: int) -> int:
+    """Threads ``_map_ordered`` runs ``count`` tasks on: 1 on a pool thread."""
+    if _ON_POOL.get():
+        return 1
+    return max(1, min(POOL_CAP, os.cpu_count() or 1, count))
+
+
+def _map_ordered(fn: Callable[[int], object], count: int) -> List[object]:
+    """Return ``[fn(0), ..., fn(count - 1)]``, run on up to
+    min(``POOL_CAP``, cpu count, count) threads.
+
+    This is the package's one pool. Results come back in index order, so a
+    caller that reduces them in that order, and whose tasks draw from their
+    own derived streams, gives output that does not depend on the pool's
+    width or on scheduling. Each task runs in its own copy of the caller's
+    ``contextvars`` context, so ``np.errstate`` holds on the pool threads. A
+    call made from a task already on the pool runs its tasks inline, so there
+    is one level of parallelism and never a nested pool. The first failed
+    task in index order raises, and tasks not yet started are cancelled.
+    """
+    workers = _pool_width(count)
+    if workers <= 1:
+        return [fn(i) for i in range(count)]
+    contexts = [contextvars.copy_context() for _ in range(count)]
+    for ctx in contexts:
+        ctx.run(_ON_POOL.set, True)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda ctx, i: ctx.run(fn, i), contexts, range(count)))
+
+
+def _map_contiguous(fn: Callable[[range], list], count: int) -> list:
+    """``fn(r)`` over contiguous ranges ``r`` that split ``range(count)``, one
+    per pool thread, through ``_map_ordered``; their lists joined in order.
+
+    Each ``fn(r)`` returns one item per index of ``r``, so the result is what
+    ``fn(range(count))`` would return, whatever the number of ranges.
+    """
+    parts = _pool_width(count)
+    ranges = [range(count * j // parts, count * (j + 1) // parts) for j in range(parts)]
+    return [item for items in _map_ordered(lambda j: fn(ranges[j]), parts)
+            for item in items]
+
+
 def _tridiagonal_eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the real symmetric tridiagonal matrix (diag, off).
 
@@ -388,9 +446,21 @@ class Projector:
 
         ||V^dag V - 1||_F <= min(IDEMPOTENCE_TOL D, RANK_TOL/sqrt(r)) is checked
         at O(D r^2); it bounds the idempotence and trace defects of V V^dag.
+        The square is summed over the Hermitian Gram's column panels on and
+        right of the diagonal, V[:, j:j+PANEL]^dag V[:, j:], each term right
+        of the diagonal block counting twice. So the check copies no basis
+        (it holds one conjugated D x PANEL panel and one PANEL x r block at a
+        time) and makes half the products of the full Gram.
         """
         v = self.basis
-        defect = np.linalg.norm(v.conj().T @ v - np.eye(self.rank))
+        total = 0.0
+        for j in range(0, self.rank, PANEL):
+            block = v[:, j:j + PANEL].conj().T @ v[:, j:]
+            cols = np.arange(block.shape[0])
+            block[cols, cols] -= 1.0
+            square = block[:, :len(cols)]
+            total += 2.0 * np.vdot(block, block).real - np.vdot(square, square).real
+        defect = math.sqrt(total)
         if not defect <= min(IDEMPOTENCE_TOL * self.dim,
                              RANK_TOL / math.sqrt(max(self.rank, 1))):
             raise InvariantError(f"basis columns not orthonormal: defect {defect:.3e}")
@@ -664,11 +734,11 @@ def evolve_basis_series(source: UnitarySource, k: np.ndarray,
         if step == 0:
             yield k.copy()
         elif source.kind == "haar_cue":
-            q = sample_haar_unitary(source.dim, rng=derive_rng(source.seed, "cue", step),
-                                    columns=m)
-            if not identity:
-                q = q @ k[:m]  # frees the draw before the yield
-            yield q
+            rng = derive_rng(source.seed, "cue", step)
+            # yielded unnamed, so the caller alone holds the block (and the
+            # draw is freed before the yield)
+            yield (sample_haar_unitary(source.dim, rng=rng, columns=m) if identity
+                   else sample_haar_unitary(source.dim, rng=rng, columns=m) @ k[:m])
         else:
             if depth is None or step < depth:
                 # layer 0 has a gate, so the block yielded is never K itself

@@ -27,7 +27,13 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import InvariantError, derive_rng, sample_haar_unitary
+from .hilbert import (
+    InvariantError,
+    _map_contiguous,
+    _map_ordered,
+    derive_rng,
+    sample_haar_unitary,
+)
 from .thermalization import Check
 
 #: sin(xi) closer to zero than this makes the window constants singular.
@@ -193,8 +199,11 @@ def window_averages(evals: np.ndarray, w: np.ndarray, y: np.ndarray,
     grids are Hermitian, so both sums are real: only blocks on and above the
     diagonal are formed, each term above it counting twice. Rows go in
     blocks of ``BLOCK`` and windows in chunks of ``BLOCK`` (one GEMM of the
-    block against the chunk's phases), so no D x D array is formed and
-    memory does not grow with the number of windows.
+    block against the chunk's phases), so no D x D array is formed. The
+    row blocks go to the pool (``hilbert._map_ordered``), one task each, and
+    their partial sums are folded in block order, so the sums do not depend
+    on the pool; the partial sums of every block, D/``BLOCK`` x (windows + 1)
+    floats, are held until the fold.
     """
     box, tent = pair.w, pair.w_plus
     if box.kind != "box" or tent.kind != "tent":
@@ -202,30 +211,55 @@ def window_averages(evals: np.ndarray, w: np.ndarray, y: np.ndarray,
     d = evals.shape[0]
     half = 0.5 * box.duration
     centres = (box.t0 + half) + np.asarray(shifts, dtype=float)
-    auto = 0.0
-    cross = np.zeros(centres.size)
-    for lo in range(0, d, BLOCK):
+
+    def block_sums(index):
+        # each pool thread holds one block's arrays, so they are formed, and
+        # dropped, in the order that keeps the fewest alive at once
+        lo = index * BLOCK
         hi = min(lo + BLOCK, d)
         rows = np.arange(hi - lo)
-        # W[lo:hi] W[lo:]^dag as conj(conj(W[lo:hi]) W[lo:]^T): W[lo:].T is a view
-        a = w[lo:hi].conj() @ w[lo:].T
-        np.conjugate(a, out=a)
-        a[rows, rows] -= 1.0 / d_s
-        # conj(B) in the same rows and columns, which is what the sum reads
-        b_conj = y[lo:hi].conj() @ y[lo:].T
-        b_conj *= d_sigma
-        b_conj[rows, rows] -= 1.0
         omega = evals[lo:hi, None] - evals[None, lo:]
         # the columns right of the diagonal block stand for their mirror too
         twice = np.ones(d - lo)
         twice[hi - lo:] = 2.0
-        auto += np.sum((a.real ** 2 + a.imag ** 2)
-                       * (_sinc(0.5 * omega * tent.t_obs) ** 2 * twice))
-        x = b_conj * a * (_sinc(omega * half) * twice)
+        tent_weight = _sinc(0.5 * omega * tent.t_obs) ** 2 * twice
+        box_weight = _sinc(omega * half) * twice
+        del omega
+        # W[lo:hi] W[lo:]^dag as conj(conj(W[lo:hi]) W[lo:]^T): W[lo:].T is a view
+        a = w[lo:hi].conj() @ w[lo:].T
+        np.conjugate(a, out=a)
+        a[rows, rows] -= 1.0 / d_s
+        auto = np.sum((a.real ** 2 + a.imag ** 2) * tent_weight)
+        del tent_weight
+        # x = conj(B) A sinc(omega T/2), in place of conj(B) in the same rows
+        # and columns, which is what the sum reads
+        x = y[lo:hi].conj() @ y[lo:].T
+        x *= d_sigma
+        x[rows, rows] -= 1.0
+        x *= a
+        del a
+        x *= box_weight
+        del box_weight
+        cross = np.empty(centres.size)
         for k in range(0, centres.size, BLOCK):
-            q_conj = np.exp(1j * np.multiply.outer(evals[lo:], centres[k:k + BLOCK]))
+            # exp(i E c) built in one array, as exp(1j * outer(E, c)) rounds it
+            chunk = centres[k:k + BLOCK]
+            q_conj = np.empty((d - lo, chunk.size), dtype=complex)
+            np.multiply.outer(evals[lo:], chunk, out=q_conj)
+            q_conj *= 1j
+            np.exp(q_conj, out=q_conj)
             z = x @ q_conj
-            cross[k:k + BLOCK] += np.sum(q_conj[:hi - lo].conj() * z, axis=0).real
+            # q_conj's top rows are read once more, so conj(q) * z goes in place
+            top = np.conjugate(q_conj[:hi - lo], out=q_conj[:hi - lo])
+            top *= z
+            cross[k:k + BLOCK] = np.sum(top, axis=0).real
+        return auto, cross
+
+    auto = 0.0
+    cross = np.zeros(centres.size)
+    for block_auto, block_cross in _map_ordered(block_sums, -(-d // BLOCK)):
+        auto += block_auto
+        cross += block_cross
     return float(auto) / d, cross / d
 
 
@@ -374,7 +408,10 @@ def fourth_order_negative_demo(d: int, d_s: int, d_sigma: int,
 
     G_rho-rho^2 reads the D_rho x D_rho corner of the sample unitary, so
     each sample draws only its leading D_rho columns: D x D_rho Gaussians
-    and a thin QR, O(D D_rho^2) instead of O(D^3).
+    and a thin QR, O(D D_rho^2) instead of O(D^3). Sample i draws from
+    ``derive_rng(seed, "negative-demo", i)``; the samples go to the pool
+    (``hilbert._map_contiguous``) in contiguous chunks and are reduced in
+    index order, so the report does not depend on the pool.
     """
     if d % d_s != 0 or d % d_sigma != 0:
         raise ValueError("d_s and d_sigma must divide d")
@@ -382,14 +419,19 @@ def fourth_order_negative_demo(d: int, d_s: int, d_sigma: int,
         raise ValueError("need at least 2 samples")
     d_r = d // d_s
     d_rho = d // d_sigma
-    dev = np.empty(n_samples)
-    for i in range(n_samples):
-        u = sample_haar_unitary(d, rng=derive_rng(seed, "negative-demo", i),
-                                columns=d_rho)
-        # a C-ordered corner: the order of the sum follows the layout
-        c = np.ascontiguousarray(u[:d_rho])
-        g = np.sum(np.abs(c) ** 2) / d_rho
-        dev[i] = g * g - 1.0 / d_sigma ** 2
+
+    def deviations(samples):
+        out = []
+        for i in samples:
+            u = sample_haar_unitary(d, rng=derive_rng(seed, "negative-demo", i),
+                                    columns=d_rho)
+            # a C-ordered corner: the order of the sum follows the layout
+            c = np.ascontiguousarray(u[:d_rho])
+            g = np.sum(np.abs(c) ** 2) / d_rho
+            out.append(g * g - 1.0 / d_sigma ** 2)
+        return out
+
+    dev = np.array(_map_contiguous(deviations, n_samples), dtype=float)
     measured = float(np.sqrt(np.mean(dev ** 2)))
     threshold = 1.0 / d_r ** 2
     trivial = d_sigma == 1

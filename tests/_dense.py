@@ -4,7 +4,8 @@ Each builds the dense `D x D` operators and works in the ambient space, so it
 shares no arithmetic with the basis, contraction and principal-axes routes it
 checks. A projector matrix goes back to a ``Projector`` through the
 eigendecomposition route ``eigh_range_basis``; ``recording_eigh`` shows
-whether a block of code took an eigendecomposition route at all.
+whether a block of code took an eigendecomposition route at all, and
+``recording_pools`` how many thread pools it built.
 ``principal_axes`` is the singular-vector route to the principal axes, which
 the library never forms. ``dense_unitary`` is the D x D unitary U(t) of a
 source: V exp(-iEt) V^dag for an eigenframe source with eigenvectors V, the
@@ -25,6 +26,7 @@ import math
 
 import numpy as np
 
+from otoc_thermalize import hilbert
 from otoc_thermalize.geometry import (
     MAX_CORRELATOR_ORDER,
     correlator_trace,
@@ -284,3 +286,22 @@ def recording_eigh():
         yield calls
     finally:
         np.linalg.eigh = eigh
+
+
+@contextlib.contextmanager
+def recording_pools():
+    """Yield a list that records the width of each thread pool
+    ``hilbert._map_ordered`` builds until the block exits."""
+    widths = []
+    executor = hilbert.ThreadPoolExecutor
+
+    class Recorded(executor):
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    hilbert.ThreadPoolExecutor = Recorded
+    try:
+        yield widths
+    finally:
+        hilbert.ThreadPoolExecutor = executor

@@ -21,6 +21,7 @@ from _dense import (
     dense_unitary,
     predictor_demo_rows,
     recording_eigh,
+    recording_pools,
 )
 from otoc_thermalize import cli, dynamics, hilbert, predictor, thermalization
 from otoc_thermalize.geometry import halmos_decompose
@@ -653,6 +654,77 @@ def test_stdout_is_byte_identical_on_repeat_and_serial_runs(
                         lambda fn, count: [fn(i) for i in range(count)])
     assert first == stdout_of_run()
     assert first[1].startswith(",".join(CSV_COLUMNS))
+
+
+POOL_WIDTH_CONFIGS = [
+    *({"experiment": name, **config} for name, config in DETERMINISM_CONFIGS.items()),
+    *({"experiment": "many-body-sweep", "source": source, "n": 6, "n_sigma": 3,
+       "n_instances": 1, "times": [0, 1, 2, 3, 5], "lambda_grid": [0.1, 0.5]}
+      for source in ("gue", "cue", "circuit")),
+    {"experiment": "predictor-demo", "n": 7, "n_sigma": 3, "n_instances": 1,
+     "n_windows": 70, "lambda_grid": [0.5]},
+]
+
+#: Thread pools a config builds at a pool width of 2: one for the instances,
+#: or one for the samples, times or row blocks of a single instance; none for
+#: sizing-table and a single circuit instance, whose grid stays serial.
+POOLS_AT_WIDTH_2 = [1, 1, 1, 1, 0, 1, 1, 1, 0, 1]
+
+
+def _pool_id(config):
+    name = config.get("source", config["experiment"])
+    return f"{name}-one-instance" if config.get("n_instances") == 1 else name
+
+
+@pytest.fixture
+def built_pools():
+    with recording_pools() as widths:
+        yield widths
+
+
+@pytest.mark.parametrize("config, pools", zip(POOL_WIDTH_CONFIGS, POOLS_AT_WIDTH_2),
+                         ids=[_pool_id(c) for c in POOL_WIDTH_CONFIGS])
+def test_output_does_not_depend_on_the_pool_width(monkeypatch, built_pools, config,
+                                                  pools):
+    # the pool's width comes from os.cpu_count; at 1 every task runs inline
+    runs = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        built_pools.clear()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run({**config, "seed": 5})
+        runs[cpus] = (code, out.getvalue(), err.getvalue())
+        assert len(built_pools) == (0 if cpus == 1 else pools)
+    assert runs[1] == runs[2] == runs[3]
+    assert runs[1][0] == EXIT_PASS
+
+
+@pytest.mark.parametrize("config", [
+    {"experiment": "many-body-sweep", "source": "gue", "n": 6, "n_instances": 2,
+     "t_count": 5},
+    {"experiment": "predictor-demo", "n": 7, "n_instances": 5, "n_windows": 3},
+    {"experiment": "verify-theorem", "n": 5, "n_instances": 4, "n_bases": 2},
+    {"experiment": "haar-typicality", "n": 6, "n_samples": 20},
+], ids=lambda c: c["experiment"])
+def test_a_run_builds_one_thread_pool(monkeypatch, capsys, built_pools, config):
+    # instances that fill the pool leave every inner map inline: no nested pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli.run({**config, "seed": 3}) == EXIT_PASS
+    capsys.readouterr()
+    assert built_pools == [2]
+
+
+def test_a_phase_overflow_on_a_pool_thread_is_a_config_error(monkeypatch, capsys):
+    # n = 7 has two row blocks, so the Bohr sums reach the pool, and the
+    # caller's np.errstate(over="raise") must hold on its threads
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code = cli.run({"experiment": "predictor-demo", "n": 7, "n_instances": 1,
+                    "t0": 1e308, "t_obs": 1e300, "t_horizon": 1e307, "n_windows": 3})
+    out, err = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("config error") and "numeric range" in err
 
 
 def test_verify_theorem_runs_without_an_eigendecomposition(capsys):

@@ -2,7 +2,10 @@
 
 import ctypes
 import math
+import os
 import re
+import threading
+import time
 import tracemalloc
 import types
 
@@ -16,6 +19,7 @@ from _dense import (
     dense_unitary,
     gue_hamiltonian,
     hamiltonian_source,
+    recording_pools,
 )
 from otoc_thermalize import hilbert
 from otoc_thermalize.hilbert import (
@@ -391,6 +395,29 @@ class TestProjector:
         assert np.linalg.norm(v.conj().T @ v - np.eye(rank)) <= bound
         p.validate()
 
+    def test_construction_holds_one_copy_of_the_basis(self):
+        # the 1024 x 512 basis is 8 MiB: the check reads it a column panel at a
+        # time, so only the kept copy is as large as the basis
+        v = sample_haar_unitary(1024, seed=0, columns=512)
+        tracemalloc.start()
+        try:
+            Projector(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * v.nbytes
+
+    @pytest.mark.parametrize("rank", [1, 63, 64, 65, 200])
+    def test_panel_defect_is_the_frobenius_norm_of_the_gram_defect(self, monkeypatch, rank):
+        # a defect spread over every panel: the check must see each of them
+        v = sample_haar_unitary(256, seed=rank, columns=rank) * (1.0 + 1e-9)
+        defect = np.linalg.norm(v.conj().T @ v - np.eye(rank))
+        monkeypatch.setattr(hilbert, "RANK_TOL", 0.0)
+        with pytest.raises(InvariantError) as err:
+            Projector(v)
+        reported = float(re.search(r"defect (\S+)", str(err.value)).group(1))
+        assert reported == pytest.approx(defect, rel=1e-3)
+
     def test_from_isometry_keeps_a_copy_of_the_basis(self):
         v = np.linalg.qr(np.random.default_rng(1).standard_normal((6, 2)))[0]
         p = Projector(v)
@@ -662,3 +689,81 @@ class TestEvolve:
                 block[...] = 0.0
             np.testing.assert_allclose(block, want, rtol=0, atol=1e-12)
 
+
+
+class TestPool:
+    """``hilbert._map_ordered``: one pool, in index order, one level deep."""
+
+    @pytest.fixture
+    def pools(self):
+        with recording_pools() as widths:
+            yield widths
+
+    @pytest.mark.parametrize("cpus, width", [(1, 0), (2, 2), (3, 3), (16, 4)])
+    def test_results_come_back_in_index_order_on_at_most_four_threads(
+            self, monkeypatch, pools, cpus, width):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+        def task(i):
+            time.sleep(0.002 * (9 - i))  # later tasks finish first
+            return i, threading.get_ident()
+
+        results = hilbert._map_ordered(task, 10)
+        assert [i for i, _ in results] == list(range(10))
+        assert pools == ([width] if width else [])
+        assert len({ident for _, ident in results}) <= max(width, 1)
+
+    def test_one_task_runs_on_the_callers_thread(self, monkeypatch, pools):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert hilbert._map_ordered(lambda i: threading.get_ident(), 1) == [
+            threading.get_ident()]
+        assert hilbert._map_ordered(lambda i: i, 0) == []
+        assert pools == []
+
+    def test_a_map_inside_a_pool_task_runs_inline(self, monkeypatch, pools):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+        def outer(i):
+            inner = hilbert._map_ordered(lambda j: (j, threading.get_ident()), 3)
+            assert {ident for _, ident in inner} == {threading.get_ident()}
+            return [j for j, _ in inner]
+
+        assert hilbert._map_ordered(outer, 2) == [[0, 1, 2]] * 2
+        assert pools == [2]
+        # back on the caller's thread the pool is free again
+        assert hilbert._map_ordered(lambda i: i, 2) == [0, 1]
+        assert pools == [2, 2]
+
+    def test_tasks_run_in_the_callers_context(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with np.errstate(over="raise"):
+            modes = hilbert._map_ordered(lambda i: np.geterr()["over"], 4)
+            with pytest.raises(FloatingPointError, match="overflow"):
+                hilbert._map_ordered(lambda i: np.float64(1e308) * (i + 1.0), 2)
+        assert modes == ["raise"] * 4
+
+    def test_the_first_failed_task_in_index_order_raises(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+        def task(i):
+            if i in (1, 3):
+                time.sleep(0.02 if i == 1 else 0.0)  # task 3 fails first
+                raise ValueError(f"task {i}")
+            return i
+
+        with pytest.raises(ValueError, match="task 1"):
+            hilbert._map_ordered(task, 5)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("count", [0, 1, 2, 5, 11])
+    def test_contiguous_ranges_cover_the_indices_in_order(self, monkeypatch, cpus, count):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        spans = []
+
+        def chunk(r):
+            spans.append(r)
+            return [i * i for i in r]
+
+        assert hilbert._map_contiguous(chunk, count) == [i * i for i in range(count)]
+        assert sorted(i for r in spans for i in r) == list(range(count))
+        assert len(spans) == max(1, min(cpus, count))
