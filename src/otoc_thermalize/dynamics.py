@@ -46,7 +46,7 @@ from .hilbert import (
     derive_rng,
     embed_isometry,
     evolve_basis_series,
-    sample_haar_unitary,
+    haar_corner_stacks,
 )
 from .thermalization import Check
 
@@ -269,14 +269,15 @@ def typicality_experiment(d: int, d_s: int, d_sigma: int, n_samples: int,
     kappa times the concentration scale fluctuation_scale(n), n = 1 for G^2
     and 2 for G^4. The result also carries the per-sample G^2 and G^4.
 
-    Sample i conjugates the coordinate projectors by the Haar unitary
-    drawn from ``derive_rng(seed, "typicality", i)``. Only its leading
-    D_rho columns enter the correlators (G^2 and G^4 read the
-    D_R x D_rho corner), so each sample draws just those columns: D x D_rho
-    Gaussians and a thin QR, O(D D_rho^2) instead of O(D^3). The samples go
-    to the pool (``hilbert._map_contiguous``) in contiguous chunks and are
-    reduced in index order after all of them are drawn, so the result does
-    not depend on the pool.
+    G^2 and G^4 of coordinate projectors conjugated by a Haar unitary read
+    only the Gram m = c^dag c of its D_R x D_rho corner c, through tr m and
+    the |m_ij|. Sample i draws a matrix with that Gram's law from its two
+    Bartlett R factors (``hilbert.haar_corner_stacks``) and the generator
+    ``derive_rng(seed, "typicality", i)``: O(D_rho^3) time and no D-sized
+    array. The samples go to the pool (``hilbert._map_contiguous``) in
+    contiguous chunks, each reduced to its moments stack by stack, and the
+    moments are reduced in index order, so the result does not depend on
+    the pool.
 
     Raises
     ------
@@ -292,12 +293,11 @@ def typicality_experiment(d: int, d_s: int, d_sigma: int, n_samples: int,
 
     def moments(samples):
         out = []
-        for i in samples:
-            q = sample_haar_unitary(d, rng=derive_rng(seed, "typicality", i),
-                                    columns=d_rho)
-            c = q[:d_r]
-            m = c.conj().T @ c
-            out.append((np.trace(m).real / d_rho, np.sum(np.abs(m) ** 2) / d_rho))
+        rngs = (derive_rng(seed, "typicality", i) for i in samples)
+        for c in haar_corner_stacks(d, d_r, d_rho, rngs):
+            m = c.conj().swapaxes(1, 2) @ c
+            out += zip(np.trace(m, axis1=1, axis2=2).real / d_rho,
+                       np.sum(np.abs(m) ** 2, axis=(1, 2)) / d_rho)
         return out
 
     # contiguous rows: a sum over a strided view may take another order

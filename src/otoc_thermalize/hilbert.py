@@ -24,12 +24,15 @@ in, with the same eigenvalues. A single Haar draw is factored where it is
 drawn, by LAPACK ``zgeqrf`` and ``zungqr`` through the same handle
 (``_qr_in_place``), so it holds one D x m array, column-major; a stack of
 draws, and every draw where the library is not found, goes through
-``np.linalg.qr``, bit for bit the same. ``_one_blas_thread`` pins that
-OpenBLAS to one thread through the same handle, so that the command line's
-output depends on its config and seed alone. Beside that one BLAS thread
-policy there is one pool, ``_map_ordered``: instances, samples, time grids
-and row blocks map over it, one level deep, and reduce its results in index
-order, so the output does not depend on the pool's width either.
+``np.linalg.qr``, bit for bit the same. Where only the Gram of a corner of a
+Haar isometry is read, ``haar_corner_stacks`` draws a matrix with that
+Gram's law from two Bartlett R factors, with no D-sized array.
+``_one_blas_thread`` pins that OpenBLAS to one thread through the same
+handle, so that the command line's output depends on its config and seed
+alone. Beside that one BLAS thread policy there is one pool,
+``_map_ordered``: instances, samples, time grids and row blocks map over
+it, one level deep, and reduce its results in index order, so the output
+does not depend on the pool's width either.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import contextvars
 import ctypes
 import functools
 import glob
+import itertools
 import math
 import numbers
 import os
@@ -62,6 +66,12 @@ POOL_CAP = 4
 
 #: Columns per panel of ``Projector.validate``'s Gram.
 PANEL = 64
+
+#: Most complex entries in one ``np.linalg.qr`` stack of ``haar_corner_stacks``:
+#: 64 KiB, the size of one D x D_rho draw at D = 256, D_rho = 16. Stacks of
+#: 2**14 ran the ``ensemble`` benchmark as fast, but its process's peak RSS
+#: came out about 4.5 MB higher in 6 of 14 runs, against 1 of 10 at 2**12.
+STACK_ENTRIES = 2 ** 12
 
 
 class InvariantError(ValueError):
@@ -167,6 +177,81 @@ def sample_haar_unitary(dim: int, seed=None, rng=None,
     diag[diag == 0] = 1.0
     q *= (diag / np.abs(diag))[..., None, :]
     return q
+
+
+def haar_corner_stacks(dim: int, rows: int, columns: int, rngs) -> Iterator[np.ndarray]:
+    """Yield stacks of matrices c, one per generator in ``rngs``, whose Gram
+    c^dag c has the law of the ``rows x columns`` corner Gram of a D x columns
+    Haar isometry, up to a diagonal phase conjugation, never forming a D-sized array.
+
+    Write the Haar isometry as V = G R^(-1) for a D x p complex Ginibre G
+    (p = columns, R its positive QR factor; ``sample_haar_unitary``), and
+    split G = [G1; G2] after row d = rows. The corner V[:d] = G1 R^(-1) has
+    the Gram m = R^(-dag) R1^dag R1 R^(-1), where R1 and R2 are the R factors
+    of G1 and G2, since G1^dag G1 = R1^dag R1 and G^dag G = R1^dag R1 +
+    R2^dag R2 = R^dag R. So the stack [R1; R2] has the R factor Delta R for a
+    diagonal unitary Delta, and the top rows of its thin Q, c = R1 R^(-1)
+    Delta^dag, have the Gram Delta m Delta^dag: the corner's trace and |m_ij|,
+    so its G^2, G^4 and principal angles (the Jacobi, or MANOVA, ensemble;
+    Killip & Nenciu 2004, Edelman & Sutton 2008).
+
+    R1 and R2 are drawn from their law, the complex Bartlett decomposition:
+    the R factor of a k x p block is min(k, p) x p, with independent
+    entries, R_ii = sqrt(Gamma(k - i, 1)) and standard complex normals
+    (E|z|^2 = 1) right of the diagonal. So a draw takes O(p^2) numbers and a
+    QR of at most 2p x p, O(p^3) time, whatever D. R1 has min(d, p) rows, so
+    ``rows < columns`` gives the excess angles pi/2; R2 has min(D - d, p)
+    rows, none at d = D, where c is unitary. Generator s gives the gamma
+    variates of R1's diagonal and then R2's, and then the normals of R1 and
+    of R2, row by row.
+
+    The draws are stacked into ``np.linalg.qr`` calls of at most
+    ``STACK_ENTRIES`` entries (and at least one draw), each yielded before
+    the next is drawn. ``np.linalg.qr`` factors each slice as it would
+    alone, so a draw's bits do not depend on how the generators are split
+    into stacks.
+
+    Parameters
+    ----------
+    dim, rows, columns : int
+        D >= 1 and the corner's size d x p, with 1 <= d, p <= D.
+    rngs : iterable of numpy.random.Generator
+        One generator per draw, consumed as the stacks are drawn.
+
+    Yields
+    ------
+    numpy.ndarray
+        k x min(rows, columns) x columns complex stacks, C-ordered.
+    """
+    if not (1 <= rows <= dim and 1 <= columns <= dim):
+        raise ValueError(f"need 1 <= rows, columns <= dim, got ({dim}, {rows}, {columns})")
+    # flat positions in the stacked [R1; R2] of the diagonals and of the
+    # entries right of them, and the gamma shapes of the diagonals
+    upper, diag_at, shapes, top = [], [], [], 0
+    for k in (rows, dim - rows):
+        i = np.arange(min(k, columns))
+        upper.append(np.arange(columns) > i[:, None])
+        diag_at.append((top + i) * columns + i)
+        shapes.append(k - i.astype(float))
+        top += len(i)
+    upper_at = np.flatnonzero(np.concatenate(upper))
+    diag_at, shapes = np.concatenate(diag_at), np.concatenate(shapes)
+    per_stack = max(1, STACK_ENTRIES // (top * columns))
+    rngs = iter(rngs)
+    while True:
+        chunk = list(itertools.islice(rngs, per_stack))
+        if not chunk:
+            return
+        gammas = np.empty((len(chunk), len(shapes)))
+        normals = np.empty((len(chunk), 2 * len(upper_at)))
+        for s, rng in enumerate(chunk):
+            rng.standard_gamma(shapes, out=gammas[s])
+            rng.standard_normal(out=normals[s])
+        stack = np.zeros((len(chunk), top * columns), dtype=complex)
+        stack[:, diag_at] = np.sqrt(gammas)
+        stack[:, upper_at] = normals.view(complex) / math.sqrt(2.0)
+        q = np.linalg.qr(stack.reshape(len(chunk), top, columns)).Q
+        yield np.ascontiguousarray(q[:, :min(rows, columns)])
 
 
 class _OpenBLAS:

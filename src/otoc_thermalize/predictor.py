@@ -32,7 +32,7 @@ from .hilbert import (
     _map_contiguous,
     _map_ordered,
     derive_rng,
-    sample_haar_unitary,
+    haar_corner_stacks,
 )
 from .thermalization import Check
 
@@ -406,10 +406,11 @@ def fourth_order_negative_demo(d: int, d_s: int, d_sigma: int,
     unsatisfiable"); for D_sigma = 1 the two-point function is identically 1
     and the premise holds trivially.
 
-    G_rho-rho^2 reads the D_rho x D_rho corner of the sample unitary, so
-    each sample draws only its leading D_rho columns: D x D_rho Gaussians
-    and a thin QR, O(D D_rho^2) instead of O(D^3). Sample i draws from
-    ``derive_rng(seed, "negative-demo", i)``; the samples go to the pool
+    G_rho-rho^2 is tr(c^dag c)/D_rho for the D_rho x D_rho corner c of the
+    sample unitary, so sample i draws a matrix with that corner Gram's law
+    from its two Bartlett R factors (``hilbert.haar_corner_stacks``) and the
+    generator ``derive_rng(seed, "negative-demo", i)``: O(D_rho^3) time and
+    no D-sized array. The samples go to the pool
     (``hilbert._map_contiguous``) in contiguous chunks and are reduced in
     index order, so the report does not depend on the pool.
     """
@@ -422,13 +423,10 @@ def fourth_order_negative_demo(d: int, d_s: int, d_sigma: int,
 
     def deviations(samples):
         out = []
-        for i in samples:
-            u = sample_haar_unitary(d, rng=derive_rng(seed, "negative-demo", i),
-                                    columns=d_rho)
-            # a C-ordered corner: the order of the sum follows the layout
-            c = np.ascontiguousarray(u[:d_rho])
-            g = np.sum(np.abs(c) ** 2) / d_rho
-            out.append(g * g - 1.0 / d_sigma ** 2)
+        rngs = (derive_rng(seed, "negative-demo", i) for i in samples)
+        for c in haar_corner_stacks(d, d_rho, d_rho, rngs):
+            g = np.sum(np.abs(c) ** 2, axis=(1, 2)) / d_rho
+            out += list(g * g - 1.0 / d_sigma ** 2)
         return out
 
     dev = np.array(_map_contiguous(deviations, n_samples), dtype=float)

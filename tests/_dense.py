@@ -15,6 +15,8 @@ dense GUE matrix, whose ``eigh`` the library's eigen-law draw
 explicit Hermitian H into the eigenframe source the library reads, through
 its ``eigh``; ``completed_eigenbasis`` completes a GUE source's thin
 eigenframe to a full eigenbasis, so its dense H can be formed.
+``haar_corner_by_slice`` reads a Haar corner off a D-row Haar draw, the
+route the library's Bartlett sampler ``haar_corner_stacks`` is held against.
 ``weighted_correlator`` and ``weighted_autocorrelator`` are the dense Bohr
 sums of a window average over the D x D frequency grid, for any operators
 and any window, which the blocked ``predictor.window_averages`` is held
@@ -41,6 +43,7 @@ from otoc_thermalize.hilbert import (
     derive_rng,
     embed_isometry,
     evolve_basis_series,
+    sample_haar_unitary,
 )
 from otoc_thermalize.predictor import canonical_window_pair, theorem_bound
 
@@ -104,6 +107,13 @@ def completed_eigenbasis(setup, source):
     w_perp, l_perp = (np.linalg.qr(a, mode="complete")[0][:, a.shape[1]:]
                       for a in (w, l))
     return (w @ l.conj().T + w_perp @ l_perp.conj().T).conj().T
+
+
+def haar_corner_by_slice(dim, rows, columns, rng):
+    """The ``rows x columns`` corner of a D x columns Haar isometry, read off
+    the full draw: the route the Bartlett sampler ``haar_corner_stacks``
+    replaced, and is held against."""
+    return sample_haar_unitary(dim, rng=rng, columns=columns)[:rows]
 
 
 def dense_matrix(p):

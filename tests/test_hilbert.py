@@ -19,6 +19,7 @@ from _dense import (
     dense_unitary,
     gue_hamiltonian,
     hamiltonian_source,
+    haar_corner_by_slice,
     recording_pools,
 )
 from otoc_thermalize import hilbert
@@ -32,9 +33,11 @@ from otoc_thermalize.hilbert import (
     derive_rng,
     embed_isometry,
     evolve_basis_series,
+    haar_corner_stacks,
     sample_gue_eigensystem,
     sample_haar_unitary,
 )
+from otoc_thermalize.dynamics import HaarPrediction
 
 UNITARITY_TOL = 1e-10  # times the dimension
 
@@ -114,6 +117,79 @@ def test_sampler_empty_stack_leaves_the_generator_untouched():
 def test_sampler_rejects_a_bad_count(count):
     with pytest.raises(ValueError, match="count"):
         sample_haar_unitary(8, seed=0, count=count)
+
+
+#: (D, D_R, D_rho) corner layouts: generic, D_rho > D_R, D_R + D_rho > D
+#: (R2 has fewer than D_rho rows), D_R + D_rho = D, D_R = D (no R2) and
+#: D_sigma = 1 (D_rho = D).
+CORNER_LAYOUTS = [(64, 32, 4), (64, 8, 16), (32, 2, 8), (16, 12, 8), (32, 24, 16),
+                  (32, 16, 16), (32, 32, 8), (32, 16, 32), (16, 16, 16)]
+
+
+@pytest.mark.parametrize("dim, rows, columns", CORNER_LAYOUTS)
+def test_stacked_r_factors_have_the_corner_gram_of_the_full_qr(dim, rows, columns):
+    # for one Ginibre G = [G1; G2], the top rows of the thin Q of [R1; R2]
+    # have the corner Gram of QR(G) up to a diagonal phase conjugation
+    rng = np.random.default_rng(dim + rows + columns)
+    g = (rng.standard_normal((dim, columns))
+         + 1j * rng.standard_normal((dim, columns))) / math.sqrt(2.0)
+    corner = np.linalg.qr(g).Q[:rows]
+    r = [np.linalg.qr(block).R for block in (g[:rows], g[rows:]) if len(block)]
+    c = np.linalg.qr(np.vstack(r)).Q[:len(r[0])]
+    m, m_c = (a.conj().T @ a for a in (corner, c))
+    assert abs(np.trace(m) - np.trace(m_c)) <= 1e-12
+    assert np.max(np.abs(np.abs(m) - np.abs(m_c))) <= 1e-12
+
+
+def _corner_moments(corners, columns):
+    """Per-draw (G2, G4, sigma2) of a stack of corners, from their Grams."""
+    m = corners.conj().swapaxes(1, 2) @ corners
+    g2 = np.trace(m, axis1=1, axis2=2).real / columns
+    g4 = np.sum(np.abs(m) ** 2, axis=(1, 2)) / columns
+    return np.stack([g2, g4, g4 - g2 ** 2], axis=1)
+
+
+@pytest.mark.parametrize("dim, rows, columns", CORNER_LAYOUTS)
+def test_haar_corners_match_the_slice_route_stat(dim, rows, columns):
+    # [stat] the Bartlett sampler against the corner of a D-row Haar draw:
+    # the means of G2, G4 and sigma2 agree within 4 standard errors of their
+    # difference; on both routes mean G2 is D_R/D and var(G2) is var_g2
+    # within 4 standard errors. A constant G2 (D_R = D or D_rho = D) is held
+    # to roundoff
+    n, floor = 2000, 1e-12
+    law = _corner_moments(np.concatenate(list(haar_corner_stacks(
+        dim, rows, columns, (derive_rng(41, "law", i) for i in range(n))))), columns)
+    by_slice = _corner_moments(np.array([
+        haar_corner_by_slice(dim, rows, columns, derive_rng(41, "slice", i))
+        for i in range(n)]), columns)
+    se = np.sqrt((law.var(axis=0, ddof=1) + by_slice.var(axis=0, ddof=1)) / n)
+    assert np.all(np.abs(law.mean(axis=0) - by_slice.mean(axis=0)) <= 4 * se + floor)
+    var_g2 = HaarPrediction(dim, dim / rows, dim / columns).var_g2
+    for g2 in (law[:, 0], by_slice[:, 0]):
+        assert abs(g2.mean() - rows / dim) <= 4 * math.sqrt(var_g2 / n) + floor
+        centred = g2 - g2.mean()
+        se_var = math.sqrt((np.mean(centred ** 4) - np.mean(centred ** 2) ** 2) / n)
+        assert abs(g2.var(ddof=1) - var_g2) <= 4 * se_var + floor ** 2
+
+
+@pytest.mark.parametrize("dim, rows, columns", [(64, 16, 8), (16, 4, 8), (16, 16, 4)])
+def test_haar_corner_bytes_do_not_depend_on_the_stacking(monkeypatch, dim, rows, columns):
+    def draws(entries):
+        monkeypatch.setattr(hilbert, "STACK_ENTRIES", entries)
+        rngs = (derive_rng(13, "corner", i) for i in range(40))
+        stacks = list(haar_corner_stacks(dim, rows, columns, rngs))
+        return len(stacks), [c.tobytes() for stack in stacks for c in stack]
+
+    all_at_once, one_at_a_time = draws(2 ** 30), draws(1)
+    assert (all_at_once[0], one_at_a_time[0]) == (1, 40)
+    assert all_at_once[1] == one_at_a_time[1]
+
+
+@pytest.mark.parametrize("dim, rows, columns", [(0, 1, 1), (8, 0, 2), (8, 9, 2),
+                                                (8, 2, 0), (8, 2, 9)])
+def test_haar_corners_reject_a_bad_layout(dim, rows, columns):
+    with pytest.raises(ValueError, match="rows, columns"):
+        next(haar_corner_stacks(dim, rows, columns, [np.random.default_rng(0)]))
 
 
 def test_derive_rng_streams_are_independent_and_stable():
