@@ -42,7 +42,7 @@ from .hilbert import (
     sample_haar_unitary,
 )
 from .predictor import (
-    canonical_window_pair,
+    WindowPair,
     fourth_order_negative_demo,
     synopsis_bound,
     theorem_bound,
@@ -442,7 +442,7 @@ def _run_predictor_demo(cfg: ExperimentConfig):
     norm_b = d_sigma - 1.0
     # the windows share one length and differ only in their start, so each
     # is the first one shifted by k*t_obs; w0 and W do not depend on t0
-    pair = canonical_window_pair(t0, t_horizon, t_obs, xi=xi)
+    pair = WindowPair(t0, t_horizon, t_obs, xi)
     shifts = t_obs * np.arange(n_windows)
 
     def one_instance(i):
@@ -468,8 +468,7 @@ def _run_predictor_demo(cfg: ExperimentConfig):
         positive.update(0.0, auto)
         auto_clamped = max(0.0, auto)
         rhs = theorem_bound(auto_clamped, norm_a, norm_b, pair)
-        normalized_rhs = synopsis_bound(auto_clamped / norm_a, t_obs,
-                                        t_horizon, xi)
+        normalized_rhs = synopsis_bound(auto_clamped / norm_a, pair)
         for k, lhs in enumerate(lhs_list):
             synopsis.update(lhs / scale, normalized_rhs)
             rows.append(_row(
@@ -478,8 +477,8 @@ def _run_predictor_demo(cfg: ExperimentConfig):
                 ok=theorem.update(lhs, rhs)))
     vacuous = []
     for lam in lambdas:
-        value, clamped = time_interval_bound(
-            epsilon, kappa_rr, xi, t_obs, t_horizon, d_s, d_sigma, lam)
+        value, clamped = time_interval_bound(epsilon, kappa_rr, pair, d_s,
+                                             d_sigma, lam)
         if clamped:
             vacuous.append(repr(lam))
         # a bound to read, with no checked inequality: the pass cell is empty

@@ -3,12 +3,13 @@ long-time-window cross correlators.
 
 A long weighting window w and a completely positive short window w_plus with
 Fourier-window constants (delta_e, w0, W) turn a measured autocorrelator
-average into a bound on any windowed cross correlator. The canonical pair is
-a box window of length T against a tent window of half-width T_obs, with
-delta_e = 2 xi / T_obs, W = sinc^2(xi), w0 = T_obs/(xi T). For autonomous
-dynamics, time averages are evaluated exactly as sums over Bohr frequencies
-in the Hamiltonian eigenbasis; for general dynamics a Gram-matrix
-Cauchy-Schwarz bound on an explicit time grid is provided instead.
+average into a bound on any windowed cross correlator. ``WindowPair`` is the
+one pair used here: a box window of length T against a tent window of
+half-width T_obs, with delta_e = 2 xi / T_obs, W = sinc^2(xi),
+w0 = T_obs/(xi T). For autonomous dynamics, time averages are evaluated
+exactly as sums over Bohr frequencies in the Hamiltonian eigenbasis; for
+general dynamics, ``cauchy_schwarz_bound`` takes a Gram kernel on a time
+grid and the window's quadrature weights on that grid.
 
 Windows that differ only by a start shift s share one Bohr sum: moving a
 window multiplies its transform by exp(-i omega s), which splits over the
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -55,126 +55,54 @@ def _sinc(x):
 
 
 @dataclass(frozen=True)
-class WeightingFunction:
-    """A nonnegative, unit-mass time window.
-
-    Kinds: ``box`` (uniform on [t0, t0 + duration]), ``tent`` (triangular on
-    [-t_obs, t_obs]; its Fourier transform sinc^2 is nonnegative, making it
-    completely positive), and ``tabulated`` (trapezoid-normalized samples on
-    an explicit grid).
-    """
-
-    kind: str
-    t0: float = 0.0
-    duration: float = 0.0
-    t_obs: float = 0.0
-    times: Optional[np.ndarray] = None
-    weights: Optional[np.ndarray] = None
-
-    @classmethod
-    def box(cls, t0: float, duration: float) -> "WeightingFunction":
-        """Uniform window 1/duration on [t0, t0 + duration]."""
-        if duration <= 0:
-            raise ValueError(f"box duration must be positive, got {duration}")
-        return cls(kind="box", t0=float(t0), duration=float(duration))
-
-    @classmethod
-    def tent(cls, t_obs: float) -> "WeightingFunction":
-        """Triangular window (1 - |t|/t_obs)/t_obs on [-t_obs, t_obs]."""
-        if t_obs <= 0:
-            raise ValueError(f"tent half-width must be positive, got {t_obs}")
-        return cls(kind="tent", t_obs=float(t_obs))
-
-    @classmethod
-    def tabulated(cls, times, weights) -> "WeightingFunction":
-        """Sampled window; weights are clipped at 0 and normalized to unit mass."""
-        times = np.asarray(times, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if times.ndim != 1 or times.shape != weights.shape or times.size < 2:
-            raise ValueError("need matching 1-d times/weights with >= 2 samples")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        if np.any(weights < -NEGATIVE_CLAMP):
-            raise ValueError("weights must be nonnegative")
-        weights = np.clip(weights, 0.0, None)
-        mass = np.trapezoid(weights, times)
-        if mass <= 0:
-            raise ValueError("window has zero mass")
-        return cls(kind="tabulated", times=times, weights=weights / mass)
-
-    def density(self, t):
-        """w(t), vectorized."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "box":
-            inside = (t >= self.t0) & (t <= self.t0 + self.duration)
-            return np.where(inside, 1.0 / self.duration, 0.0)
-        if self.kind == "tent":
-            return np.clip(1.0 - np.abs(t) / self.t_obs, 0.0, None) / self.t_obs
-        return np.interp(t, self.times, self.weights, left=0.0, right=0.0)
-
-    def fourier(self, e):
-        """Fourier transform w~(E) = integral of w(t) exp(-iEt) dt, vectorized.
-
-        Closed forms: box gives exp(-iE(t0 + T/2)) sinc(ET/2), tent gives
-        sinc^2(E t_obs/2); tabulated windows use trapezoid quadrature.
-        """
-        e = np.asarray(e, dtype=float)
-        if self.kind == "box":
-            half = 0.5 * self.duration
-            return np.exp(-1j * e * (self.t0 + half)) * _sinc(e * half)
-        if self.kind == "tent":
-            return _sinc(0.5 * e * self.t_obs) ** 2 + 0j
-        phases = np.exp(-1j * np.multiply.outer(e, self.times))
-        return np.trapezoid(phases * self.weights, self.times, axis=-1)
-
-
-@dataclass(frozen=True)
 class WindowPair:
-    """A long window w and CP short window w_plus with Fourier constants.
+    """A box window of length t_horizon against a tent of half-width t_obs.
 
-    ``delta_e`` bounds the Fourier window: outside it |w~| <= w0, inside it
-    w~_plus >= W. Both constants must lie strictly in (0, 1).
+    The long window is uniform, 1/t_horizon on [t0, t0 + t_horizon], with
+    transform exp(-iE(t0 + t_horizon/2)) sinc(E t_horizon/2). The short
+    window is triangular, (1 - |t|/t_obs)/t_obs on [-t_obs, t_obs]; its
+    transform sinc^2(E t_obs/2) is nonnegative, so it is completely positive.
+    With delta_e = 2 xi / t_obs, the box transform obeys
+    |w~(E)| <= 2/(|E| t_horizon) <= t_obs/(xi t_horizon) = w0 outside the
+    Fourier window [-delta_e, delta_e], and the tent transform decreases on
+    it, so its floor there is W = sinc^2(xi). The constructor requires
+    0 < xi < pi, both windows of positive length, and w0 and W strictly in
+    (0, 1).
     """
 
-    w: WeightingFunction
-    w_plus: WeightingFunction
-    delta_e: float
-    w0: float
-    W: float
-    xi: float
+    t0: float
+    t_horizon: float
+    t_obs: float
+    xi: float = 0.5 * math.pi
 
     def __post_init__(self):
+        if not 0.0 < self.xi < math.pi:
+            raise ValueError(f"xi must lie in (0, pi), got {self.xi}")
+        if abs(math.sin(self.xi)) <= SIN_XI_TOL:
+            raise ValueError(f"sin(xi) vanishes at xi={self.xi}")
+        if self.t_horizon <= 0:
+            raise ValueError(f"box duration must be positive, got {self.t_horizon}")
+        if self.t_obs <= 0:
+            raise ValueError(f"tent half-width must be positive, got {self.t_obs}")
         if not 0.0 < self.w0 < 1.0:
             raise ValueError(f"w0 must be in (0, 1), got {self.w0}")
         if not 0.0 < self.W < 1.0:
             raise ValueError(f"W must be in (0, 1), got {self.W}")
-        if self.delta_e <= 0:
-            raise ValueError(f"delta_e must be positive, got {self.delta_e}")
 
+    @property
+    def delta_e(self) -> float:
+        """Half-width 2 xi / t_obs of the Fourier window."""
+        return 2.0 * self.xi / self.t_obs
 
-def canonical_window_pair(t0: float, t_horizon: float, t_obs: float,
-                          xi: float = 0.5 * math.pi) -> WindowPair:
-    """Box window of length t_horizon vs tent window of half-width t_obs.
+    @property
+    def w0(self) -> float:
+        """Cap t_obs/(xi t_horizon) of |box transform| outside the Fourier window."""
+        return self.t_obs / (self.xi * self.t_horizon)
 
-    With delta_e = 2 xi / t_obs: the box transform obeys
-    |w~(E)| <= 2/(|E| t_horizon) <= t_obs/(xi t_horizon) = w0 outside the
-    window, and the tent transform sinc^2(E t_obs / 2) decreases on the
-    window, so its floor is W = sinc^2(xi). Requires 0 < xi < pi and
-    t_obs < xi * t_horizon (so that w0 < 1).
-    """
-    if not 0.0 < xi < math.pi:
-        raise ValueError(f"xi must lie in (0, pi), got {xi}")
-    if abs(math.sin(xi)) <= SIN_XI_TOL:
-        raise ValueError(f"sin(xi) vanishes at xi={xi}")
-    w = WeightingFunction.box(t0, t_horizon)
-    w_plus = WeightingFunction.tent(t_obs)
-    return WindowPair(
-        w=w, w_plus=w_plus,
-        delta_e=2.0 * xi / t_obs,
-        w0=t_obs / (xi * t_horizon),
-        W=float(_sinc(xi)) ** 2,
-        xi=xi,
-    )
+    @property
+    def W(self) -> float:
+        """Floor sinc^2(xi) of the tent transform inside the Fourier window."""
+        return float(_sinc(self.xi)) ** 2
 
 
 def window_averages(evals: np.ndarray, w: np.ndarray, y: np.ndarray,
@@ -205,12 +133,9 @@ def window_averages(evals: np.ndarray, w: np.ndarray, y: np.ndarray,
     on the pool; the partial sums of every block, D/``BLOCK`` x (windows + 1)
     floats, are held until the fold.
     """
-    box, tent = pair.w, pair.w_plus
-    if box.kind != "box" or tent.kind != "tent":
-        raise ValueError("window_averages takes a box window against a tent")
     d = evals.shape[0]
-    half = 0.5 * box.duration
-    centres = (box.t0 + half) + np.asarray(shifts, dtype=float)
+    half = 0.5 * pair.t_horizon
+    centres = (pair.t0 + half) + np.asarray(shifts, dtype=float)
 
     def block_sums(index):
         # each pool thread holds one block's arrays, so they are formed, and
@@ -222,7 +147,7 @@ def window_averages(evals: np.ndarray, w: np.ndarray, y: np.ndarray,
         # the columns right of the diagonal block stand for their mirror too
         twice = np.ones(d - lo)
         twice[hi - lo:] = 2.0
-        tent_weight = _sinc(0.5 * omega * tent.t_obs) ** 2 * twice
+        tent_weight = _sinc(0.5 * omega * pair.t_obs) ** 2 * twice
         box_weight = _sinc(omega * half) * twice
         del omega
         # W[lo:hi] W[lo:]^dag as conj(conj(W[lo:hi]) W[lo:]^T): W[lo:].T is a view
@@ -276,29 +201,19 @@ def theorem_bound(autocorr_avg_plus: float, norm_a: float, norm_b: float,
             f"CP autocorrelator average must be nonnegative, got {autocorr_avg_plus}")
     if norm_a < 0 or norm_b < 0:
         raise ValueError("operator norms must be nonnegative")
-    if pair.W <= 0:
-        raise ValueError("window floor W must be positive")
     auto = max(0.0, autocorr_avg_plus)
     return (math.sqrt(auto / pair.W) + pair.w0 * math.sqrt(norm_a)) * math.sqrt(norm_b)
 
 
-def synopsis_bound(autocorr_plus_avg: float, t_obs: float, t_horizon: float,
-                   xi: float) -> float:
+def synopsis_bound(autocorr_plus_avg: float, pair: WindowPair) -> float:
     """Normalized form of the bound: t_obs/(xi T) + (xi/|sin xi|) sqrt(autocorr)."""
-    if xi <= 0:
-        raise ValueError(f"xi must be positive, got {xi}")
-    if abs(math.sin(xi)) <= SIN_XI_TOL:
-        raise ValueError(f"sin(xi) vanishes at xi={xi}")
-    if t_obs <= 0 or t_horizon <= 0:
-        raise ValueError("t_obs and t_horizon must be positive")
+    xi = pair.xi
     auto = max(0.0, autocorr_plus_avg)
-    return (t_obs / (xi * t_horizon)
-            + (xi / abs(math.sin(xi))) * math.sqrt(auto))
+    return pair.w0 + (xi / abs(math.sin(xi))) * math.sqrt(auto)
 
 
-def time_interval_bound(epsilon: float, kappa_rr: float, xi: float,
-                        t_obs: float, t_horizon: float, d_s: int,
-                        d_sigma: int, lam: float):
+def time_interval_bound(epsilon: float, kappa_rr: float, pair: WindowPair,
+                        d_s: int, d_sigma: int, lam: float):
     """Bound on the fraction of a time interval with nonthermal G^2.
 
     Returns ``(value, vacuous)``: the raw bound
@@ -309,31 +224,28 @@ def time_interval_bound(epsilon: float, kappa_rr: float, xi: float,
         raise ValueError(f"lambda must be positive, got {lam}")
     if epsilon < 0 or kappa_rr < 0:
         raise ValueError("epsilon and kappa_rr must be nonnegative")
-    if xi <= 0 or abs(math.sin(xi)) <= SIN_XI_TOL:
-        raise ValueError(f"invalid xi={xi}")
-    if t_obs <= 0 or t_horizon <= 0:
-        raise ValueError("t_obs and t_horizon must be positive")
+    xi = pair.xi
     inner = ((xi / abs(math.sin(xi))) * math.sqrt(epsilon ** 2 + 2.0 * kappa_rr)
-             + t_obs / (xi * t_horizon))
+             + pair.w0)
     raw = (d_sigma / (lam ** 2 * d_s)) * inner
     return min(1.0, max(0.0, raw)), raw > 1.0
 
 
-def cauchy_schwarz_bound(times: np.ndarray, gram: np.ndarray,
-                         w: WeightingFunction, norm_b: float) -> float:
+def cauchy_schwarz_bound(gram: np.ndarray, q: np.ndarray,
+                         norm_b: float) -> float:
     """General-dynamics bound sqrt(sum_ij q_i q_j K_ij) sqrt(<B,B>).
 
-    ``gram`` is the kernel K_ij = <U_{t_i}(A), U_{t_j}(A)> on the grid
-    ``times``; it must be Hermitian positive semidefinite to tolerance
-    (it is a Gram matrix). The quadrature vector q combines the window
-    density with trapezoid weights; a single-point grid reduces to the plain
-    Cauchy-Schwarz inequality.
+    ``gram`` is the kernel K_ij = <U_{t_i}(A), U_{t_j}(A)> on a time grid;
+    it must be Hermitian positive semidefinite to tolerance (it is a Gram
+    matrix). ``q`` holds the window's quadrature weights on the same grid,
+    for example its density times trapezoid weights; a single point with
+    q = [1] reduces to the plain Cauchy-Schwarz inequality.
     """
-    times = np.asarray(times, dtype=float)
+    q = np.asarray(q, dtype=float)
     gram = np.asarray(gram)
-    n = times.size
+    n = q.size
     if gram.shape != (n, n):
-        raise ValueError(f"gram shape {gram.shape} does not match {n} times")
+        raise ValueError(f"gram shape {gram.shape} does not match {n} weights")
     herm_defect = np.linalg.norm(gram - gram.conj().T)
     if not herm_defect <= KERNEL_TOL * max(1.0, np.linalg.norm(gram)):
         raise ValueError(f"kernel not Hermitian: defect {herm_defect:.3e}")
@@ -341,35 +253,8 @@ def cauchy_schwarz_bound(times: np.ndarray, gram: np.ndarray,
     min_eig = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2.0).min())
     if min_eig < -KERNEL_TOL * scale:
         raise ValueError(f"kernel indefinite: min eigenvalue {min_eig:.3e}")
-    if n == 1:
-        q = np.array([1.0])
-    else:
-        dt = np.zeros(n)
-        dt[:-1] += 0.5 * np.diff(times)
-        dt[1:] += 0.5 * np.diff(times)
-        q = w.density(times) * dt
     val = float(np.real(q @ gram @ q))
     return math.sqrt(max(0.0, val)) * math.sqrt(max(0.0, norm_b))
-
-
-def cloned_equilibrium_bound(epsilon: float, kappa_plus: float, w0: float,
-                             w_floor: float, d_s: int, d_sigma: int) -> float:
-    """Equilibrium-deviation bound for the cloned-operator construction.
-
-    eps_c = D_sigma sqrt(eps^2 (1 - kappa_plus)/W + kappa_plus/(W D_S^2))
-    + w0 D_sigma (D_S - 1)/D_S^2, where kappa_plus is the short-window weight
-    excluded from the measured interval and W the window floor. The fraction
-    of nonthermal basis-time pairs is then bounded by eps_c / lambda^2.
-    """
-    if w_floor <= 0:
-        raise ValueError(f"window floor W must be positive, got {w_floor}")
-    if not 0.0 <= kappa_plus <= 1.0:
-        raise ValueError(f"kappa_plus must be in [0, 1], got {kappa_plus}")
-    if epsilon < 0 or w0 < 0:
-        raise ValueError("epsilon and w0 must be nonnegative")
-    root = math.sqrt(epsilon ** 2 * (1.0 - kappa_plus) / w_floor
-                     + kappa_plus / (w_floor * d_s ** 2))
-    return d_sigma * root + w0 * d_sigma * (d_s - 1) / d_s ** 2
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,14 @@ its ``eigh``; ``completed_eigenbasis`` completes a GUE source's thin
 eigenframe to a full eigenbasis, so its dense H can be formed.
 ``haar_corner_by_slice`` reads a Haar corner off a D-row Haar draw, the
 route the library's Bartlett sampler ``haar_corner_stacks`` is held against.
-``weighted_correlator`` and ``weighted_autocorrelator`` are the dense Bohr
-sums of a window average over the D x D frequency grid, for any operators
-and any window, which the blocked ``predictor.window_averages`` is held
-against.
+The windows of a ``predictor.WindowPair`` are defined here twice, by their
+time-domain densities (``box_density``, ``tent_density``) and by their
+closed-form transforms (``box_transform``, ``tent_transform``), which the
+oracle tests hold against quadrature of the densities. ``bohr_sum`` is the
+dense Bohr sum of a window average over the D x D frequency grid, for any
+operators and any window transform; ``weighted_correlator`` takes it over a
+pair's box and ``weighted_autocorrelator`` over its tent, and the blocked
+``predictor.window_averages`` is held against both.
 """
 
 import contextlib
@@ -45,7 +49,7 @@ from otoc_thermalize.hilbert import (
     evolve_basis_series,
     sample_haar_unitary,
 )
-from otoc_thermalize.predictor import canonical_window_pair, theorem_bound
+from otoc_thermalize.predictor import WindowPair, theorem_bound
 
 
 def gue_hamiltonian(dim, seed=None, rng=None):
@@ -194,23 +198,59 @@ def to_eigenbasis(vecs, a):
     return vecs.conj().T @ a @ vecs
 
 
-def weighted_correlator(evals, a_eig, b_eig, w):
+def _sinc(x):
+    """Unnormalized sinc, sin(x)/x with sinc(0) = 1."""
+    return np.sinc(np.asarray(x) / np.pi)
+
+
+def box_density(pair, t):
+    """The pair's long window 1/t_horizon on [t0, t0 + t_horizon], vectorized."""
+    t = np.asarray(t, dtype=float)
+    inside = (t >= pair.t0) & (t <= pair.t0 + pair.t_horizon)
+    return np.where(inside, 1.0 / pair.t_horizon, 0.0)
+
+
+def tent_density(pair, t):
+    """The pair's short window (1 - |t|/t_obs)/t_obs on [-t_obs, t_obs], vectorized."""
+    t = np.asarray(t, dtype=float)
+    return np.clip(1.0 - np.abs(t) / pair.t_obs, 0.0, None) / pair.t_obs
+
+
+def box_transform(pair, e):
+    """Integral of box_density(t) exp(-iEt): exp(-iE(t0 + T/2)) sinc(ET/2)."""
+    e = np.asarray(e, dtype=float)
+    half = 0.5 * pair.t_horizon
+    return np.exp(-1j * e * (pair.t0 + half)) * _sinc(e * half)
+
+
+def tent_transform(pair, e):
+    """Integral of tent_density(t) exp(-iEt): sinc^2(E t_obs/2), real and nonnegative."""
+    e = np.asarray(e, dtype=float)
+    return _sinc(0.5 * e * pair.t_obs) ** 2 + 0j
+
+
+def bohr_sum(evals, a_eig, b_eig, transform):
     """Window average of <B, U_t(A)> as the dense Bohr sum over D x D grids.
 
     (1/D) sum_nm conj(B_nm) A_nm w~(E_n - E_m), for any A and B given in the
-    Hamiltonian eigenbasis and any window.
+    Hamiltonian eigenbasis and any window transform ``transform`` = w~.
     """
     omega = evals[:, None] - evals[None, :]
-    return complex(np.sum(b_eig.conj() * a_eig * w.fourier(omega)) / evals.size)
+    return complex(np.sum(b_eig.conj() * a_eig * transform(omega)) / evals.size)
 
 
-def weighted_autocorrelator(evals, a_eig, w):
-    """Window average of the autocorrelator <A, U_t(A)>.
+def weighted_correlator(evals, a_eig, b_eig, pair):
+    """Average of <B, U_t(A)> over the pair's box window, by ``bohr_sum``."""
+    return bohr_sum(evals, a_eig, b_eig, lambda e: box_transform(pair, e))
+
+
+def weighted_autocorrelator(evals, a_eig, pair):
+    """Average of the autocorrelator <A, U_t(A)> over the pair's tent window.
 
     Real for Hermitian A, since a real window has w~(-E) = conj(w~(E)); the
     oracle takes any A, so a non-Hermitian one can make it complex.
     """
-    val = weighted_correlator(evals, a_eig, a_eig, w)
+    val = bohr_sum(evals, a_eig, a_eig, lambda e: tent_transform(pair, e))
     if abs(val.imag) > 1e-9:
         raise InvariantError("autocorrelator average was not real")
     return val.real
@@ -233,10 +273,10 @@ def predictor_demo_rows(setup, seed, n_instances, n_windows, t0, t_horizon,
         evals, vecs = source.evals, completed_eigenbasis(setup, source)
         a_eig, b_eig = to_eigenbasis(vecs, a2), to_eigenbasis(vecs, b2)
         for k in range(n_windows):
-            pair = canonical_window_pair(t0 + k * t_obs, t_horizon, t_obs, xi=xi)
-            auto = weighted_autocorrelator(evals, a_eig, pair.w_plus)
+            pair = WindowPair(t0 + k * t_obs, t_horizon, t_obs, xi)
+            auto = weighted_autocorrelator(evals, a_eig, pair)
             rows.append((theorem_bound(max(0.0, auto), norm_a, norm_b, pair),
-                         abs(weighted_correlator(evals, a_eig, b_eig, pair.w))))
+                         abs(weighted_correlator(evals, a_eig, b_eig, pair))))
     return rows
 
 

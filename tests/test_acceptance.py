@@ -37,7 +37,7 @@ from otoc_thermalize.hilbert import (
     sample_haar_unitary,
 )
 from otoc_thermalize.predictor import (
-    canonical_window_pair,
+    WindowPair,
     fourth_order_negative_demo,
     synopsis_bound,
     theorem_bound,
@@ -268,26 +268,22 @@ def test_window_bounds_sound_for_gue_ensemble():
         b_eig = to_eigenbasis(evecs, b2)
         for k in range(10):
             xi = math.pi / 2 if k % 2 == 0 else 1.0
-            pair = canonical_window_pair(
-                k * t_obs, t_horizon, t_obs, xi=xi
-            )
+            pair = WindowPair(k * t_obs, t_horizon, t_obs, xi=xi)
             assert abs(pair.W - math.sin(xi) ** 2 / xi**2) <= 1e-9
             assert abs(pair.w0 - t_obs / (xi * t_horizon)) <= 1e-9
 
             # clamp tiny negative roundoff in the (mathematically
             # nonnegative) weighted autocorrelator
             auto = max(
-                0.0, weighted_autocorrelator(evals, a_eig, pair.w_plus)
+                0.0, weighted_autocorrelator(evals, a_eig, pair)
             )
-            lhs = abs(weighted_correlator(evals, a_eig, b_eig, pair.w))
+            lhs = abs(weighted_correlator(evals, a_eig, b_eig, pair))
             rhs = theorem_bound(auto, norm_a, norm_b, pair)
             if lhs > rhs + BOUND_SLACK:
                 violations += 1
 
             lhs_unit = lhs / math.sqrt(norm_a * norm_b)
-            rhs_unit = synopsis_bound(
-                auto / norm_a, t_obs, t_horizon, xi
-            )
+            rhs_unit = synopsis_bound(auto / norm_a, pair)
             if lhs_unit > rhs_unit + BOUND_SLACK:
                 violations += 1
     assert violations == 0

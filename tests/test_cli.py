@@ -602,8 +602,13 @@ def test_finite_config_number_out_of_float_range_is_config_error(
     ({"epsilon": -0.1, "lambda_grid": [0.5]}, "epsilon"),
     ({"kappa_rr": -1.0, "lambda_grid": [0.5]}, "kappa_rr"),
     ({"xi": math.pi - 1e-15}, "sin(xi)"),
+    # sinc^2(xi) rounds to 1, and w0 = 2e-4 passes
+    ({"xi": 1e-8, "t_horizon": 1e12}, "W must be in (0, 1)"),
+    ({"t_obs": 0.0}, "half-width"),
+    ({"t_horizon": -1.0}, "duration"),
 ], ids=["window-end-overflow", "horizon-overflow", "phase-overflow",
-        "negative-epsilon", "negative-kappa-rr", "vanishing-sin-xi"])
+        "negative-epsilon", "negative-kappa-rr", "vanishing-sin-xi",
+        "unit-window-floor", "zero-half-width", "negative-duration"])
 def test_predictor_demo_window_and_bound_config_errors(capsys, config, message):
     code = cli.run({"experiment": "predictor-demo", "n": 5,
                     "n_instances": 1, **config})

@@ -17,6 +17,8 @@ import scipy.integrate
 import scipy.linalg
 
 from _dense import (
+    box_density,
+    box_transform,
     dense_embed,
     dense_matrix,
     dense_unitary,
@@ -24,6 +26,8 @@ from _dense import (
     hamiltonian_source,
     projector_from_matrix,
     swap_representation_check,
+    tent_density,
+    tent_transform,
 )
 from otoc_thermalize.hilbert import (
     ManyBodySetup,
@@ -37,7 +41,7 @@ from otoc_thermalize.geometry import (
     halmos_decompose,
 )
 from otoc_thermalize.dynamics import haar_prediction
-from otoc_thermalize.predictor import WeightingFunction
+from otoc_thermalize.predictor import WindowPair
 from otoc_thermalize.thermalization import core_sizing
 
 
@@ -274,24 +278,24 @@ def test_swap_form_matches_explicit_kron_matrix():
 
 def test_box_window_fourier_vs_quadrature():
     t0, horizon = 0.7, 13.0
-    w = WeightingFunction.box(t0, horizon)
+    pair = WindowPair(t0, horizon, 1.0)
     for e_val in (0.0, 0.37, 2.0, 9.3):
-        re, _ = scipy.integrate.quad(lambda t: math.cos(e_val * t) / horizon,
-                                     t0, t0 + horizon)
-        im, _ = scipy.integrate.quad(lambda t: -math.sin(e_val * t) / horizon,
-                                     t0, t0 + horizon)
-        val = w.fourier(e_val)
+        re, _ = scipy.integrate.quad(
+            lambda t: math.cos(e_val * t) * box_density(pair, t), t0, t0 + horizon)
+        im, _ = scipy.integrate.quad(
+            lambda t: -math.sin(e_val * t) * box_density(pair, t), t0, t0 + horizon)
+        val = box_transform(pair, e_val)
         assert abs(val - (re + 1j * im)) <= 1e-10
 
 
 def test_tent_window_fourier_vs_quadrature():
     t_obs = 5.0
-    w = WeightingFunction.tent(t_obs)
+    pair = WindowPair(0.0, 50.0, t_obs)
     for e_val in (0.0, 0.37, 2.0, 9.3):
         re, _ = scipy.integrate.quad(
-            lambda t: math.cos(e_val * t) * (1 - abs(t) / t_obs) / t_obs,
+            lambda t: math.cos(e_val * t) * tent_density(pair, t),
             -t_obs, t_obs, limit=200)
-        val = w.fourier(e_val)
+        val = tent_transform(pair, e_val)
         assert abs(val.imag) <= 1e-12
         assert abs(val.real - re) <= 1e-10
 

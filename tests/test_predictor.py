@@ -1,7 +1,6 @@
 """Tests for window transforms, auto-to-cross correlator bounds, and the
 fourth-order obstruction demo."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -10,9 +9,13 @@ import pytest
 
 import _dense
 from _dense import (
+    box_density,
+    box_transform,
     dense_unitary,
     gue_hamiltonian,
     hamiltonian_source,
+    tent_density,
+    tent_transform,
     to_eigenbasis,
     two_point_operators,
     weighted_autocorrelator,
@@ -28,10 +31,8 @@ from otoc_thermalize.hilbert import (
 )
 from otoc_thermalize.dynamics import correlator_series
 from otoc_thermalize.predictor import (
-    WeightingFunction,
-    canonical_window_pair,
+    WindowPair,
     cauchy_schwarz_bound,
-    cloned_equilibrium_bound,
     fourth_order_negative_demo,
     synopsis_bound,
     theorem_bound,
@@ -55,70 +56,52 @@ def _random_hermitian(dim, rng, unit_norm=True):
 # ---------------------------------------------------------------------------
 
 def test_fourier_transform_reference_values():
-    box = WeightingFunction.box(0.0, 4.0)
-    tent = WeightingFunction.tent(3.0)
-    assert box.fourier(0.0) == pytest.approx(1.0)
-    assert tent.fourier(0.0) == pytest.approx(1.0)
+    pair = WindowPair(0.0, 4.0, 3.0)
+    assert box_transform(pair, 0.0) == pytest.approx(1.0)
+    assert tent_transform(pair, 0.0) == pytest.approx(1.0)
     # tent transform is sinc^2: first node at E = 2 pi / t_obs
-    assert abs(tent.fourier(2.0 * math.pi / 3.0)) <= 1e-12
+    assert abs(tent_transform(pair, 2.0 * math.pi / 3.0)) <= 1e-12
     # sinc(1)^2 = sin(1)^2 at E t_obs / 2 = 1
-    assert tent.fourier(2.0 / 3.0).real == pytest.approx(
+    assert tent_transform(pair, 2.0 / 3.0).real == pytest.approx(
         math.sin(1.0) ** 2, abs=1e-12)
 
 
 def test_fourier_weight_scalar_and_vector():
-    box = WeightingFunction.box(-1.0, 2.0)
-    scalar = box.fourier(0.37)
+    pair = WindowPair(-1.0, 2.0, 1.0)
+    scalar = box_transform(pair, 0.37)
     assert isinstance(scalar, complex)
-    vec = box.fourier(np.array([0.0, 0.37, 5.0]))
+    vec = box_transform(pair, np.array([0.0, 0.37, 5.0]))
     assert vec.shape == (3,)
     assert vec[1] == pytest.approx(scalar)
 
 
 def test_tent_transform_is_nonnegative():
-    tent = WeightingFunction.tent(2.0)
-    vals = tent.fourier(np.linspace(-60.0, 60.0, 3001))
+    vals = tent_transform(WindowPair(0.0, 10.0, 2.0), np.linspace(-60.0, 60.0, 3001))
     assert np.all(vals.real >= -1e-12)
     assert np.max(np.abs(vals.imag)) <= 1e-12
 
 
 def test_window_densities_have_unit_mass():
     grid = np.linspace(-8.0, 8.0, 200001)
-    for w in (WeightingFunction.box(-1.5, 3.0), WeightingFunction.tent(2.5)):
+    pair = WindowPair(-1.5, 3.0, 2.5)
+    for density in (box_density, tent_density):
         # O(h) quadrature error at the box discontinuities dominates
-        assert np.trapezoid(w.density(grid), grid) == pytest.approx(1.0, abs=1e-4)
-    tab = WeightingFunction.tabulated([0.0, 1.0, 3.0], [2.0, 1.0, 0.5])
-    assert np.trapezoid(tab.weights, tab.times) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_tabulated_window_matches_tent():
-    t_obs = 2.0
-    grid = np.linspace(-t_obs, t_obs, 4001)
-    tent = WeightingFunction.tent(t_obs)
-    tab = WeightingFunction.tabulated(grid, np.clip(1.0 - np.abs(grid) / t_obs, 0, None))
-    for e in (0.0, 0.9, 4.0):
-        assert tab.fourier(e) == pytest.approx(tent.fourier(e), abs=1e-6)
+        assert np.trapezoid(density(pair, grid), grid) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_window_constructor_validation():
     with pytest.raises(ValueError, match="duration"):
-        WeightingFunction.box(0.0, 0.0)
+        WindowPair(0.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="half-width"):
-        WeightingFunction.tent(-1.0)
-    with pytest.raises(ValueError, match="increasing"):
-        WeightingFunction.tabulated([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
-    with pytest.raises(ValueError, match="nonnegative"):
-        WeightingFunction.tabulated([0.0, 1.0], [1.0, -1.0])
-    with pytest.raises(ValueError, match="mass"):
-        WeightingFunction.tabulated([0.0, 1.0], [0.0, 0.0])
+        WindowPair(0.0, 10.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
-# Canonical window pair and its Fourier constants.
+# The window pair and its Fourier constants.
 # ---------------------------------------------------------------------------
 
 def test_canonical_pair_constants():
-    pair = canonical_window_pair(0.0, 50.0, 3.0)
+    pair = WindowPair(0.0, 50.0, 3.0)
     assert pair.xi == pytest.approx(math.pi / 2.0)
     assert pair.delta_e == pytest.approx(math.pi / 3.0)
     assert pair.w0 == pytest.approx(3.0 / (math.pi / 2.0 * 50.0))
@@ -128,29 +111,32 @@ def test_canonical_pair_constants():
 def test_canonical_pair_constants_verified_numerically():
     # W is the floor of the CP transform inside the Fourier window; w0 caps
     # the long-window transform outside it.
-    pair = canonical_window_pair(0.0, 37.0, 2.5, xi=2.0)
+    pair = WindowPair(0.0, 37.0, 2.5, xi=2.0)
     e_in = np.linspace(-pair.delta_e, pair.delta_e, 4001)
-    inside = pair.w_plus.fourier(e_in).real
+    inside = tent_transform(pair, e_in).real
     assert inside.min() >= pair.W - BOUND_SLACK
-    edge = pair.w_plus.fourier(pair.delta_e).real
+    edge = tent_transform(pair, pair.delta_e).real
     assert edge == pytest.approx(pair.W, abs=1e-12)
     e_out = np.concatenate([
         np.linspace(pair.delta_e, 50.0, 20001),
         -np.linspace(pair.delta_e, 50.0, 20001),
         np.logspace(math.log10(50.0), 3.0, 2001),
     ])
-    outside = np.abs(pair.w.fourier(e_out))
+    outside = np.abs(box_transform(pair, e_out))
     assert outside.max() <= pair.w0 + BOUND_SLACK
 
 
 def test_canonical_pair_validation():
     with pytest.raises(ValueError, match="xi"):
-        canonical_window_pair(0.0, 10.0, 1.0, xi=math.pi)
+        WindowPair(0.0, 10.0, 1.0, xi=math.pi)
     with pytest.raises(ValueError, match="xi"):
-        canonical_window_pair(0.0, 10.0, 1.0, xi=-0.5)
+        WindowPair(0.0, 10.0, 1.0, xi=-0.5)
     # observation window too long for the horizon: w0 >= 1
     with pytest.raises(ValueError, match="w0"):
-        canonical_window_pair(0.0, 1.0, 10.0)
+        WindowPair(0.0, 1.0, 10.0)
+    # sinc^2(xi) rounds to 1 for a tiny xi
+    with pytest.raises(ValueError, match="W must"):
+        WindowPair(0.0, 1e12, 1.0, xi=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -184,23 +170,24 @@ def _dense_two_point(w, y, d_s, d_sigma):
 def test_weighted_correlator_matches_time_quadrature():
     evals, w, y, d_s, d_sigma = _two_point_frame(3, 1, 2, 31)
     a_eig, b_eig = _dense_two_point(w, y, d_s, d_sigma)
-    pair = canonical_window_pair(0.5, 6.0, 1.5)
+    pair = WindowPair(0.5, 6.0, 1.5)
     shifts = [0.0, 2.5]
     auto, cross = window_averages(evals, w, y, d_s, d_sigma, pair, shifts)
 
-    def quadrature(window, b, start, stop):
+    def quadrature(density, window, b, start, stop):
         # <B, U_t(A)> with U_t = exp(-iEt) in the eigenbasis
         grid = np.linspace(start, stop, 6001)
         samples = np.empty(grid.size, dtype=complex)
         for i, t in enumerate(grid):
             u = np.exp(-1j * evals * t)
             samples[i] = np.vdot(b, u[:, None] * a_eig * u.conj()) / evals.size
-        return np.trapezoid(window.density(grid) * samples, grid)
+        return np.trapezoid(density(window, grid) * samples, grid)
 
-    assert abs(auto - quadrature(pair.w_plus, a_eig, -1.5, 1.5)) <= 1e-5
+    assert abs(auto - quadrature(tent_density, pair, a_eig, -1.5, 1.5)) <= 1e-5
     for s, value in zip(shifts, cross):
-        box = WeightingFunction.box(0.5 + s, 6.0)
-        assert abs(value - quadrature(box, b_eig, 0.5 + s, 6.5 + s)) <= 1e-5
+        moved = WindowPair(0.5 + s, 6.0, 1.5)
+        assert abs(value - quadrature(box_density, moved, b_eig,
+                                      0.5 + s, 6.5 + s)) <= 1e-5
 
 
 def test_shifted_windows_match_per_window_evaluation():
@@ -210,12 +197,12 @@ def test_shifted_windows_match_per_window_evaluation():
     evals = np.round(evals, 1)
     a_eig, b_eig = _dense_two_point(w, y, d_s, d_sigma)
     shifts = 0.75 * np.arange(-5, 65)
-    pair = canonical_window_pair(1.5, 7.0, 0.75)
+    pair = WindowPair(1.5, 7.0, 0.75)
     auto, values = window_averages(evals, w, y, d_s, d_sigma, pair, shifts)
     assert values.shape == shifts.shape
     for s, value in zip(shifts, values):
-        moved = canonical_window_pair(1.5 + s, 7.0, 0.75)
-        oracle = weighted_correlator(evals, a_eig, b_eig, moved.w)
+        moved = WindowPair(1.5 + s, 7.0, 0.75)
+        oracle = weighted_correlator(evals, a_eig, b_eig, moved)
         assert abs(value - oracle) <= 1e-12 * abs(oracle)
         single_auto, single = window_averages(evals, w, y, d_s, d_sigma,
                                               moved, [0.0])
@@ -235,25 +222,17 @@ def test_window_averages_match_the_dense_bohr_sums(n, n_s, n_sigma):
     # and D_S = D among them
     evals, w, y, d_s, d_sigma = _two_point_frame(n, n_s, n_sigma, 23)
     a_eig, b_eig = _dense_two_point(w, y, d_s, d_sigma)
-    pair = canonical_window_pair(1.3, 40.0, 1.5, xi=1.2)
+    pair = WindowPair(1.3, 40.0, 1.5, xi=1.2)
     shifts = 1.5 * np.arange(70)
     auto, cross = window_averages(evals, w, y, d_s, d_sigma, pair, shifts)
-    oracle = weighted_autocorrelator(evals, a_eig, pair.w_plus)
+    oracle = weighted_autocorrelator(evals, a_eig, pair)
     assert abs(auto - oracle) <= 1e-12 * abs(oracle)
     for s, value in zip(shifts, cross):
-        moved = canonical_window_pair(1.3 + s, 40.0, 1.5, xi=1.2)
-        oracle = weighted_correlator(evals, a_eig, b_eig, moved.w)
+        moved = WindowPair(1.3 + s, 40.0, 1.5, xi=1.2)
+        oracle = weighted_correlator(evals, a_eig, b_eig, moved)
         assert abs(value - oracle) <= 1e-12 * abs(oracle)
     if d_sigma == 1:
         assert not np.any(cross)
-
-
-def test_window_averages_reject_other_windows():
-    evals, w, y, d_s, d_sigma = _two_point_frame(2, 1, 1, 3)
-    pair = canonical_window_pair(0.0, 10.0, 1.0)
-    swapped = dataclasses.replace(pair, w=pair.w_plus, w_plus=pair.w)
-    with pytest.raises(ValueError, match="box window against a tent"):
-        window_averages(evals, w, y, d_s, d_sigma, swapped, [0.0])
 
 
 def _peak_traced_bytes(fn):
@@ -268,7 +247,7 @@ def _peak_traced_bytes(fn):
 def test_shifted_windows_keep_memory_independent_of_the_shift_count():
     evals, w, y, d_s, d_sigma = _two_point_frame(8, 1, 4, 3)
     d = evals.size
-    pair = canonical_window_pair(0.0, 50.0, 2.0)
+    pair = WindowPair(0.0, 50.0, 2.0)
     one = _peak_traced_bytes(
         lambda: window_averages(evals, w, y, d_s, d_sigma, pair, [0.0]))
     many = _peak_traced_bytes(
@@ -281,7 +260,7 @@ def test_window_averages_of_an_instance_stay_below_one_dense_array():
     # n = 10 at predictor-demo's defaults: one D x D complex array is 16 MiB
     evals, w, y, d_s, d_sigma = _two_point_frame(10, 1, 4, 9)
     d = evals.size
-    pair = canonical_window_pair(0.0, 200.0, 2.0)
+    pair = WindowPair(0.0, 200.0, 2.0)
     peak = _peak_traced_bytes(
         lambda: window_averages(evals, w, y, d_s, d_sigma, pair,
                                 2.0 * np.arange(10)))
@@ -291,16 +270,16 @@ def test_window_averages_of_an_instance_stay_below_one_dense_array():
 def test_autocorrelator_average_is_nonnegative_for_cp_window():
     for seed in range(5):
         evals, w, y, d_s, d_sigma = _two_point_frame(5, 2, 3, seed)
-        pair = canonical_window_pair(0.0, 40.0, 4.0)
+        pair = WindowPair(0.0, 40.0, 4.0)
         auto, _ = window_averages(evals, w, y, d_s, d_sigma, pair, [0.0])
         assert auto >= -BOUND_SLACK
 
 
 def test_autocorrelator_rejects_a_complex_average(monkeypatch):
     # the dense oracle takes any A, whose autocorrelator need not be real
-    monkeypatch.setattr(_dense, "weighted_correlator", lambda *args: 0.5 + 1e-6j)
+    monkeypatch.setattr(_dense, "bohr_sum", lambda *args: 0.5 + 1e-6j)
     with pytest.raises(InvariantError, match="not real"):
-        weighted_autocorrelator(np.zeros(2), np.eye(2), WeightingFunction.tent(4.0))
+        weighted_autocorrelator(np.zeros(2), np.eye(2), WindowPair(0.0, 10.0, 4.0))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +287,7 @@ def test_autocorrelator_rejects_a_complex_average(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_theorem_bound_trivial_cases():
-    pair = canonical_window_pair(0.0, 20.0, 1.0)
+    pair = WindowPair(0.0, 20.0, 1.0)
     assert theorem_bound(0.0, 0.0, 1.0, pair) == 0.0
     assert theorem_bound(0.5, 1.0, 0.0, pair) == 0.0
     with pytest.raises(InvariantError, match="nonnegative"):
@@ -335,9 +314,9 @@ def test_theorem_bound_sound_for_random_operators():
         norm_a = np.vdot(a, a).real / 32
         norm_b = np.vdot(b, b).real / 32
         for t0, horizon, t_obs, xi in windows:
-            pair = canonical_window_pair(t0, horizon, t_obs, xi=xi)
-            auto = weighted_autocorrelator(evals, a_eig, pair.w_plus)
-            lhs = abs(weighted_correlator(evals, a_eig, b_eig, pair.w))
+            pair = WindowPair(t0, horizon, t_obs, xi=xi)
+            auto = weighted_autocorrelator(evals, a_eig, pair)
+            lhs = abs(weighted_correlator(evals, a_eig, b_eig, pair))
             rhs = theorem_bound(max(0.0, auto), norm_a, norm_b, pair)
             assert lhs <= rhs + BOUND_SLACK
 
@@ -366,59 +345,49 @@ def test_two_point_specialization_norms_and_identity():
 
 
 def test_synopsis_bound_matches_theorem_with_unit_norms():
-    pair = canonical_window_pair(0.0, 12.0, 1.2, xi=0.8)
+    pair = WindowPair(0.0, 12.0, 1.2, xi=0.8)
     for auto in (0.0, 0.3, 1.0):
-        assert synopsis_bound(auto, 1.2, 12.0, 0.8) == pytest.approx(
+        assert synopsis_bound(auto, pair) == pytest.approx(
             theorem_bound(auto, 1.0, 1.0, pair), abs=1e-12)
 
 
 def test_synopsis_bound_reference_value():
     # equal windows and unit autocorrelator at xi = pi/2: 2/pi + pi/2
-    val = synopsis_bound(1.0, 5.0, 5.0, math.pi / 2.0)
+    val = synopsis_bound(1.0, WindowPair(0.0, 5.0, 5.0, math.pi / 2.0))
     assert val == pytest.approx(2.0 / math.pi + math.pi / 2.0, abs=1e-12)
+    # the pair rejects the xi that would make the bound meaningless
     with pytest.raises(ValueError, match="xi"):
-        synopsis_bound(1.0, 1.0, 10.0, -1.0)
+        WindowPair(0.0, 10.0, 1.0, -1.0)
     with pytest.raises(ValueError, match="sin"):
-        synopsis_bound(1.0, 1.0, 10.0, math.pi)
+        WindowPair(0.0, 10.0, 1.0, math.pi - 1e-15)
 
 
 # ---------------------------------------------------------------------------
-# Derived interval / cloned-operator bounds.
+# Derived time-interval bound.
 # ---------------------------------------------------------------------------
 
 def test_time_interval_bound_reference_value():
     val, vacuous = time_interval_bound(
-        0.0, 0.0, math.pi / 2.0, 1.0, 1000.0, 2, 4, 0.5)
+        0.0, 0.0, WindowPair(0.0, 1000.0, 1.0, math.pi / 2.0), 2, 4, 0.5)
     expected = (4.0 / (0.25 * 2.0)) * (1.0 / (math.pi / 2.0 * 1000.0))
     assert val == pytest.approx(expected, abs=1e-12)
     assert not vacuous
 
 
 def test_time_interval_bound_limits_and_vacuity():
-    val, vacuous = time_interval_bound(0.0, 0.0, 1.0, 1.0, 1e12, 2, 2, 0.9)
+    val, vacuous = time_interval_bound(
+        0.0, 0.0, WindowPair(0.0, 1e12, 1.0, 1.0), 2, 2, 0.9)
     assert val <= 1e-9 and not vacuous
-    val, vacuous = time_interval_bound(0.5, 0.1, 1.0, 1.0, 10.0, 2, 64, 0.01)
+    pair = WindowPair(0.0, 10.0, 1.0, 1.0)
+    val, vacuous = time_interval_bound(0.5, 0.1, pair, 2, 64, 0.01)
     assert val == 1.0 and vacuous
     with pytest.raises(ValueError, match="lambda"):
-        time_interval_bound(0.0, 0.0, 1.0, 1.0, 1.0, 2, 2, 0.0)
+        time_interval_bound(0.0, 0.0, pair, 2, 2, 0.0)
     with pytest.raises(ValueError, match="xi"):
-        time_interval_bound(0.0, 0.0, math.pi, 1.0, 1.0, 2, 2, 0.5)
+        time_interval_bound(0.0, 0.0, WindowPair(0.0, 1.0, 1.0, math.pi), 2, 2, 0.5)
     for epsilon, kappa_rr in ((-0.1, 0.0), (0.0, -1.0)):
         with pytest.raises(ValueError, match="nonnegative"):
-            time_interval_bound(epsilon, kappa_rr, 1.0, 1.0, 10.0, 2, 2, 0.5)
-
-
-def test_cloned_equilibrium_bound_values():
-    assert cloned_equilibrium_bound(0.0, 0.0, 0.0, 0.5, 2, 4) == 0.0
-    # W = 1, kappa_plus = 0 reduces to D_sigma eps + w0 D_sigma (D_S-1)/D_S^2
-    assert cloned_equilibrium_bound(0.01, 0.0, 0.001, 1.0, 2, 4) == pytest.approx(
-        0.04 + 0.001 * 4 * 0.25, abs=1e-15)
-    with pytest.raises(ValueError, match="floor"):
-        cloned_equilibrium_bound(0.0, 0.0, 0.0, 0.0, 2, 4)
-    with pytest.raises(ValueError, match="kappa"):
-        cloned_equilibrium_bound(0.0, 1.5, 0.0, 0.5, 2, 4)
-    with pytest.raises(ValueError, match="nonnegative"):
-        cloned_equilibrium_bound(-0.1, 0.0, 0.0, 0.5, 2, 4)
+            time_interval_bound(epsilon, kappa_rr, pair, 2, 2, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +395,9 @@ def test_cloned_equilibrium_bound_values():
 # ---------------------------------------------------------------------------
 
 def test_cauchy_schwarz_bound_trivial_cases():
-    w = WeightingFunction.tent(1.0)
-    assert cauchy_schwarz_bound(np.arange(3.0), np.zeros((3, 3)), w, 1.0) == 0.0
+    assert cauchy_schwarz_bound(np.zeros((3, 3)), np.ones(3), 1.0) == 0.0
     # single grid point: plain Cauchy-Schwarz sqrt(<A,A>) sqrt(<B,B>)
-    val = cauchy_schwarz_bound(np.array([3.0]), np.array([[0.7]]), w, 2.0)
+    val = cauchy_schwarz_bound(np.array([[0.7]]), [1.0], 2.0)
     assert val == pytest.approx(math.sqrt(0.7) * math.sqrt(2.0), abs=1e-12)
 
 
@@ -437,17 +405,16 @@ def test_cauchy_schwarz_bound_rejects_a_nan_kernel():
     gram = np.eye(3)
     gram[0, 1] = np.nan
     with pytest.raises(ValueError, match="Hermitian"):
-        cauchy_schwarz_bound(np.arange(3.0), gram, WeightingFunction.tent(1.0), 1.0)
+        cauchy_schwarz_bound(gram, np.ones(3), 1.0)
 
 
 def test_cauchy_schwarz_bound_kernel_validation():
-    w = WeightingFunction.tent(1.0)
     with pytest.raises(ValueError, match="Hermitian"):
-        cauchy_schwarz_bound(np.arange(2.0), np.array([[1.0, 2.0], [0.0, 1.0]]), w, 1.0)
+        cauchy_schwarz_bound(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2), 1.0)
     with pytest.raises(ValueError, match="indefinite"):
-        cauchy_schwarz_bound(np.arange(2.0), np.diag([1.0, -1.0]), w, 1.0)
+        cauchy_schwarz_bound(np.diag([1.0, -1.0]), np.ones(2), 1.0)
     with pytest.raises(ValueError, match="shape"):
-        cauchy_schwarz_bound(np.arange(3.0), np.eye(2), w, 1.0)
+        cauchy_schwarz_bound(np.eye(2), np.ones(3), 1.0)
 
 
 def test_cauchy_schwarz_bound_sound_for_circuit_dynamics():
@@ -472,11 +439,11 @@ def test_cauchy_schwarz_bound_sound_for_circuit_dynamics():
     dt[:-1] += 0.5 * np.diff(times)
     dt[1:] += 0.5 * np.diff(times)
     for center in np.linspace(1.0, 10.0, 10):
+        # a Gaussian window of unit trapezoid mass, times trapezoid weights
         weights = np.exp(-0.5 * (times - center) ** 2)
-        w = WeightingFunction.tabulated(times, weights)
-        q = w.density(times) * dt
+        q = weights / np.trapezoid(weights, times) * dt
         lhs = abs(np.sum(q * cross))
-        rhs = cauchy_schwarz_bound(times, gram, w, norm_b)
+        rhs = cauchy_schwarz_bound(gram, q, norm_b)
         assert lhs <= rhs + BOUND_SLACK
 
 
