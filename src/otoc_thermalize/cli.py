@@ -31,11 +31,11 @@ import numpy as np
 from .dynamics import correlator_series, typicality_experiment
 from .hilbert import (
     DIM_CAP_DEFAULT,
+    Eigenframe,
     InvariantError,
     ManyBodySetup,
     Projector,
     UnitarySource,
-    _eigenframe,
     _map_ordered,
     _one_blas_thread,
     derive_rng,
@@ -153,7 +153,7 @@ def load_config(path: str) -> Dict[str, object]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_config_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
@@ -364,16 +364,14 @@ def _run_many_body_sweep(cfg: ExperimentConfig):
     if any(lam <= 0 for lam in lambdas):
         raise ConfigError("lambda_grid values must be positive")
     setup = _product_setup(n, n_s, n_sigma)
-    d = setup.dim
 
     def one_instance(i):
         if source_kind == "gue":
-            source = UnitarySource.gue(d, derive_rng(cfg.seed, "sweep-gue", i),
-                                       columns=setup.d_r)
+            source = Eigenframe.gue(setup, derive_rng(cfg.seed, "sweep-gue", i))
         else:
             child = int(derive_rng(cfg.seed, "sweep-source", i).integers(1 << 63))
             if source_kind == "cue":
-                source = UnitarySource.haar_cue(d, seed=child)
+                source = UnitarySource.haar_cue(setup.dim, seed=child)
             else:
                 source = UnitarySource.circuit(n, seed=child)
         return correlator_series(setup, source, times)
@@ -435,7 +433,7 @@ def _run_predictor_demo(cfg: ExperimentConfig):
     if any(lam <= 0 for lam in lambdas):
         raise ConfigError("lambda_grid values must be positive")
     setup = _product_setup(n, n_s, n_sigma)
-    d, d_s, d_sigma = setup.dim, setup.d_s, setup.d_sigma
+    d_s, d_sigma = setup.d_s, setup.d_sigma
     # A2 = P_R - 1/D_S and B2 = D_sigma P_rho - 1 are read off the eigenframe
     # a block of rows at a time (window_averages); their norms are closed forms
     norm_a = (1.0 / d_s) * (1.0 - 1.0 / d_s)
@@ -446,14 +444,12 @@ def _run_predictor_demo(cfg: ExperimentConfig):
     shifts = t_obs * np.arange(n_windows)
 
     def one_instance(i):
-        source = UnitarySource.gue(d, derive_rng(cfg.seed, "predictor-gue", i),
-                                   columns=setup.d_r)
         # V^dag P_R V = W W^dag and V^dag P_rho V = Y Y^dag in the eigenframe
-        evals, w, y = _eigenframe(setup, source)
+        frame = Eigenframe.gue(setup, derive_rng(cfg.seed, "predictor-gue", i))
         # a finite window time can still overflow a phase E*t; that is a
         # config out of numeric range, not a NaN row
         with np.errstate(over="raise"):
-            auto, cross = window_averages(evals, w, y, d_s, d_sigma, pair, shifts)
+            auto, cross = window_averages(frame, pair, shifts)
         return auto, np.abs(cross).tolist()
 
     results = _map_instances(one_instance, n_instances)
@@ -595,8 +591,11 @@ def _emit(cfg: ExperimentConfig, rows, verdicts) -> None:
     if cfg.out is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {cfg.out!r}: {exc}") from exc
 
 
 def _print_verdicts(experiment: str, verdicts: Sequence[Check],
@@ -623,7 +622,8 @@ def run(config: Dict[str, object]) -> int:
         cfg = ExperimentConfig.from_mapping(dict(config))
         runner, _ = EXPERIMENTS[cfg.experiment]
         with _one_blas_thread():
-            result = runner(cfg)
+            rows, verdicts, *note = runner(cfg)
+        _emit(cfg, rows, verdicts)
     except (AssertionError, InvariantError) as exc:
         # a checked statement of proven math failed: a soundness bug
         print(f"soundness failure: {exc}", file=sys.stderr)
@@ -638,8 +638,6 @@ def run(config: Dict[str, object]) -> int:
         print(f"config error: {exc}: the config asks for more memory than there is",
               file=sys.stderr)
         return EXIT_CONFIG
-    rows, verdicts, *note = result
-    _emit(cfg, rows, verdicts)
     _print_verdicts(cfg.experiment, verdicts, *note)
     if any(v.kind == "sound" and not v.ok for v in verdicts):
         return EXIT_SOUND

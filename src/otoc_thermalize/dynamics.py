@@ -11,10 +11,10 @@ R = (1 - P_R) K_t, in one of two frames, and never forms the unitary:
   into the observed legs of K_t (``contract_isometry``) and R = K_t - chi (x) c,
   so the D x D/D_S isometry L is never formed. Peak memory is a few
   D x D_eta blocks.
-* A GUE Hamiltonian H = V diag(E) V^dag is reduced in its eigenframe
-  (``_eigenframe``): with W = V^dag L and Y = V^dag K, X_t = exp(-iEt) Y,
-  c = W^dag X_t and V^dag R = X_t - W c. The source draws only the D x D_R
-  frame W, so neither V nor H exists.
+* A Hamiltonian H = V diag(E) V^dag is reduced in its ``Eigenframe``:
+  with W = V^dag L and Y = V^dag K, X_t = exp(-iEt) Y, c = W^dag X_t and
+  V^dag R = X_t - W c. A GUE frame is drawn as E and W alone, so neither V
+  nor H exists.
 
 The reduction that follows is shared. G^2, G^4 and the principal cos^2
 spectrum come from the D_eta x D_eta Gram matrix m = c^dag c (its eigenvalues
@@ -37,9 +37,9 @@ import numpy as np
 
 from .geometry import variance_from_moments
 from .hilbert import (
+    Eigenframe,
     ManyBodySetup,
     UnitarySource,
-    _eigenframe,
     _map_contiguous,
     _on_sites,
     contract_isometry,
@@ -144,17 +144,16 @@ class CorrelatorSeries:
     cos2: np.ndarray
 
 
-def _observed_splits(setup: ManyBodySetup, source: UnitarySource,
-                     times: np.ndarray, frame):
+def _observed_splits(setup: ManyBodySetup, source, times: np.ndarray, k):
     """Yield (c, R) at each time: c = L^dag K_t and the residual R = (1 - P_R) K_t.
 
-    A GUE source yields them in its eigenframe ``frame`` = (E, W, Y), where R
-    is V^dag R; a CUE or circuit source in the register, from the core basis
-    ``frame`` = K, with P_R = |chi><chi| (x) 1 applied on its own qubits.
-    K_t is dropped before the yield, and R is formed in place of chi (x) c.
+    An ``Eigenframe`` yields them in its eigenframe, where R is V^dag R; a
+    CUE or circuit source in the register, from the core basis K = ``k``,
+    with P_R = |chi><chi| (x) 1 applied on its own qubits. K_t is dropped
+    before the yield, and R is formed in place of chi (x) c.
     """
-    if source.kind != "gue":
-        for kt in evolve_basis_series(source, frame, times):
+    if isinstance(source, UnitarySource):
+        for kt in evolve_basis_series(source, k, times):
             c = contract_isometry(setup, "observable", kt)
             residual = _on_sites(setup.observed_state, setup.observed_sites,
                                  setup.n_total, c)
@@ -162,7 +161,7 @@ def _observed_splits(setup: ManyBodySetup, source: UnitarySource,
             del kt
             yield c, residual
         return
-    evals, w, y = frame
+    evals, w, y = source.evals, source.w, source.y
     for t in times:
         if not np.isfinite(t):
             raise ValueError(f"time must be finite, got {t}")
@@ -186,23 +185,24 @@ def _reduce(c: np.ndarray, residual: np.ndarray, d_rho: int) -> tuple:
     return g2, g4, variance_from_moments(g2, g4), comm, cos2
 
 
-def correlator_series(setup: ManyBodySetup, source: UnitarySource,
+def correlator_series(setup: ManyBodySetup, source: Eigenframe | UnitarySource,
                       times: Sequence[float]) -> CorrelatorSeries:
     """Evaluate the correlator series for ``setup`` under ``source``.
 
-    The times of a GUE or CUE source are independent of each other, so they
-    go to the pool (``hilbert._map_contiguous``) in contiguous chunks, and
-    the rows come back in time order; a GUE source's eigenframe is formed
-    once per series. A circuit carries its block from one time to the next,
-    so its grid runs in order on one thread. Each time is reduced by the same
-    operations on either route, so the series does not depend on the pool.
+    The times of an eigenframe or a CUE source are independent of each
+    other, so they go to the pool (``hilbert._map_contiguous``) in
+    contiguous chunks, and the rows come back in time order. A circuit
+    carries its block from one time to the next, so its grid runs in order
+    on one thread. Each time is reduced by the same operations on either
+    route, so the series does not depend on the pool.
 
     Parameters
     ----------
     setup : ManyBodySetup
         Defines the embedded observable and core projectors.
-    source : UnitarySource
-        Must act on the same dimension.
+    source : Eigenframe or UnitarySource
+        An eigenframe drawn for ``setup`` (its bases are D x D_R and
+        D x D_eta), or a register source on the same dimension.
     times : sequence of reals
         Explicit evaluation grid (ensemble sources require integer times).
 
@@ -213,19 +213,23 @@ def correlator_series(setup: ManyBodySetup, source: UnitarySource,
         InvariantError on a NaN or a value below ``VARIANCE_CLAMP``; G^4 <= G^2
         and the commutator identity are left to the caller.
     """
-    if source.dim != setup.dim:
+    d_rho = setup.d_rho
+    if isinstance(source, Eigenframe):
+        shapes = (source.w.shape, source.y.shape)
+        needs = ((setup.dim, setup.d_r), (setup.dim, d_rho))
+        if shapes != needs:
+            raise ValueError(f"eigenframe bases have shapes {shapes}; the setup needs {needs}")
+    elif source.dim != setup.dim:
         raise ValueError(
             f"source dimension {source.dim} does not match setup {setup.dim}")
-    d_rho = setup.d_rho
+    core = None if isinstance(source, Eigenframe) else embed_isometry(setup, "core")
     times = np.asarray([float(t) for t in times])
-    frame = (_eigenframe(setup, source) if source.kind == "gue"
-             else embed_isometry(setup, "core"))
 
     def rows(span):
         return [_reduce(c, residual, d_rho) for c, residual in
-                _observed_splits(setup, source, times[span.start:span.stop], frame)]
+                _observed_splits(setup, source, times[span.start:span.stop], core)]
 
-    if source.kind == "circuit":
+    if isinstance(source, UnitarySource) and source.kind == "circuit":
         reduced = rows(range(len(times)))
     else:
         reduced = _map_contiguous(rows, len(times))
@@ -240,11 +244,6 @@ def correlator_series(setup: ManyBodySetup, source: UnitarySource,
 class TypicalityResult:
     """Monte Carlo statistics of the correlators against Haar predictions."""
 
-    d: int
-    d_s: int
-    d_sigma: int
-    n_samples: int
-    kappa: float
     mean_g2: float
     mean_g4: float
     mean_sigma2: float
@@ -318,7 +317,6 @@ def typicality_experiment(d: int, d_s: int, d_sigma: int, n_samples: int,
     tail_g4 = float(np.mean(np.abs(g4s - pred.mean_g4)
                             > kappa * pred.fluctuation_scale(2)))
     return TypicalityResult(
-        d=d, d_s=d_s, d_sigma=d_sigma, n_samples=n_samples, kappa=kappa,
         mean_g2=mean_g2, mean_g4=mean_g4, mean_sigma2=mean_sigma2,
         sample_var_g2=var_g2, tail_frac_g2=tail_g2, tail_frac_g4=tail_g4,
         prediction=pred,

@@ -12,8 +12,8 @@ U(t), carrying a circuit's block forward; a single time is a one-point grid.
 A state is placed on its qubits in one way (``_on_sites``), and a brickwork
 gate is a 4 x 4 matmul on a (2^a, 4, rest) view of the block. A GUE
 Hamiltonian H = V diag(E) V^dag is not evolved in the register, and is never
-formed: ``_eigenframe`` gives its spectrum E and the observable and core
-bases in its eigenframe, W = V^dag L and Y = V^dag K, where U(t) is the
+formed: its ``Eigenframe`` holds its spectrum E and a setup's observable and
+core bases in its eigenframe, W = V^dag L and Y = V^dag K, where U(t) is the
 phase exp(-iEt). Its law is unitarily invariant, so W is itself a D x D_R
 Haar isometry, and ``sample_gue_eigensystem`` draws the spectrum and that
 thin frame alone. The spectrum is that of a real tridiagonal
@@ -48,7 +48,7 @@ import numbers
 import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -67,10 +67,11 @@ POOL_CAP = 4
 #: Columns per panel of ``Projector.validate``'s Gram.
 PANEL = 64
 
-#: Most complex entries in one ``np.linalg.qr`` stack of ``haar_corner_stacks``:
-#: 64 KiB, the size of one D x D_rho draw at D = 256, D_rho = 16. Stacks of
-#: 2**14 ran the ``ensemble`` benchmark as fast, but its process's peak RSS
-#: came out about 4.5 MB higher in 6 of 14 runs, against 1 of 10 at 2**12.
+#: Most complex entries in one stack of Haar draws (``haar_corner_stacks`` and the
+#: probes of ``thermalization_report``): 64 KiB, one D x D_rho draw at D = 256,
+#: D_rho = 16. Corner stacks of 2**14 ran the ``ensemble`` benchmark as fast, but
+#: its process's peak RSS came out about 4.5 MB higher in 6 of 14 runs, against
+#: 1 of 10 at 2**12.
 STACK_ENTRIES = 2 ** 12
 
 
@@ -481,7 +482,7 @@ def sample_gue_eigensystem(dim: int, rng, columns: Optional[int] = None) -> tupl
     are drawn, a thin QR at O(dim m^2). For any fixed dim x m isometry L,
     V^dag L of a Haar V is again a dim x m Haar isometry, so the thin draw
     has the law of a GUE Hamiltonian's eigenframe W = V^dag L of an m-dimensional
-    range, which is how ``UnitarySource.gue`` reads it.
+    range, which is how ``Eigenframe.gue`` reads it.
 
     Returns
     -------
@@ -695,39 +696,23 @@ def contract_isometry(setup: ManyBodySetup, which: str,
 
 @dataclass(frozen=True)
 class UnitarySource:
-    """A family of unitaries U(t), one of three variants.
+    """A family of unitaries U(t) that acts on the register, one of two variants.
 
-    ``gue``: exp(-i H t) for a GUE H, kept as its eigenvalues ``evals`` and its
-    eigenframe ``frame`` = W = V^dag L of a ``columns``-dimensional range L,
-    a thin Haar draw (``sample_gue_eigensystem``); the rest of the eigenbasis
-    V is never drawn. It is reduced in its eigenframe (``_eigenframe``).
     ``haar_cue``: each integer t > 0 labels an independent Haar unitary drawn
     from the seed, with t = 0 the identity; this realizes "evolve to the
     Haar-typicality regime" without a model Hamiltonian.
-    ``circuit``: brickwork of Haar-random two-qubit gates; integer t counts
-    applied layers, each layer's gates derived deterministically from the seed.
+    ``circuit``: brickwork of Haar-random two-qubit gates on log2(dim)
+    qubits; integer t counts applied layers, each layer's gates derived
+    deterministically from the seed.
 
     A source holds no mutable state, so one source may be evolved from
-    several threads at once.
+    several threads at once. A GUE Hamiltonian is no register source: it is
+    an ``Eigenframe``.
     """
 
     kind: str
     dim: int
-    seed: Optional[int] = None
-    n_sites: Optional[int] = None
-    evals: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    frame: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-
-    @classmethod
-    def gue(cls, dim: int, rng, columns: int) -> "UnitarySource":
-        """Autonomous source exp(-i H t) for a GUE H, drawn in the eigenframe of
-        a ``columns``-dimensional observable range (``sample_gue_eigensystem``).
-
-        By unitary invariance the frame's law does not depend on which range
-        it is read against, so the source serves any setup with D_R = columns.
-        """
-        evals, frame = sample_gue_eigensystem(dim, rng, columns=columns)
-        return cls(kind="gue", dim=dim, evals=evals, frame=frame)
+    seed: int
 
     @classmethod
     def haar_cue(cls, dim: int, seed: int) -> "UnitarySource":
@@ -739,7 +724,42 @@ class UnitarySource:
         """Brickwork circuit of Haar two-qubit gates on ``n_sites`` qubits."""
         if n_sites < 2:
             raise ValueError("circuit source needs at least 2 qubits")
-        return cls(kind="circuit", dim=2 ** n_sites, seed=seed, n_sites=n_sites)
+        return cls(kind="circuit", dim=2 ** n_sites, seed=seed)
+
+
+@dataclass(frozen=True, eq=False)
+class Eigenframe:
+    """exp(-iHt) for a Hamiltonian H = V diag(E) V^dag, kept in its eigenframe.
+
+    ``evals`` is the spectrum E, and ``w`` and ``y`` are a setup's observable
+    basis W = V^dag L (D x D_R) and core basis Y = V^dag K (D x D_eta) in
+    the eigenframe, where U(t) is the phase exp(-iEt): U(t) K = V exp(-iEt) Y.
+    V itself is never held.
+    """
+
+    evals: np.ndarray
+    w: np.ndarray
+    y: np.ndarray
+
+    @classmethod
+    def gue(cls, setup: ManyBodySetup, rng) -> "Eigenframe":
+        """A GUE H in the eigenframe of ``setup``, drawn from ``rng``.
+
+        ``sample_gue_eigensystem`` draws E and the thin frame W alone, so
+        the rest of V never exists. That needs the core inside the
+        observable's range, K = L (L^dag K), which holds when
+        |psi> = |chi> (x) |psi'> on the core sites; then Y = W (L^dag K),
+        and ValueError is raised when L^dag K is no isometry.
+        """
+        evals, w = sample_gue_eigensystem(setup.dim, rng, columns=setup.d_r)
+        core = contract_isometry(setup, "observable", embed_isometry(setup, "core"))
+        defect = np.linalg.norm(core.conj().T @ core - np.eye(setup.d_rho))
+        if not defect <= RANK_TOL:
+            raise ValueError(
+                "a GUE source needs the core range inside the observable's, "
+                "|psi> = |chi> (x) |psi'> on the core sites, so that L^dag K is an "
+                f"isometry; its defect is {defect:.3e}")
+        return cls(evals, w, w @ core)
 
 
 def _apply_circuit(source: UnitarySource, k: np.ndarray, start: int,
@@ -751,46 +771,24 @@ def _apply_circuit(source: UnitarySource, k: np.ndarray, start: int,
     a 4 x 4 matmul on the middle axis of the (2^a, 4, rest) view of the
     D x r block.
     """
+    n_sites = source.dim.bit_length() - 1
     for layer in range(start, stop):
-        for slot, a in enumerate(range(layer % 2, source.n_sites - 1, 2)):
+        for slot, a in enumerate(range(layer % 2, n_sites - 1, 2)):
             gate = sample_haar_unitary(4, rng=derive_rng(source.seed, "layer", layer, slot))
             k = (gate @ k.reshape(2 ** a, 4, -1)).reshape(k.shape)
     return k
-
-
-def _eigenframe(setup: ManyBodySetup, source: UnitarySource) -> tuple:
-    """(E, W, Y) of a GUE source: its spectrum and, in its eigenframe, the
-    observable basis W = V^dag L (D x D_R) and core basis Y = V^dag K (D x D_eta).
-
-    There U(t) is the phase exp(-iEt), so U(t) K = V exp(-iEt) Y. The source
-    holds W alone and needs the core inside the observable's range,
-    K = L (L^dag K), which holds when |psi> = |chi> (x) |psi'> on the core
-    sites; then Y = W (L^dag K), and ValueError is raised when L^dag K is no
-    isometry.
-    """
-    if source.frame.shape != (setup.dim, setup.d_r):
-        raise ValueError(f"GUE frame has shape {source.frame.shape}; the observable "
-                         f"needs {(setup.dim, setup.d_r)}")
-    core = contract_isometry(setup, "observable", embed_isometry(setup, "core"))
-    defect = np.linalg.norm(core.conj().T @ core - np.eye(setup.d_rho))
-    if not defect <= RANK_TOL:
-        raise ValueError(
-            "a GUE source needs the core range inside the observable's, "
-            "|psi> = |chi> (x) |psi'> on the core sites, so that L^dag K is an "
-            f"isometry; its defect is {defect:.3e}")
-    return source.evals, source.frame, source.frame @ core
 
 
 def evolve_basis_series(source: UnitarySource, k: np.ndarray,
                         times: Sequence[float]) -> Iterator[np.ndarray]:
     """Yield U(t) K for each t in ``times``, in order, never forming U(t).
 
-    K is a D x r matrix and the source a CUE or circuit one (a GUE source
-    is reduced in its eigenframe, ``_eigenframe``). Times are nonnegative
-    integers, t = 0 giving a copy of K. Costs per time: for CUE, the
-    leading m columns of the Haar unitary (D x m Gaussians and a thin QR,
-    O(D m^2)), where m is one plus the index of the last nonzero row of K,
-    times K[:m] unless K[:m] is the identity (checked once per series).
+    K is a D x r matrix (a Hamiltonian is evolved in its ``Eigenframe``
+    instead). Times are nonnegative integers, t = 0 giving a copy of K.
+    Costs per time: for CUE, the leading m columns of the Haar unitary
+    (D x m Gaussians and a thin QR, O(D m^2)), where m is one plus the index
+    of the last nonzero row of K, times K[:m] unless K[:m] is the identity
+    (checked once per series).
     A circuit carries its block forward while the times do not decrease,
     applying only the layers between consecutive times at O(D r) each, so a
     grid t = 0..T costs T layers rather than T(T+1)/2; a decreasing time
@@ -805,9 +803,6 @@ def evolve_basis_series(source: UnitarySource, k: np.ndarray,
         m = int(np.max(np.flatnonzero(np.any(k != 0, axis=1)), initial=0)) + 1
         # a product core on the leading qubits has k[:m] = 1: skip that product
         identity = k.shape[1] == m and np.array_equal(k[:m], np.eye(m))
-    elif source.kind != "circuit":
-        raise ValueError(f"evolve_basis_series takes cue and circuit sources, "
-                         f"got {source.kind!r}")
     depth, kt = None, None
     for t in times:
         if not np.isfinite(t):

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (
+    Eigenframe,
     InvariantError,
     _map_contiguous,
     _map_ordered,
@@ -105,13 +106,13 @@ class WindowPair:
         return float(_sinc(self.xi)) ** 2
 
 
-def window_averages(evals: np.ndarray, w: np.ndarray, y: np.ndarray,
-                    d_s: int, d_sigma: int, pair: WindowPair, shifts):
+def window_averages(frame: Eigenframe, pair: WindowPair, shifts):
     """Window averages of the two-point operators, from the eigenframe.
 
     With the spectrum E and the eigenframe bases W (D x D_R) and Y
-    (D x D_eta), the operators A = W W^dag - 1/D_S and B = D_sigma Y Y^dag - 1
-    are Hermitian matrices in the Hamiltonian eigenbasis, and each time
+    (D x D_eta) of ``frame``, the operators A = W W^dag - 1/D_S and
+    B = D_sigma Y Y^dag - 1, with D_S = D/D_R and D_sigma = D/D_eta, are
+    Hermitian matrices in the Hamiltonian eigenbasis, and each time
     average is a sum over Bohr frequencies omega_nm = E_n - E_m. Returns
     ``(auto, cross)``:
 
@@ -133,7 +134,9 @@ def window_averages(evals: np.ndarray, w: np.ndarray, y: np.ndarray,
     on the pool; the partial sums of every block, D/``BLOCK`` x (windows + 1)
     floats, are held until the fold.
     """
+    evals, w, y = frame.evals, frame.w, frame.y
     d = evals.shape[0]
+    d_s, d_sigma = d // w.shape[1], d // y.shape[1]
     half = 0.5 * pair.t_horizon
     centres = (pair.t0 + half) + np.asarray(shifts, dtype=float)
 
@@ -269,15 +272,10 @@ class NegativeDemoReport:
     within a factor 2 of its sharp value 2 (D_sigma - 1)/(D_sigma^2 sqrt(D^2 - 1)).
     """
 
-    d: int
-    d_s: int
-    d_sigma: int
-    n_samples: int
     threshold: float
     measured_rms: float
     check: Check
     verdict: str
-    trivial_core: bool
 
 
 def fourth_order_negative_demo(d: int, d_s: int, d_sigma: int,
@@ -317,8 +315,7 @@ def fourth_order_negative_demo(d: int, d_s: int, d_sigma: int,
     dev = np.array(_map_contiguous(deviations, n_samples), dtype=float)
     measured = float(np.sqrt(np.mean(dev ** 2)))
     threshold = 1.0 / d_r ** 2
-    trivial = d_sigma == 1
-    if trivial:
+    if d_sigma == 1:
         check = Check("rms premise deviation = 0 for a trivial core",
                       measured, 1e-12, "stat")
     else:
@@ -329,8 +326,5 @@ def fourth_order_negative_demo(d: int, d_s: int, d_sigma: int,
                       if measured > 0 else math.inf, 1.0, "stat")
     verdict = ("premise satisfiable" if measured <= threshold
                else "premise unsatisfiable")
-    return NegativeDemoReport(
-        d=d, d_s=d_s, d_sigma=d_sigma, n_samples=n_samples,
-        threshold=threshold, measured_rms=measured, check=check,
-        verdict=verdict, trivial_core=trivial,
-    )
+    return NegativeDemoReport(threshold=threshold, measured_rms=measured,
+                              check=check, verdict=verdict)

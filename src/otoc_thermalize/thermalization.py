@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import (correlator_from_angles, correlator_trace, halmos_decompose,
                        variance_from_moments)
-from .hilbert import InvariantError, Projector, sample_haar_unitary, derive_rng
+from .hilbert import STACK_ENTRIES, InvariantError, Projector, derive_rng, sample_haar_unitary
 
 #: Absolute float slack allowed when checking exact inequalities.
 FLOAT_SLACK = 1e-9
@@ -142,9 +142,6 @@ def nonthermal_witness_bound(gamma2: float, lam: float) -> float:
 class SizingRow:
     """Minimum core size for a target relative resolution and fraction."""
 
-    lambda_rel: float
-    f_target: float
-    d_s: int
     lambda_abs: float
     d_sigma_min: int
     n_sigma: int
@@ -173,9 +170,6 @@ def core_sizing(lambda_rel: float, f_target: float, d_s: int) -> SizingRow:
     n_sigma = (d_sigma_min - 1).bit_length() if d_sigma_min > 1 else 0
     lambda_abs = lambda_rel / d_s
     return SizingRow(
-        lambda_rel=lambda_rel,
-        f_target=f_target,
-        d_s=d_s,
         lambda_abs=lambda_abs,
         d_sigma_min=d_sigma_min,
         n_sigma=n_sigma,
@@ -216,8 +210,9 @@ def thermalization_report(p_r: Projector, p_rho: Projector, lam: float,
     generator is used as given) and scored a stack at a time: one
     ``sample_haar_unitary(d_rho, count=k)`` draw and one stacked
     ``empirical_nonthermal_fraction`` call per stack of k <= max(1,
-    D^2 // d_rho^2) bases, so a stack holds at most D^2 numbers. The draws
-    equal n_bases single draws from the same generator. The pair enters
+    STACK_ENTRIES // d_rho^2) bases, so a stack holds at most
+    ``hilbert.STACK_ENTRIES`` numbers (or one basis). The draws equal
+    n_bases single draws from the same generator. The pair enters
     through its D x rank bases only, and no D x D array is formed.
     """
     geom = halmos_decompose(p_r, p_rho)
@@ -230,8 +225,7 @@ def thermalization_report(p_r: Projector, p_rho: Projector, lam: float,
     dim_achieved = int(np.count_nonzero(thermal_axes(cos2, lam)))
     worst_f = (geom.d_rho - dim_achieved) / geom.d_rho
     rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed, "report-bases")
-    # cap a probe stack at D^2 numbers
-    step = max(1, p_rho.dim ** 2 // geom.d_rho ** 2)
+    step = max(1, STACK_ENTRIES // geom.d_rho ** 2)
     empirical = []
     for start in range(0, n_bases, step):
         stack = sample_haar_unitary(geom.d_rho, rng=rng, count=min(step, n_bases - start))

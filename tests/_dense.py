@@ -8,13 +8,14 @@ whether a block of code took an eigendecomposition route at all, and
 ``recording_pools`` how many thread pools it built.
 ``principal_axes`` is the singular-vector route to the principal axes, which
 the library never forms. ``dense_unitary`` is the D x D unitary U(t) of a
-source: V exp(-iEt) V^dag for an eigenframe source with eigenvectors V, the
+source: V exp(-iEt) V^dag for an ``Eigenframe`` with eigenvectors V, the
 basis evolution applied to K = 1 for the others. ``gue_hamiltonian`` draws a
 dense GUE matrix, whose ``eigh`` the library's eigen-law draw
 ``sample_gue_eigensystem`` is held against. ``hamiltonian_source`` turns an
-explicit Hermitian H into the eigenframe source the library reads, through
-its ``eigh``; ``completed_eigenbasis`` completes a GUE source's thin
-eigenframe to a full eigenbasis, so its dense H can be formed.
+explicit Hermitian H into the ``Eigenframe`` the library reads, through its
+``eigh``: its Y = V^dag K comes from V, not from the W (L^dag K) of
+``Eigenframe.gue``; ``completed_eigenbasis`` completes a GUE frame's thin
+W to a full eigenbasis, so its dense H can be formed.
 ``haar_corner_by_slice`` reads a Haar corner off a D-row Haar draw, the
 route the library's Bartlett sampler ``haar_corner_stacks`` is held against.
 The windows of a ``predictor.WindowPair`` are defined here twice, by their
@@ -40,9 +41,9 @@ from otoc_thermalize.geometry import (
 )
 from otoc_thermalize.hilbert import (
     DIM_CAP_DEFAULT,
+    Eigenframe,
     InvariantError,
     Projector,
-    UnitarySource,
     contract_isometry,
     derive_rng,
     embed_isometry,
@@ -68,13 +69,14 @@ HERMITICITY_TOL = 1e-10
 
 
 def hamiltonian_source(h, setup=None):
-    """exp(-iHt) for a Hermitian matrix H, as ``(source, V)`` with H = V diag(E) V^dag.
+    """exp(-iHt) for a Hermitian matrix H, as ``(frame, V)`` with H = V diag(E) V^dag.
 
-    ``eigh`` gives E and V. The source is the one the library reduces in its
-    eigenframe: E and the frame W = V^dag L of the setup's observable
-    isometry L (without a setup, of the whole space: W = V^dag). V is kept
-    apart for ``dense_unitary``. ``eigh`` reads one triangle only, so H is
-    checked for Hermiticity first, and a NaN fails that check.
+    ``eigh`` gives E and V. The frame is the ``Eigenframe`` the library
+    reduces: E, W = V^dag L and Y = V^dag K of the setup's observable and
+    core isometries L and K (without a setup, of the whole space:
+    W = Y = V^dag). V is kept apart for ``dense_unitary``. ``eigh`` reads one
+    triangle only, so H is checked for Hermiticity first, and a NaN fails
+    that check.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -83,31 +85,33 @@ def hamiltonian_source(h, setup=None):
     if not defect <= HERMITICITY_TOL * h.shape[0]:
         raise ValueError(f"Hamiltonian not Hermitian: defect {defect:.3e}")
     evals, vecs = np.linalg.eigh(h)
-    frame = (vecs.conj().T if setup is None
-             else contract_isometry(setup, "observable", vecs).conj().T)
-    return UnitarySource(kind="gue", dim=h.shape[0], evals=evals, frame=frame), vecs
+    if setup is None:
+        return Eigenframe(evals, vecs.conj().T, vecs.conj().T), vecs
+    w, y = (contract_isometry(setup, which, vecs).conj().T
+            for which in ("observable", "core"))
+    return Eigenframe(evals, w, y), vecs
 
 
 def dense_unitary(source, t, vecs=None):
     """The D x D unitary U(t) of a source.
 
-    V exp(-iEt) V^dag for an eigenframe source with eigenvectors ``vecs``;
+    V exp(-iEt) V^dag for an ``Eigenframe`` with eigenvectors ``vecs``;
     for a CUE or circuit source, ``evolve_basis_series`` at one time on K = 1.
     """
-    if source.kind == "gue":
+    if isinstance(source, Eigenframe):
         return (vecs * np.exp(-1j * t * source.evals)) @ vecs.conj().T
     return next(evolve_basis_series(source, np.eye(source.dim, dtype=complex), [t]))
 
 
-def completed_eigenbasis(setup, source):
-    """A D x D unitary V whose eigenframe of the observable is a GUE source's frame.
+def completed_eigenbasis(setup, frame):
+    """A D x D unitary V whose eigenframe of the observable is a GUE frame's W.
 
     V^dag = W L^dag + W_perp L_perp^dag, where L is the observable's isometry,
-    W = V^dag L the source's frame, and each complement the trailing columns of
-    a complete QR. Column j of V goes with ``source.evals[j]``, so
+    W = V^dag L the frame's observable basis, and each complement the trailing
+    columns of a complete QR. Column j of V goes with ``frame.evals[j]``, so
     H = V diag(E) V^dag is a dense H of the GUE law with V^dag L = W.
     """
-    w, l = source.frame, embed_isometry(setup, "observable")
+    w, l = frame.w, embed_isometry(setup, "observable")
     w_perp, l_perp = (np.linalg.qr(a, mode="complete")[0][:, a.shape[1]:]
                       for a in (w, l))
     return (w @ l.conj().T + w_perp @ l_perp.conj().T).conj().T
@@ -268,9 +272,8 @@ def predictor_demo_rows(setup, seed, n_instances, n_windows, t0, t_horizon,
     norm_a, norm_b = (np.vdot(x, x).real / setup.dim for x in (a2, b2))
     rows = []
     for i in range(n_instances):
-        source = UnitarySource.gue(setup.dim, derive_rng(seed, "predictor-gue", i),
-                                   columns=setup.d_r)
-        evals, vecs = source.evals, completed_eigenbasis(setup, source)
+        frame = Eigenframe.gue(setup, derive_rng(seed, "predictor-gue", i))
+        evals, vecs = frame.evals, completed_eigenbasis(setup, frame)
         a_eig, b_eig = to_eigenbasis(vecs, a2), to_eigenbasis(vecs, b2)
         for k in range(n_windows):
             pair = WindowPair(t0 + k * t_obs, t_horizon, t_obs, xi)

@@ -357,7 +357,7 @@ def test_fourth_order_premise_fails_at_reference_size():
     # scaling premise behind the naive fourth-order argument cannot be
     # satisfied, and the report says so.
     report = fourth_order_negative_demo(256, 2, 16, n_samples=200, seed=1210)
-    d_r = report.d // report.d_s
+    d_r = 256 // 2
     assert report.threshold == 1.0 / d_r**2
     assert report.measured_rms > report.threshold
     assert report.verdict == "premise unsatisfiable"

@@ -26,6 +26,7 @@ from _dense import (
 from otoc_thermalize import cli, dynamics, hilbert, predictor, thermalization
 from otoc_thermalize.geometry import halmos_decompose
 from otoc_thermalize.hilbert import (
+    Eigenframe,
     InvariantError,
     Projector,
     UnitarySource,
@@ -108,6 +109,32 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
 def test_missing_config_file_is_config_error(capsys):
     assert cli.main(["run", "--config", "/nonexistent/path.cfg"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_non_utf8_config_file_is_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"experiment = sizing-table\n# caf\xe9\n")
+    assert cli.main(["run", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot read config")
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_output_is_config_error(tmp_path, capsys, where):
+    # the experiment runs, then its output cannot be opened: run returns the
+    # code rather than raising, and no verdict line follows
+    out = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+    config = {"experiment": "sizing-table", "lambda_rel_grid": [0.5],
+              "f_grid": [0.5], "out": str(out)}
+    assert cli.run(config) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot write output {str(out)!r}")
+    assert len(captured.err.splitlines()) == 1
+    cfg = write_config(tmp_path, "experiment = sizing-table\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: cannot write output")
 
 
 def test_usage_error_exits_with_config_code():
@@ -265,10 +292,10 @@ def test_verify_theorem_rejects_non_finite_lambda(tmp_path, capsys, grid):
 
 def _sweep_source(kind, seed, i, setup):
     """(source, V) for the source many-body-sweep builds for instance i; V is a
-    GUE source's eigenframe completed to a full eigenbasis, None for the others."""
+    GUE eigenframe completed to a full eigenbasis, None for the others."""
     n = setup.n_total
     if kind == "gue":
-        gue = UnitarySource.gue(setup.dim, derive_rng(seed, "sweep-gue", i), columns=setup.d_r)
+        gue = Eigenframe.gue(setup, derive_rng(seed, "sweep-gue", i))
         return gue, completed_eigenbasis(setup, gue)
     child = int(derive_rng(seed, "sweep-source", i).integers(1 << 63))
     if kind == "cue":

@@ -1,5 +1,6 @@
 """Tests for correlator time series, Haar predictions, and the swap check."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from otoc_thermalize.geometry import (
     halmos_decompose,
 )
 from otoc_thermalize.hilbert import (
+    Eigenframe,
     ManyBodySetup,
     Projector,
     UnitarySource,
@@ -169,8 +171,7 @@ def test_gue_eigen_law_series_matches_the_dense_gue_stat():
         series = correlator_series(setup, source, times)
         return np.stack([series.g2, series.g4, series.sigma2])
 
-    law = np.array([moments(UnitarySource.gue(32, derive_rng(17, "law", i),
-                                              columns=setup.d_r))
+    law = np.array([moments(Eigenframe.gue(setup, derive_rng(17, "law", i)))
                     for i in range(n)])
     dense = np.array([moments(hamiltonian_source(
         gue_hamiltonian(32, rng=derive_rng(17, "dense", i)), setup)[0]) for i in range(n)])
@@ -297,10 +298,11 @@ def test_gue_eigenframe_series_matches_the_completed_dense_hamiltonian(setup):
     # H = V diag(E) V^dag; the register-frame dense route on that H, through
     # its own eigh, reproduces the eigenframe series
     times = [0.0, 0.7, 2.5]
-    source = UnitarySource.gue(setup.dim, derive_rng(18, "frame"), columns=setup.d_r)
+    source = Eigenframe.gue(setup, derive_rng(18, "frame"))
     vecs = completed_eigenbasis(setup, source)
-    np.testing.assert_allclose(vecs.conj().T @ embed_isometry(setup, "observable"),
-                               source.frame, rtol=0, atol=1e-12)
+    for which, basis in (("observable", source.w), ("core", source.y)):
+        np.testing.assert_allclose(vecs.conj().T @ embed_isometry(setup, which),
+                                   basis, rtol=0, atol=1e-12)
     dense, dense_vecs = hamiltonian_source((vecs * source.evals) @ vecs.conj().T, setup)
     series = correlator_series(setup, source, times)
     assert_dense_route_agrees(setup, dense, times, series, dense_vecs)
@@ -311,13 +313,13 @@ def test_gue_source_needs_the_core_inside_the_observable_range():
     # |psi> is no |chi> (x) |psi'>, so L^dag K is no isometry and Y = W L^dag K
     # would not be V^dag K
     setup = entangled_pair_setup()
-    source = UnitarySource.gue(setup.dim, derive_rng(19, "frame"), columns=setup.d_r)
     with pytest.raises(ValueError, match="core range inside the observable's"):
-        correlator_series(setup, source, [0.0, 1.0])
-    # a frame drawn for another observable rank is refused too
-    source = UnitarySource.gue(setup.dim, derive_rng(19, "frame"), columns=setup.d_r // 2)
-    with pytest.raises(ValueError, match="frame has shape"):
-        correlator_series(setup, source, [0.0])
+        Eigenframe.gue(setup, derive_rng(19, "frame"))
+    # a frame drawn for another observable or core rank is refused by the series
+    for other in (default_setup(7, 1, 3), default_setup(7, 2, 4)):
+        source = Eigenframe.gue(other, derive_rng(19, "frame"))
+        with pytest.raises(ValueError, match="eigenframe bases have shapes"):
+            correlator_series(default_setup(7, 2, 3), source, [0.0])
 
 
 @pytest.mark.parametrize("source, times", [
@@ -331,10 +333,8 @@ def test_commutator_norm_reads_the_residual(monkeypatch, source, times):
     # scrambled times but is no isometry; R^dag R = 1 - m would hide that,
     # and the commutator identity would hold. A Hamiltonian's core basis is
     # scaled in its eigenframe, as Y
-    if source.kind == "gue":
-        frame = dynamics._eigenframe
-        monkeypatch.setattr(dynamics, "_eigenframe", lambda *a: (
-            lambda evals, w, y: (evals, w, 1.01 * y))(*frame(*a)))
+    if isinstance(source, Eigenframe):
+        source = dataclasses.replace(source, y=1.01 * source.y)
     else:
         evolve_series = dynamics.evolve_basis_series
         monkeypatch.setattr(dynamics, "evolve_basis_series", lambda *a: (
@@ -365,7 +365,7 @@ def test_gue_series_peak_memory_scales_with_the_observable_frame():
     setup = default_setup(9, 1, 4)
     tracemalloc.start()
     try:
-        source = UnitarySource.gue(setup.dim, derive_rng(20, "frame"), columns=setup.d_r)
+        source = Eigenframe.gue(setup, derive_rng(20, "frame"))
         correlator_series(setup, source, range(11))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -401,11 +401,9 @@ def test_evolve_basis_matches_dense_unitary(case):
     # Y = V^dag K is held against the dense unitary
     setup, source, times, vecs = oracle_cases()[case]
     k = embed_isometry(setup, "core")
-    if source.kind == "gue":
-        evals, _, y = hilbert._eigenframe(setup, source)
     for t in times:
-        kt = (vecs @ (np.exp(-1j * t * evals)[:, None] * y)
-              if source.kind == "gue"
+        kt = (vecs @ (np.exp(-1j * t * source.evals)[:, None] * source.y)
+              if isinstance(source, Eigenframe)
               else next(evolve_basis_series(source, k, [t])))
         np.testing.assert_allclose(kt, dense_unitary(source, t, vecs) @ k,
                                    rtol=0, atol=1e-12)
@@ -418,7 +416,7 @@ def test_evolve_basis_series_matches_evolve_basis(case):
     # ascending, repeated, ascending again, then back to an earlier time; each
     # block must equal a one-time series started afresh from K
     grid = list(times) + [times[-1], times[-1] + 2, times[0] + 1]
-    if source.kind == "gue":
+    if isinstance(source, Eigenframe):
         # no block is evolved: each time of a series over the grid equals a
         # one-time series
         series = correlator_series(setup, source, grid)
@@ -457,7 +455,7 @@ def test_evolve_basis_rejects_dimension_mismatch():
 def test_typicality_experiment_matches_predictions():
     result = typicality_experiment(64, 2, 8, n_samples=1000, seed=17)
     pred = result.prediction
-    se = np.sqrt(pred.var_g2 / result.n_samples)
+    se = np.sqrt(pred.var_g2 / 1000)
     assert abs(result.mean_g2 - 0.5) <= 4.0 * se
     checks = result.checks
     assert checks["mean_g2"].ok and checks["mean_g4"].ok

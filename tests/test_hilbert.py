@@ -731,14 +731,6 @@ class TestEvolve:
             block[...] = 7.0
             assert np.array_equal(k, k_before)
 
-    @pytest.mark.parametrize("source", [
-        UnitarySource.gue(16, np.random.default_rng(2), columns=8),
-    ], ids=lambda s: s.kind)
-    def test_hamiltonian_sources_are_not_evolved_in_the_register(self, source):
-        # correlator_series reduces them in their eigenframe instead
-        with pytest.raises(ValueError, match="cue and circuit"):
-            next(evolve_basis_series(source, np.eye(16, 3), [0]))
-
     @pytest.mark.parametrize("k", [
         embed_isometry(ManyBodySetup(6, 1, 2, np.eye(2)[0], np.eye(4)[0]), "core"),
         sample_haar_unitary(64, seed=6, columns=5),

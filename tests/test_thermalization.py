@@ -15,6 +15,7 @@ from _dense import (
 from test_geometry import CASES, isometry_pair
 from otoc_thermalize import thermalization
 from otoc_thermalize.hilbert import (
+    STACK_ENTRIES,
     InvariantError,
     Projector,
     derive_rng,
@@ -339,11 +340,13 @@ def test_stacked_fraction_rejects_one_bad_basis(bad):
         empirical_nonthermal_fraction(np.linspace(0, 1, 4), stack, 0.5, 0.1)
 
 
-@pytest.mark.parametrize("dim, d_rho", [(16, 16), (16, 8)])
+@pytest.mark.parametrize("dim, d_rho", [(16, 16), (16, 8), (64, 32), (128, 64)])
 def test_report_stacks_are_capped_by_the_dimension(monkeypatch, dim, d_rho):
-    # at most max(1, D^2 // d_rho^2) bases per stack: 1 at n_sigma = 0, 4 here
+    # at most max(1, STACK_ENTRIES // d_rho^2) bases per stack, the cap of
+    # every Haar stack: all 10 in one stack at d_rho <= 16, 4 at d_rho = 32,
+    # and 1 at d_rho = 64, where D^2 // d_rho^2 would allow 4
     p_r, p_rho = random_pair(dim, dim // 2, d_rho, seed=28)
-    step, n_bases = max(1, dim ** 2 // d_rho ** 2), 10
+    step, n_bases = max(1, STACK_ENTRIES // d_rho ** 2), 10
     counts = []
     draw = thermalization.sample_haar_unitary
 
