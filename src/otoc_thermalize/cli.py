@@ -20,8 +20,10 @@ streams, so identical configurations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
@@ -38,6 +40,7 @@ from .hilbert import (
     UnitarySource,
     _map_ordered,
     _one_blas_thread,
+    _pool_for,
     derive_rng,
     sample_haar_unitary,
 )
@@ -229,10 +232,16 @@ def _map_instances(fn: Callable[[int], object], count: int) -> List[object]:
 
     Results are collected in index order and every instance draws from its
     own derived stream, so the output is independent of scheduling and of
-    the pool's width. Two or more instances take the pool, and the samples,
+    the pool's width. Each runner calls it inside ``hilbert._pool_for`` with
+    the entries of the basis an instance draws or evolves: D x D_R for
+    verify-theorem, predictor-demo and a gue sweep, D x D_rho for a cue or
+    circuit sweep. Two or more instances of at least
+    ``hilbert.POOL_MIN_ENTRIES`` entries take the pool, and the samples,
     times or row blocks inside each instance then run inline on its thread;
-    a single instance runs on the caller's thread and leaves the pool to
-    them.
+    smaller instances run inline on the caller's thread, and so does
+    everything inside them. A single instance runs on the caller's thread and
+    leaves the pool to its samples, times or row blocks, if they are large
+    enough.
     """
     return _map_ordered(fn, count)
 
@@ -284,7 +293,8 @@ def _run_verify_theorem(cfg: ExperimentConfig):
         return [thermalization_report(p_r, p_rho, lam, n_bases=n_bases, seed=rng)
                 for lam in lambdas]
 
-    reports = _map_instances(one_instance, n_instances)
+    with _pool_for(d * d_r):
+        reports = _map_instances(one_instance, n_instances)
     fraction = _Worst("f_lambda <= min(1, (3/lambda)*(sigma2/4)^(1/3))")
     dimension = _Worst("dim(H_th) >= D_rho*(1 - sigma2/lambda^2)")
     converse = _Worst("sigma2 <= lambda^2 + (1 - lambda^2)*f_max")
@@ -376,7 +386,9 @@ def _run_many_body_sweep(cfg: ExperimentConfig):
                 source = UnitarySource.circuit(n, seed=child)
         return correlator_series(setup, source, times)
 
-    results = _map_instances(one_instance, n_instances)
+    basis = setup.d_r if source_kind == "gue" else setup.d_rho
+    with _pool_for(setup.dim * basis):
+        results = _map_instances(one_instance, n_instances)
     chain = _Worst("G4(t) <= G2(t)")
     identity = _Worst("|G2 - G4 - ||[P_R, P_rho(t)]||_F^2/(2 D_rho)| <= 0")
     dimension = _Worst("dim(H_th)(t) >= D_rho*(1 - sigma2(t)/lambda^2)")
@@ -452,7 +464,8 @@ def _run_predictor_demo(cfg: ExperimentConfig):
             auto, cross = window_averages(frame, pair, shifts)
         return auto, np.abs(cross).tolist()
 
-    results = _map_instances(one_instance, n_instances)
+    with _pool_for(setup.dim * setup.d_r):
+        results = _map_instances(one_instance, n_instances)
     theorem = _Worst("|avg_w <B2,U_t(A2)>| <= "
                      "(sqrt(auto/W) + w0*sqrt(<A2,A2>))*sqrt(<B2,B2>)")
     synopsis = _Worst("normalized: |avg| <= t_obs/(xi*T) "
@@ -585,12 +598,30 @@ def render_json(rows: Sequence[dict], verdicts: Sequence[Check]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _check_out(path: str) -> None:
+    """Reject an ``out`` path before the run, with the error ``_emit`` would
+    meet: one that names a directory, or whose directory is missing or not
+    writable. Nothing is created or truncated."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOENT
+    elif not os.access(folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    exc = OSError(code, os.strerror(code), path)
+    raise ConfigError(f"cannot write output {path!r}: {exc}")
+
+
 def _emit(cfg: ExperimentConfig, rows, verdicts) -> None:
     text = (render_csv(rows) if cfg.fmt == "csv"
             else render_json(rows, verdicts))
     if cfg.out is None:
         sys.stdout.write(text)
     else:
+        # ``_check_out`` passed before the run; the path may have changed since
         try:
             with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
@@ -616,11 +647,17 @@ def run(config: Dict[str, object]) -> int:
     is restored on return. The only parallelism is the one pool
     (``hilbert._map_ordered``), one level deep: instances, or else the
     samples, times or row blocks of a single one, whose results are reduced
-    in index order, so the output does not depend on the pool's width.
+    in index order, so the output does not depend on the pool's width. A map
+    whose tasks each work on fewer than ``hilbert.POOL_MIN_ENTRIES`` array
+    entries runs inline (``_map_instances`` gives the sizes). An ``out``
+    path that names a directory, or whose directory is missing or not
+    writable, is a config error before the experiment runs.
     """
     try:
         cfg = ExperimentConfig.from_mapping(dict(config))
         runner, _ = EXPERIMENTS[cfg.experiment]
+        if cfg.out is not None:
+            _check_out(cfg.out)
         with _one_blas_thread():
             rows, verdicts, *note = runner(cfg)
         _emit(cfg, rows, verdicts)

@@ -40,8 +40,10 @@ from .hilbert import (
     Eigenframe,
     ManyBodySetup,
     UnitarySource,
+    _corner_stack_entries,
     _map_contiguous,
     _on_sites,
+    _pool_for,
     contract_isometry,
     derive_rng,
     embed_isometry,
@@ -191,9 +193,10 @@ def correlator_series(setup: ManyBodySetup, source: Eigenframe | UnitarySource,
 
     The times of an eigenframe or a CUE source are independent of each
     other, so they go to the pool (``hilbert._map_contiguous``) in
-    contiguous chunks, and the rows come back in time order. A circuit
-    carries its block from one time to the next, so its grid runs in order
-    on one thread. Each time is reduced by the same operations on either
+    contiguous chunks when a time's D x D_rho block reaches
+    ``hilbert.POOL_MIN_ENTRIES``, and the rows come back in time order. A
+    circuit carries its block from one time to the next, so its grid runs in
+    order on one thread. Each time is reduced by the same operations on either
     route, so the series does not depend on the pool.
 
     Parameters
@@ -232,7 +235,8 @@ def correlator_series(setup: ManyBodySetup, source: Eigenframe | UnitarySource,
     if isinstance(source, UnitarySource) and source.kind == "circuit":
         reduced = rows(range(len(times)))
     else:
-        reduced = _map_contiguous(rows, len(times))
+        with _pool_for(setup.dim * d_rho):
+            reduced = _map_contiguous(rows, len(times))
     g2, g4, sigma2, comm = (np.array([r[k] for r in reduced], dtype=float)
                             for k in range(4))
     cos2 = np.array([r[4] for r in reduced]).reshape(times.shape + (d_rho,))
@@ -274,9 +278,10 @@ def typicality_experiment(d: int, d_s: int, d_sigma: int, n_samples: int,
     Bartlett R factors (``hilbert.haar_corner_stacks``) and the generator
     ``derive_rng(seed, "typicality", i)``: O(D_rho^3) time and no D-sized
     array. The samples go to the pool (``hilbert._map_contiguous``) in
-    contiguous chunks, each reduced to its moments stack by stack, and the
-    moments are reduced in index order, so the result does not depend on
-    the pool.
+    contiguous chunks when one draw's stack reaches
+    ``hilbert.POOL_MIN_ENTRIES``, each reduced to its moments stack by
+    stack, and the moments are reduced in index order, so the result does
+    not depend on the pool.
 
     Raises
     ------
@@ -300,7 +305,8 @@ def typicality_experiment(d: int, d_s: int, d_sigma: int, n_samples: int,
         return out
 
     # contiguous rows: a sum over a strided view may take another order
-    g2s, g4s = np.array(_map_contiguous(moments, n_samples), dtype=float).T.copy()
+    with _pool_for(_corner_stack_entries(d, d_r, d_rho)):
+        g2s, g4s = np.array(_map_contiguous(moments, n_samples), dtype=float).T.copy()
     mean_g2, mean_g4 = float(g2s.mean()), float(g4s.mean())
     mean_sigma2 = float((g4s - g2s ** 2).mean())
     var_g2 = float(g2s.var(ddof=1))

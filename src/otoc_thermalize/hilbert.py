@@ -32,7 +32,10 @@ handle, so that the command line's output depends on its config and seed
 alone. Beside that one BLAS thread policy there is one pool,
 ``_map_ordered``: instances, samples, time grids and row blocks map over
 it, one level deep, and reduce its results in index order, so the output
-does not depend on the pool's width either.
+does not depend on the pool's width either. A map whose tasks each work on
+fewer than ``POOL_MIN_ENTRIES`` array entries runs inline (``_pool_for``):
+on tasks that small, threads spend their time waiting for the interpreter
+lock.
 """
 
 from __future__ import annotations
@@ -63,6 +66,13 @@ STATE_NORM_TOL = 1e-12
 
 #: Most threads the one pool (``_map_ordered``) runs at once.
 POOL_CAP = 4
+
+#: Fewest array entries a map's tasks work on for the map to use the pool
+#: (``_pool_for``). Measured in one process on 2 cores with 1 BLAS thread
+#: (README, "Runs are deterministic", has the table at every map): at 512
+#: entries ``haar-typicality`` took 16 ms inline against 27 ms on the pool,
+#: and at 2**13 ``negative-demo`` took 137 ms inline against 114 ms.
+POOL_MIN_ENTRIES = 2 ** 13
 
 #: Columns per panel of ``Projector.validate``'s Gram.
 PANEL = 64
@@ -180,6 +190,11 @@ def sample_haar_unitary(dim: int, seed=None, rng=None,
     return q
 
 
+def _corner_stack_entries(dim: int, rows: int, columns: int) -> int:
+    """Entries of one draw's stacked [R1; R2] in ``haar_corner_stacks``."""
+    return (min(rows, columns) + min(dim - rows, columns)) * columns
+
+
 def haar_corner_stacks(dim: int, rows: int, columns: int, rngs) -> Iterator[np.ndarray]:
     """Yield stacks of matrices c, one per generator in ``rngs``, whose Gram
     c^dag c has the law of the ``rows x columns`` corner Gram of a D x columns
@@ -237,7 +252,7 @@ def haar_corner_stacks(dim: int, rows: int, columns: int, rngs) -> Iterator[np.n
         top += len(i)
     upper_at = np.flatnonzero(np.concatenate(upper))
     diag_at, shapes = np.concatenate(diag_at), np.concatenate(shapes)
-    per_stack = max(1, STACK_ENTRIES // (top * columns))
+    per_stack = max(1, STACK_ENTRIES // _corner_stack_entries(dim, rows, columns))
     rngs = iter(rngs)
     while True:
         chunk = list(itertools.islice(rngs, per_stack))
@@ -392,6 +407,25 @@ def _pool_width(count: int) -> int:
     return max(1, min(POOL_CAP, os.cpu_count() or 1, count))
 
 
+@contextlib.contextmanager
+def _pool_for(entries: int):
+    """Run the block's maps inline when their tasks work on fewer than
+    ``POOL_MIN_ENTRIES`` array entries; otherwise change nothing.
+
+    Inline is what a pool task already gets (``_ON_POOL``), so a map nested
+    in an inline block stays inline, and one inside a pooled block stays
+    inline on its pool thread.
+    """
+    if entries >= POOL_MIN_ENTRIES:
+        yield
+        return
+    token = _ON_POOL.set(True)
+    try:
+        yield
+    finally:
+        _ON_POOL.reset(token)
+
+
 def _map_ordered(fn: Callable[[int], object], count: int) -> List[object]:
     """Return ``[fn(0), ..., fn(count - 1)]``, run on up to
     min(``POOL_CAP``, cpu count, count) threads.
@@ -401,9 +435,24 @@ def _map_ordered(fn: Callable[[int], object], count: int) -> List[object]:
     own derived streams, gives output that does not depend on the pool's
     width or on scheduling. Each task runs in its own copy of the caller's
     ``contextvars`` context, so ``np.errstate`` holds on the pool threads. A
-    call made from a task already on the pool runs its tasks inline, so there
-    is one level of parallelism and never a nested pool. The first failed
-    task in index order raises, and tasks not yet started are cancelled.
+    call made from a task already on the pool, or inside a ``_pool_for``
+    block of tasks too small for it, runs its tasks inline, so there is one
+    level of parallelism and never a nested pool. The first failed task in
+    index order raises, and tasks not yet started are cancelled.
+
+    One pool rule holds for every caller: a map uses the pool when it has
+    two or more tasks, is not already on the pool, and its tasks each work
+    on at least ``POOL_MIN_ENTRIES`` entries. Each caller names the size:
+
+    =========================  ==========================================
+    map                        entries per task
+    =========================  ==========================================
+    Monte Carlo samples        rows x D_rho of the Bartlett stack
+    eigenframe or CUE times    D x D_rho
+    Bohr-sum row blocks        ``BLOCK`` x D
+    CLI instances              D x D_R (gue sweep, verify-theorem,
+                               predictor-demo), D x D_rho (cue, circuit)
+    =========================  ==========================================
     """
     workers = _pool_width(count)
     if workers <= 1:

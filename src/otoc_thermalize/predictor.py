@@ -30,8 +30,10 @@ import numpy as np
 from .hilbert import (
     Eigenframe,
     InvariantError,
+    _corner_stack_entries,
     _map_contiguous,
     _map_ordered,
+    _pool_for,
     derive_rng,
     haar_corner_stacks,
 )
@@ -129,7 +131,8 @@ def window_averages(frame: Eigenframe, pair: WindowPair, shifts):
     diagonal are formed, each term above it counting twice. Rows go in
     blocks of ``BLOCK`` and windows in chunks of ``BLOCK`` (one GEMM of the
     block against the chunk's phases), so no D x D array is formed. The
-    row blocks go to the pool (``hilbert._map_ordered``), one task each, and
+    row blocks go to the pool (``hilbert._map_ordered``), one task each,
+    when a block's ``BLOCK`` x D grid reaches ``hilbert.POOL_MIN_ENTRIES``, and
     their partial sums are folded in block order, so the sums do not depend
     on the pool; the partial sums of every block, D/``BLOCK`` x (windows + 1)
     floats, are held until the fold.
@@ -185,7 +188,9 @@ def window_averages(frame: Eigenframe, pair: WindowPair, shifts):
 
     auto = 0.0
     cross = np.zeros(centres.size)
-    for block_auto, block_cross in _map_ordered(block_sums, -(-d // BLOCK)):
+    with _pool_for(BLOCK * d):
+        blocks = _map_ordered(block_sums, -(-d // BLOCK))
+    for block_auto, block_cross in blocks:
         auto += block_auto
         cross += block_cross
     return float(auto) / d, cross / d
@@ -294,8 +299,9 @@ def fourth_order_negative_demo(d: int, d_s: int, d_sigma: int,
     from its two Bartlett R factors (``hilbert.haar_corner_stacks``) and the
     generator ``derive_rng(seed, "negative-demo", i)``: O(D_rho^3) time and
     no D-sized array. The samples go to the pool
-    (``hilbert._map_contiguous``) in contiguous chunks and are reduced in
-    index order, so the report does not depend on the pool.
+    (``hilbert._map_contiguous``) in contiguous chunks when one draw's stack
+    reaches ``hilbert.POOL_MIN_ENTRIES``, and are reduced in index order, so
+    the report does not depend on the pool.
     """
     if d % d_s != 0 or d % d_sigma != 0:
         raise ValueError("d_s and d_sigma must divide d")
@@ -312,7 +318,8 @@ def fourth_order_negative_demo(d: int, d_s: int, d_sigma: int,
             out += list(g * g - 1.0 / d_sigma ** 2)
         return out
 
-    dev = np.array(_map_contiguous(deviations, n_samples), dtype=float)
+    with _pool_for(_corner_stack_entries(d, d_rho, d_rho)):
+        dev = np.array(_map_contiguous(deviations, n_samples), dtype=float)
     measured = float(np.sqrt(np.mean(dev ** 2)))
     threshold = 1.0 / d_r ** 2
     if d_sigma == 1:

@@ -5,7 +5,8 @@ shares no arithmetic with the basis, contraction and principal-axes routes it
 checks. A projector matrix goes back to a ``Projector`` through the
 eigendecomposition route ``eigh_range_basis``; ``recording_eigh`` shows
 whether a block of code took an eigendecomposition route at all, and
-``recording_pools`` how many thread pools it built.
+``recording_pools`` how many thread pools it built; the fixture
+``pool_at_any_size`` lets tasks of any size reach the pool.
 ``principal_axes`` is the singular-vector route to the principal axes, which
 the library never forms. ``dense_unitary`` is the D x D unitary U(t) of a
 source: V exp(-iEt) V^dag for an ``Eigenframe`` with eigenvectors V, the
@@ -32,6 +33,7 @@ import contextlib
 import math
 
 import numpy as np
+import pytest
 
 from otoc_thermalize import hilbert
 from otoc_thermalize.geometry import (
@@ -339,6 +341,13 @@ def recording_eigh():
         yield calls
     finally:
         np.linalg.eigh = eigh
+
+
+@pytest.fixture
+def pool_at_any_size(monkeypatch):
+    """Set ``hilbert.POOL_MIN_ENTRIES`` to 0, so that every map of two or more
+    tasks takes the pool and a tiny config still tests its mechanics."""
+    monkeypatch.setattr(hilbert, "POOL_MIN_ENTRIES", 0)
 
 
 @contextlib.contextmanager

@@ -19,6 +19,7 @@ from _dense import (
     completed_eigenbasis,
     dense_embed,
     dense_unitary,
+    pool_at_any_size,
     predictor_demo_rows,
     recording_eigh,
     recording_pools,
@@ -120,11 +121,25 @@ def test_non_utf8_config_file_is_config_error(tmp_path, capsys):
     assert captured.err.startswith("config error: cannot read config")
 
 
-@pytest.mark.parametrize("where", ["missing-dir", "directory"])
-def test_unwritable_output_is_config_error(tmp_path, capsys, where):
-    # the experiment runs, then its output cannot be opened: run returns the
-    # code rather than raising, and no verdict line follows
-    out = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+@pytest.mark.parametrize("where", ["missing-dir", "directory", "read-only-dir"])
+def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch, where):
+    # the path is checked before the experiment runs: the runner is never
+    # called, run returns the code rather than raising, no verdict line
+    # follows, and nothing is created
+    out = {"missing-dir": tmp_path / "missing" / "x.csv", "directory": tmp_path,
+           "read-only-dir": tmp_path / "x.csv"}[where]
+    if where == "read-only-dir":
+        # root may write to a mode-0o500 directory, so access is denied here
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode, **kw: (
+            os.path.abspath(path) != str(tmp_path) and access(path, mode, **kw)))
+    cfg = write_config(tmp_path, "experiment = sizing-table\n")
+    before = sorted(tmp_path.iterdir())
+
+    def never_runs(_cfg):
+        raise AssertionError("the runner ran before its output path was checked")
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "sizing-table", (never_runs, "not run"))
     config = {"experiment": "sizing-table", "lambda_rel_grid": [0.5],
               "f_grid": [0.5], "out": str(out)}
     assert cli.run(config) == EXIT_CONFIG
@@ -132,9 +147,9 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, where):
     assert captured.out == ""
     assert captured.err.startswith(f"config error: cannot write output {str(out)!r}")
     assert len(captured.err.splitlines()) == 1
-    cfg = write_config(tmp_path, "experiment = sizing-table\n")
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: cannot write output")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_usage_error_exits_with_config_code():
@@ -716,8 +731,8 @@ def built_pools():
 
 @pytest.mark.parametrize("config, pools", zip(POOL_WIDTH_CONFIGS, POOLS_AT_WIDTH_2),
                          ids=[_pool_id(c) for c in POOL_WIDTH_CONFIGS])
-def test_output_does_not_depend_on_the_pool_width(monkeypatch, built_pools, config,
-                                                  pools):
+def test_output_does_not_depend_on_the_pool_width(monkeypatch, pool_at_any_size,
+                                                  built_pools, config, pools):
     # the pool's width comes from os.cpu_count; at 1 every task runs inline
     runs = {}
     for cpus in (1, 2, 3):
@@ -739,7 +754,8 @@ def test_output_does_not_depend_on_the_pool_width(monkeypatch, built_pools, conf
     {"experiment": "verify-theorem", "n": 5, "n_instances": 4, "n_bases": 2},
     {"experiment": "haar-typicality", "n": 6, "n_samples": 20},
 ], ids=lambda c: c["experiment"])
-def test_a_run_builds_one_thread_pool(monkeypatch, capsys, built_pools, config):
+def test_a_run_builds_one_thread_pool(monkeypatch, capsys, pool_at_any_size,
+                                      built_pools, config):
     # instances that fill the pool leave every inner map inline: no nested pool
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert cli.run({**config, "seed": 3}) == EXIT_PASS
@@ -747,7 +763,38 @@ def test_a_run_builds_one_thread_pool(monkeypatch, capsys, built_pools, config):
     assert built_pools == [2]
 
 
-def test_a_phase_overflow_on_a_pool_thread_is_a_config_error(monkeypatch, capsys):
+#: Configs on either side of ``hilbert.POOL_MIN_ENTRIES``, with the pools each
+#: builds at a pool width of 2: the ``ensemble`` benchmark's Monte Carlo jobs
+#: draw 32 x 16 Bartlett stacks, 512 entries, and run inline; the instances of a
+#: cue sweep at n = 10 (D x D_rho = 65536) and of verify-theorem at n = 8
+#: (D x D_R = 32768) take the pool.
+POOL_GATE_CONFIGS = [
+    ({"experiment": "haar-typicality", "n": 8, "n_s": 1, "n_sigma": 4,
+      "n_samples": 200}, []),
+    ({"experiment": "negative-demo", "n": 8, "n_s": 1, "n_sigma": 4,
+      "n_samples": 200}, []),
+    ({"experiment": "many-body-sweep", "source": "cue", "n": 10, "n_instances": 2,
+      "times": [0, 1]}, [2]),
+    ({"experiment": "verify-theorem", "n": 8, "n_instances": 2, "n_bases": 2}, [2]),
+]
+
+
+@pytest.mark.parametrize("config, pools", POOL_GATE_CONFIGS,
+                         ids=[_pool_id(c) for c, _ in POOL_GATE_CONFIGS])
+def test_only_tasks_of_pool_min_entries_take_the_pool(monkeypatch, capsys, built_pools,
+                                                      config, pools):
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        built_pools.clear()
+        assert cli.run({**config, "seed": 4}) == EXIT_PASS
+        runs.append(capsys.readouterr().out)
+    assert built_pools == pools
+    assert runs[0] == runs[1]
+
+
+def test_a_phase_overflow_on_a_pool_thread_is_a_config_error(monkeypatch, capsys,
+                                                             pool_at_any_size):
     # n = 7 has two row blocks, so the Bohr sums reach the pool, and the
     # caller's np.errstate(over="raise") must hold on its threads
     monkeypatch.setattr(os, "cpu_count", lambda: 2)

@@ -395,11 +395,22 @@ def test_time_zero_angles_vanish_and_every_axis_is_thermal(split):
             assert np.count_nonzero(thermal_axes(series.cos2[0], lam)) == setup.d_rho
 
 
-@pytest.mark.parametrize("case", range(6))
+def gue_frame_case(setup, seed, times):
+    """(setup, source, times, V) for the library's GUE frame, whose Y is
+    W (L^dag K), and the dense eigenbasis V that completes its W."""
+    frame = Eigenframe.gue(setup, derive_rng(seed, "frame"))
+    return setup, frame, times, completed_eigenbasis(setup, frame)
+
+
+@pytest.mark.parametrize("case", range(8))
 def test_evolve_basis_matches_dense_unitary(case):
     # a Hamiltonian evolves in its eigenframe, U(t) K = V exp(-iEt) Y, so its
-    # Y = V^dag K is held against the dense unitary
-    setup, source, times, vecs = oracle_cases()[case]
+    # Y is held against the dense unitary: V^dag K for an explicit H, and the
+    # library's W (L^dag K) for a GUE frame
+    setup, source, times, vecs = (oracle_cases() + [
+        gue_frame_case(default_setup(6, 1, 3), 61, [0.0, 0.7, 2.5]),
+        gue_frame_case(nested_setup(), 62, [0.0, 1.3]),
+    ])[case]
     k = embed_isometry(setup, "core")
     for t in times:
         kt = (vecs @ (np.exp(-1j * t * source.evals)[:, None] * source.y)
