@@ -38,11 +38,13 @@ from .hilbert import (
     ManyBodySetup,
     Projector,
     UnitarySource,
+    _corner_stack_entries,
     _map_ordered,
     _one_blas_thread,
     _pool_for,
     derive_rng,
-    sample_haar_unitary,
+    haar_corner_stacks,
+    sample_haar_unitary,  # noqa: F401  (no call here; bench/tests reads cli's binding)
 )
 from .predictor import (
     WindowPair,
@@ -234,14 +236,14 @@ def _map_instances(fn: Callable[[int], object], count: int) -> List[object]:
     own derived stream, so the output is independent of scheduling and of
     the pool's width. Each runner calls it inside ``hilbert._pool_for`` with
     the entries of the basis an instance draws or evolves: D x D_R for
-    verify-theorem, predictor-demo and a gue sweep, D x D_rho for a cue or
-    circuit sweep. Two or more instances of at least
-    ``hilbert.POOL_MIN_ENTRIES`` entries take the pool, and the samples,
-    times or row blocks inside each instance then run inline on its thread;
-    smaller instances run inline on the caller's thread, and so does
-    everything inside them. A single instance runs on the caller's thread and
-    leaves the pool to its samples, times or row blocks, if they are large
-    enough.
+    predictor-demo and a gue sweep, D x D_rho for a cue or circuit sweep, and
+    the rows x D_rho of its Bartlett stack for verify-theorem. Two or more
+    instances of at least ``hilbert.POOL_MIN_ENTRIES`` entries take the pool,
+    and the samples, times or row blocks inside each instance then run
+    inline on its thread; smaller instances run inline on the caller's
+    thread, and so does everything inside them. A single instance runs on
+    the caller's thread and leaves the pool to its samples, times or row
+    blocks, if they are large enough.
     """
     return _map_ordered(fn, count)
 
@@ -274,6 +276,17 @@ class _Worst:
 # Experiments.
 # ---------------------------------------------------------------------------
 
+def _haar_pair(d: int, d_r: int, d_rho: int, rng):
+    """A pair of independent Haar projectors of ranks D_R and D_rho on C^D,
+    drawn in the span of its principal vectors, C^D'
+    (``hilbert.haar_corner_stacks``): the first min(D_R, D_rho) axes and the
+    thin Q of one Bartlett stack. Its cross-Gram has the law of a D-row
+    pair's, up to a diagonal phase conjugation of its Gram, and a report
+    reads a pair only through that Gram; no D-row array is drawn."""
+    q = next(haar_corner_stacks(d, d_r, d_rho, [rng]))[0]
+    return Projector.coordinate(len(q), min(d_r, d_rho)), Projector(q)
+
+
 def _run_verify_theorem(cfg: ExperimentConfig):
     params = dict(cfg.params)
     n, n_s, n_sigma = _qubit_counts(params, 7, 1, 4)
@@ -288,12 +301,11 @@ def _run_verify_theorem(cfg: ExperimentConfig):
 
     def one_instance(i):
         rng = derive_rng(cfg.seed, "verify-theorem", i)
-        p_r = Projector(sample_haar_unitary(d, rng=rng, columns=d_r))
-        p_rho = Projector(sample_haar_unitary(d, rng=rng, columns=d_rho))
+        p_r, p_rho = _haar_pair(d, d_r, d_rho, rng)
         return [thermalization_report(p_r, p_rho, lam, n_bases=n_bases, seed=rng)
                 for lam in lambdas]
 
-    with _pool_for(d * d_r):
+    with _pool_for(_corner_stack_entries(d, d_r, d_rho)):
         reports = _map_instances(one_instance, n_instances)
     fraction = _Worst("f_lambda <= min(1, (3/lambda)*(sigma2/4)^(1/3))")
     dimension = _Worst("dim(H_th) >= D_rho*(1 - sigma2/lambda^2)")

@@ -298,7 +298,8 @@ def typicality_experiment(d: int, d_s: int, d_sigma: int, n_samples: int,
     def moments(samples):
         out = []
         rngs = (derive_rng(seed, "typicality", i) for i in samples)
-        for c in haar_corner_stacks(d, d_r, d_rho, rngs):
+        for q in haar_corner_stacks(d, d_r, d_rho, rngs):
+            c = np.ascontiguousarray(q[:, :min(d_r, d_rho)])
             m = c.conj().swapaxes(1, 2) @ c
             out += zip(np.trace(m, axis1=1, axis2=2).real / d_rho,
                        np.sum(np.abs(m) ** 2, axis=(1, 2)) / d_rho)

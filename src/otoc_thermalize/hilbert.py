@@ -26,7 +26,9 @@ drawn, by LAPACK ``zgeqrf`` and ``zungqr`` through the same handle
 draws, and every draw where the library is not found, goes through
 ``np.linalg.qr``, bit for bit the same. Where only the Gram of a corner of a
 Haar isometry is read, ``haar_corner_stacks`` draws a matrix with that
-Gram's law from two Bartlett R factors, with no D-sized array.
+Gram's law from two Bartlett R factors, with no D-sized array; the whole
+thin Q it yields is a Haar pair's basis in the span of the pair's principal
+vectors.
 ``_one_blas_thread`` pins that OpenBLAS to one thread through the same
 handle, so that the command line's output depends on its config and seed
 alone. Beside that one BLAS thread policy there is one pool,
@@ -196,9 +198,10 @@ def _corner_stack_entries(dim: int, rows: int, columns: int) -> int:
 
 
 def haar_corner_stacks(dim: int, rows: int, columns: int, rngs) -> Iterator[np.ndarray]:
-    """Yield stacks of matrices c, one per generator in ``rngs``, whose Gram
-    c^dag c has the law of the ``rows x columns`` corner Gram of a D x columns
-    Haar isometry, up to a diagonal phase conjugation, never forming a D-sized array.
+    """Yield stacks of isometries q, one per generator in ``rngs``, whose top
+    min(rows, columns) rows c have a Gram c^dag c with the law of the
+    ``rows x columns`` corner Gram of a D x columns Haar isometry, up to a
+    diagonal phase conjugation, never forming a D-sized array.
 
     Write the Haar isometry as V = G R^(-1) for a D x p complex Ginibre G
     (p = columns, R its positive QR factor; ``sample_haar_unitary``), and
@@ -221,6 +224,14 @@ def haar_corner_stacks(dim: int, rows: int, columns: int, rngs) -> Iterator[np.n
     variates of R1's diagonal and then R2's, and then the normals of R1 and
     of R2, row by row.
 
+    The whole q is yielded, D' = min(d, p) + min(D - d, p) rows. By unitary
+    invariance, one basis of a pair of independent Haar isometries of ranks
+    d and p may be taken to be the first d axes of C^D, and the pair's
+    cross-Gram is then the corner. So in C^D' the first min(d, p) axes and
+    q form a pair whose cross-Gram c has that law up to the phase: the pair
+    in the span of its principal vectors. A caller that reads the corner
+    alone keeps np.ascontiguousarray(q[:, :min(d, p)]).
+
     The draws are stacked into ``np.linalg.qr`` calls of at most
     ``STACK_ENTRIES`` entries (and at least one draw), each yielded before
     the next is drawn. ``np.linalg.qr`` factors each slice as it would
@@ -237,7 +248,7 @@ def haar_corner_stacks(dim: int, rows: int, columns: int, rngs) -> Iterator[np.n
     Yields
     ------
     numpy.ndarray
-        k x min(rows, columns) x columns complex stacks, C-ordered.
+        k x D' x columns complex stacks of the thin Q of [R1; R2].
     """
     if not (1 <= rows <= dim and 1 <= columns <= dim):
         raise ValueError(f"need 1 <= rows, columns <= dim, got ({dim}, {rows}, {columns})")
@@ -266,8 +277,7 @@ def haar_corner_stacks(dim: int, rows: int, columns: int, rngs) -> Iterator[np.n
         stack = np.zeros((len(chunk), top * columns), dtype=complex)
         stack[:, diag_at] = np.sqrt(gammas)
         stack[:, upper_at] = normals.view(complex) / math.sqrt(2.0)
-        q = np.linalg.qr(stack.reshape(len(chunk), top, columns)).Q
-        yield np.ascontiguousarray(q[:, :min(rows, columns)])
+        yield np.linalg.qr(stack.reshape(len(chunk), top, columns)).Q
 
 
 class _OpenBLAS:
@@ -450,8 +460,9 @@ def _map_ordered(fn: Callable[[int], object], count: int) -> List[object]:
     Monte Carlo samples        rows x D_rho of the Bartlett stack
     eigenframe or CUE times    D x D_rho
     Bohr-sum row blocks        ``BLOCK`` x D
-    CLI instances              D x D_R (gue sweep, verify-theorem,
-                               predictor-demo), D x D_rho (cue, circuit)
+    CLI instances              D x D_R (gue sweep, predictor-demo),
+                               D x D_rho (cue, circuit), rows x D_rho of
+                               the Bartlett stack (verify-theorem)
     =========================  ==========================================
     """
     workers = _pool_width(count)

@@ -313,7 +313,8 @@ def fourth_order_negative_demo(d: int, d_s: int, d_sigma: int,
     def deviations(samples):
         out = []
         rngs = (derive_rng(seed, "negative-demo", i) for i in samples)
-        for c in haar_corner_stacks(d, d_rho, d_rho, rngs):
+        for q in haar_corner_stacks(d, d_rho, d_rho, rngs):
+            c = np.ascontiguousarray(q[:, :d_rho])
             g = np.sum(np.abs(c) ** 2, axis=(1, 2)) / d_rho
             out += list(g * g - 1.0 / d_sigma ** 2)
         return out

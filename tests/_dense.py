@@ -18,7 +18,10 @@ explicit Hermitian H into the ``Eigenframe`` the library reads, through its
 ``Eigenframe.gue``; ``completed_eigenbasis`` completes a GUE frame's thin
 W to a full eigenbasis, so its dense H can be formed.
 ``haar_corner_by_slice`` reads a Haar corner off a D-row Haar draw, the
-route the library's Bartlett sampler ``haar_corner_stacks`` is held against.
+route the library's Bartlett sampler ``haar_corner_stacks`` is held against,
+and ``haar_pair_by_slice`` draws a Haar pair as two D-row isometries, the
+route ``verify-theorem``'s pair in the span of its principal vectors is held
+against.
 The windows of a ``predictor.WindowPair`` are defined here twice, by their
 time-domain densities (``box_density``, ``tent_density``) and by their
 closed-form transforms (``box_transform``, ``tent_transform``), which the
@@ -124,6 +127,13 @@ def haar_corner_by_slice(dim, rows, columns, rng):
     the full draw: the route the Bartlett sampler ``haar_corner_stacks``
     replaced, and is held against."""
     return sample_haar_unitary(dim, rng=rng, columns=columns)[:rows]
+
+
+def haar_pair_by_slice(dim, d_r, d_rho, rng):
+    """Two independent Haar projectors of ranks ``d_r`` and ``d_rho`` on C^D,
+    drawn from ``rng`` as thin D-row isometries, in that order."""
+    return (Projector(sample_haar_unitary(dim, rng=rng, columns=d_r)),
+            Projector(sample_haar_unitary(dim, rng=rng, columns=d_rho)))
 
 
 def dense_matrix(p):

@@ -358,17 +358,18 @@ def test_circuit_lambda_sweep_draws_each_layer_once(tmp_path, monkeypatch):
 
 
 def test_verify_theorem_draws_probes_one_stack_per_report(tmp_path, monkeypatch):
-    # per instance: the two pair isometries, then one stack per lambda report
+    # per instance: one stack of D_rho x D_rho probes per lambda report, and no
+    # D-row draw, since the pair comes from one Bartlett stack
     draws = []
     sample = hilbert.sample_haar_unitary
-    for module in (cli, thermalization):
+    for module in (hilbert, cli, thermalization):
         monkeypatch.setattr(module, "sample_haar_unitary",
                             lambda *a, **kw: draws.append(a) or sample(*a, **kw))
     cfg = write_config(tmp_path, "experiment = verify-theorem\nn = 5\n"
                                  "n_instances = 3\nlambda_grid = 0.05, 0.1, 0.2, 0.5\n")
     assert cli.main(["run", "--config", cfg,
                      "--out", str(tmp_path / "v.csv")]) == EXIT_PASS
-    assert len(draws) == 3 * (2 + 4)
+    assert draws == [(2 ** 5 // 2 ** 4,)] * (3 * 4)
 
 
 @pytest.mark.parametrize("n, n_s", [(6, 1), (4, 2)])
@@ -765,22 +766,25 @@ def test_a_run_builds_one_thread_pool(monkeypatch, capsys, pool_at_any_size,
 
 #: Configs on either side of ``hilbert.POOL_MIN_ENTRIES``, with the pools each
 #: builds at a pool width of 2: the ``ensemble`` benchmark's Monte Carlo jobs
-#: draw 32 x 16 Bartlett stacks, 512 entries, and run inline; the instances of a
-#: cue sweep at n = 10 (D x D_rho = 65536) and of verify-theorem at n = 8
-#: (D x D_R = 32768) take the pool.
+#: draw 32 x 16 Bartlett stacks, 512 entries, and run inline, and so do the
+#: instances of verify-theorem at n = 8 (its 32 x 16 Bartlett stack); the
+#: instances of a cue sweep at n = 10 (D x D_rho = 65536) and of verify-theorem
+#: at n = 12 (a 512 x 256 stack, 131072 entries) take the pool.
 POOL_GATE_CONFIGS = [
-    ({"experiment": "haar-typicality", "n": 8, "n_s": 1, "n_sigma": 4,
-      "n_samples": 200}, []),
-    ({"experiment": "negative-demo", "n": 8, "n_s": 1, "n_sigma": 4,
-      "n_samples": 200}, []),
-    ({"experiment": "many-body-sweep", "source": "cue", "n": 10, "n_instances": 2,
-      "times": [0, 1]}, [2]),
-    ({"experiment": "verify-theorem", "n": 8, "n_instances": 2, "n_bases": 2}, [2]),
+    pytest.param({"experiment": "haar-typicality", "n": 8, "n_s": 1, "n_sigma": 4,
+                  "n_samples": 200}, [], id="haar-typicality"),
+    pytest.param({"experiment": "negative-demo", "n": 8, "n_s": 1, "n_sigma": 4,
+                  "n_samples": 200}, [], id="negative-demo"),
+    pytest.param({"experiment": "many-body-sweep", "source": "cue", "n": 10,
+                  "n_instances": 2, "times": [0, 1]}, [2], id="cue"),
+    pytest.param({"experiment": "verify-theorem", "n": 12, "n_instances": 2,
+                  "n_bases": 0}, [2], id="verify-theorem"),
+    pytest.param({"experiment": "verify-theorem", "n": 8, "n_instances": 2,
+                  "n_bases": 2}, [], id="verify-theorem-inline"),
 ]
 
 
-@pytest.mark.parametrize("config, pools", POOL_GATE_CONFIGS,
-                         ids=[_pool_id(c) for c, _ in POOL_GATE_CONFIGS])
+@pytest.mark.parametrize("config, pools", POOL_GATE_CONFIGS)
 def test_only_tasks_of_pool_min_entries_take_the_pool(monkeypatch, capsys, built_pools,
                                                       config, pools):
     runs = []
@@ -864,6 +868,24 @@ def test_verify_theorem_holds_no_dim_squared_array(capsys):
     capsys.readouterr()
     assert code == EXIT_PASS
     assert peak < 16 * 2 ** 20
+
+
+def test_verify_theorem_at_the_dim_cap_holds_no_d_row_array(capsys):
+    # D = 2**14 with D_R = 2**13: one D x D_R basis would be 2 GiB, and the
+    # pair in the span of its principal vectors is 32 x 16. A first run takes
+    # the one-time imports and caches of numpy's linalg, about 0.9 MiB traced
+    config = {"experiment": "verify-theorem", "seed": 1, "n": 14, "n_sigma": 10,
+              "n_instances": 2, "n_bases": 2}
+    assert cli.run(config) == EXIT_PASS
+    tracemalloc.start()
+    try:
+        code = cli.run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == EXIT_PASS
+    assert peak < 2 ** 20
 
 
 def test_run_accepts_plain_mapping(capsys):
@@ -1006,9 +1028,9 @@ def test_in_place_and_numpy_qr_draws_give_byte_identical_runs(monkeypatch, confi
         if hasattr(module, "sample_haar_unitary"):
             monkeypatch.setattr(module, "sample_haar_unitary", numpy_qr_draw)
     assert runs() == in_place
-    # haar-typicality and negative-demo draw Bartlett R factors, not a D-row isometry
-    draws_isometries = config["experiment"] in ("verify-theorem", "many-body-sweep",
-                                                "predictor-demo")
+    # haar-typicality, negative-demo and verify-theorem draw Bartlett R
+    # factors, not a D-row isometry; verify-theorem's probes are stacks
+    draws_isometries = config["experiment"] in ("many-body-sweep", "predictor-demo")
     assert bool(in_place_calls) == draws_isometries
 
 

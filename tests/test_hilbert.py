@@ -120,10 +120,10 @@ def test_sampler_rejects_a_bad_count(count):
 
 
 #: (D, D_R, D_rho) corner layouts: generic, D_rho > D_R, D_R + D_rho > D
-#: (R2 has fewer than D_rho rows), D_R + D_rho = D, D_R = D (no R2) and
-#: D_sigma = 1 (D_rho = D).
+#: (R2 has fewer than D_rho rows), D_R + D_rho = D, D_R = D (no R2),
+#: D_sigma = 1 (D_rho = D) and verify-theorem's defaults (n = 7, n_sigma = 4).
 CORNER_LAYOUTS = [(64, 32, 4), (64, 8, 16), (32, 2, 8), (16, 12, 8), (32, 24, 16),
-                  (32, 16, 16), (32, 32, 8), (32, 16, 32), (16, 16, 16)]
+                  (32, 16, 16), (32, 32, 8), (32, 16, 32), (16, 16, 16), (128, 64, 8)]
 
 
 @pytest.mark.parametrize("dim, rows, columns", CORNER_LAYOUTS)
@@ -157,8 +157,8 @@ def test_haar_corners_match_the_slice_route_stat(dim, rows, columns):
     # within 4 standard errors. A constant G2 (D_R = D or D_rho = D) is held
     # to roundoff
     n, floor = 2000, 1e-12
-    law = _corner_moments(np.concatenate(list(haar_corner_stacks(
-        dim, rows, columns, (derive_rng(41, "law", i) for i in range(n))))), columns)
+    stacks = haar_corner_stacks(dim, rows, columns, (derive_rng(41, "law", i) for i in range(n)))
+    law = _corner_moments(np.concatenate([q[:, :min(rows, columns)] for q in stacks]), columns)
     by_slice = _corner_moments(np.array([
         haar_corner_by_slice(dim, rows, columns, derive_rng(41, "slice", i))
         for i in range(n)]), columns)
@@ -183,6 +183,17 @@ def test_haar_corner_bytes_do_not_depend_on_the_stacking(monkeypatch, dim, rows,
     all_at_once, one_at_a_time = draws(2 ** 30), draws(1)
     assert (all_at_once[0], one_at_a_time[0]) == (1, 40)
     assert all_at_once[1] == one_at_a_time[1]
+
+
+@pytest.mark.parametrize("dim, rows, columns", CORNER_LAYOUTS)
+def test_haar_corner_stacks_yield_the_whole_thin_q(dim, rows, columns):
+    # the thin Q of [R1; R2]: D' = min(D_R, D_rho) + min(D - D_R, D_rho) rows
+    # and orthonormal columns
+    rngs = (derive_rng(17, "whole", i) for i in range(3))
+    (q,) = haar_corner_stacks(dim, rows, columns, rngs)
+    assert q.shape == (3, min(rows, columns) + min(dim - rows, columns), columns)
+    gram = q.conj().swapaxes(1, 2) @ q
+    assert np.max(np.abs(gram - np.eye(columns))) <= 1e-12
 
 
 @pytest.mark.parametrize("dim, rows, columns", [(0, 1, 1), (8, 0, 2), (8, 9, 2),

@@ -1,6 +1,7 @@
 """Tests for the thermal-subspace and nonthermal-fraction bound machinery."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from _dense import (
     dense_expectations,
     dense_matrix,
     dense_nonthermal_fraction,
+    haar_pair_by_slice,
     principal_axes,
 )
 from test_geometry import CASES, isometry_pair
-from otoc_thermalize import thermalization
+from otoc_thermalize import cli, thermalization
 from otoc_thermalize.hilbert import (
     STACK_ENTRIES,
     InvariantError,
@@ -266,13 +268,12 @@ def test_principal_axes_probes_match_the_dense_oracle(pair):
 
 
 def _tie_pair():
-    """verify-theorem's first pair at n = 4, n_s = 1, n_sigma = 0.
+    """A D-row Haar pair (``haar_pair_by_slice``) at D = 16 and D_R = 8 with P_rho = 1.
 
-    P_rho = 1, so every cos^2 is 0 or 1 about G2 = 1/2, up to roundoff.
+    Every cos^2 is 0 or 1 about G2 = 1/2, up to roundoff.
     """
-    rng = derive_rng(1, "verify-theorem", 0)
-    return (sample_haar_unitary(16, rng=rng, columns=8),
-            sample_haar_unitary(16, rng=rng, columns=16))
+    pair = haar_pair_by_slice(16, 8, 16, derive_rng(1, "verify-theorem", 0))
+    return tuple(p.basis for p in pair)
 
 
 @pytest.mark.parametrize("case", [*CASES, "tie"])
@@ -518,15 +519,68 @@ def test_report_is_sound_and_self_consistent():
 
 @pytest.mark.parametrize("n_sigma", [0, 2])
 def test_every_principal_axis_is_thermal_or_counted_nonthermal(n_sigma):
-    # the pairs verify-theorem draws at n = 4, n_s = 1; with n_sigma = 0,
+    # Haar pairs at D = 16, D_R = 8, as D-row isometries and as verify-theorem
+    # draws them, in the span of their principal vectors; with n_sigma = 0,
     # P_rho = 1 and every cos^2 is 0 or 1 about G2 = 1/2, an exact tie at
     # lambda = 0.5 that the fraction and the dimension must decide alike
-    for i in range(10):
-        rng = derive_rng(1, "verify-theorem", i)
-        p_r = Projector(sample_haar_unitary(16, rng=rng, columns=8))
-        p_rho = Projector(
-            sample_haar_unitary(16, rng=rng, columns=16 >> n_sigma))
-        for lam in (0.05, 0.1, 0.2, 0.5):
-            report = thermalization_report(p_r, p_rho, lam, n_bases=2, seed=rng)
-            assert (report.worst_basis_f * p_rho.rank + report.dim_thermal_achieved
-                    == p_rho.rank)
+    for draw in (haar_pair_by_slice, cli._haar_pair):
+        for i in range(10):
+            rng = derive_rng(1, "verify-theorem", i)
+            p_r, p_rho = draw(16, 8, 16 >> n_sigma, rng)
+            for lam in (0.05, 0.1, 0.2, 0.5):
+                report = thermalization_report(p_r, p_rho, lam, n_bases=2, seed=rng)
+                assert (report.worst_basis_f * p_rho.rank + report.dim_thermal_achieved
+                        == p_rho.rank)
+
+
+#: (D, D_R, D_rho): verify-theorem's defaults, D_sigma = 1 and D_rho > D_R.
+PRINCIPAL_SPAN_LAYOUTS = [(128, 64, 8), (16, 8, 16), (32, 2, 8)]
+
+
+@pytest.mark.parametrize("dim, d_r, d_rho", PRINCIPAL_SPAN_LAYOUTS)
+def test_a_pair_in_its_principal_span_gives_the_full_pairs_report(dim, d_r, d_rho):
+    # one Ginibre G = [G1; G2], split after row D_R: the full pair is the first
+    # D_R axes of C^D and the Q of G. The reduced pair, built as verify-theorem
+    # builds it, is the first min(D_R, D_rho) axes of C^D' and the thin Q of
+    # the stacked R factors [R1; R2] of G1 and G2, whose cross-Gram has the
+    # Gram of the full pair's up to a diagonal phase
+    rng = np.random.default_rng(dim + d_r + d_rho)
+    g = (rng.standard_normal((dim, d_rho))
+         + 1j * rng.standard_normal((dim, d_rho))) / math.sqrt(2.0)
+    full = (Projector.coordinate(dim, d_r), Projector(np.linalg.qr(g).Q))
+    q = np.linalg.qr(np.vstack([np.linalg.qr(g[:d_r]).R, np.linalg.qr(g[d_r:]).R])).Q
+    reduced = (Projector.coordinate(len(q), min(d_r, d_rho)), Projector(q))
+    assert len(q) == min(d_r, d_rho) + min(dim - d_r, d_rho)
+    geom = halmos_decompose(*full)
+    deviation = np.abs(geom.cos2 - correlator_from_angles(geom, 1))
+    compared = 0
+    for lam in (0.05, 0.1, 0.2, 0.3, 0.5):
+        a, b = (thermalization_report(*pair, lam, n_bases=0) for pair in (full, reduced))
+        assert abs(a.g2 - b.g2) <= 1e-12
+        assert abs(a.g4 - b.g4) <= 1e-12
+        assert abs(a.sigma2 - b.sigma2) <= 1e-12
+        if np.min(np.abs(deviation - lam)) <= 10 * thermalization.TIE_TOL:
+            continue  # a tie: the two routes may round to either side
+        compared += 1
+        assert a.dim_thermal_achieved == b.dim_thermal_achieved
+    assert compared >= 4
+
+
+@pytest.mark.parametrize("dim, d_r, d_rho", [(64, 32, 4), (128, 64, 8)])
+def test_principal_span_pairs_match_the_slice_route_stat(dim, d_r, d_rho):
+    # [stat] verify-theorem's pairs (cli._haar_pair) against two D-row Haar
+    # isometries: the means of sigma2, G2 and the worst-basis fraction at
+    # lambda = 0.2 agree within 4 standard errors of their difference
+    n, lam, floor = 1000, 0.2, 1e-12
+
+    def reports(draw, label):
+        return np.array([
+            (r.sigma2, r.g2, r.worst_basis_f) for r in (
+                thermalization_report(*draw(dim, d_r, d_rho, derive_rng(43, label, i)),
+                                      lam, n_bases=0)
+                for i in range(n))])
+
+    law, by_slice = reports(cli._haar_pair, "principal"), reports(haar_pair_by_slice, "slice")
+    se = np.sqrt((law.var(axis=0, ddof=1) + by_slice.var(axis=0, ddof=1)) / n)
+    assert np.all(np.abs(law.mean(axis=0) - by_slice.mean(axis=0)) <= 4 * se + floor)
+    assert np.all(law.std(axis=0) > 0)
