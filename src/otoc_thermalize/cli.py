@@ -236,9 +236,10 @@ def _map_instances(fn: Callable[[int], object], count: int) -> List[object]:
     own derived stream, so the output is independent of scheduling and of
     the pool's width. Each runner calls it inside ``hilbert._pool_for`` with
     the entries of the basis an instance draws or evolves: D x D_R for
-    predictor-demo and a gue sweep, D x D_rho for a cue or circuit sweep, and
-    the rows x D_rho of its Bartlett stack for verify-theorem. Two or more
-    instances of at least ``hilbert.POOL_MIN_ENTRIES`` entries take the pool,
+    predictor-demo and a gue sweep, D x D_rho for a circuit sweep, and the
+    rows x D_rho of a Bartlett stack for a cue sweep (one per time) and
+    verify-theorem. Two or more instances of at least
+    ``hilbert.POOL_MIN_ENTRIES`` entries take the pool,
     and the samples, times or row blocks inside each instance then run
     inline on its thread; smaller instances run inline on the caller's
     thread, and so does everything inside them. A single instance runs on
@@ -398,8 +399,11 @@ def _run_many_body_sweep(cfg: ExperimentConfig):
                 source = UnitarySource.circuit(n, seed=child)
         return correlator_series(setup, source, times)
 
-    basis = setup.d_r if source_kind == "gue" else setup.d_rho
-    with _pool_for(setup.dim * basis):
+    if source_kind == "cue":
+        entries = _corner_stack_entries(setup.dim, setup.d_r, setup.d_rho)
+    else:
+        entries = setup.dim * (setup.d_r if source_kind == "gue" else setup.d_rho)
+    with _pool_for(entries):
         results = _map_instances(one_instance, n_instances)
     chain = _Worst("G4(t) <= G2(t)")
     identity = _Worst("|G2 - G4 - ||[P_R, P_rho(t)]||_F^2/(2 D_rho)| <= 0")

@@ -4,13 +4,20 @@
 commutator norm for a many-body setup under a unitary source. At each time it
 splits the evolved D x D_eta core basis by the observable P_R = L L^dag into
 the cross-Gram c = L^dag K_t (D/D_S x D_eta) and the residual
-R = (1 - P_R) K_t, in one of two frames, and never forms the unitary:
+R = (1 - P_R) K_t, in one of three ways, and never forms the unitary:
 
-* CUE and circuit sources evolve K in the register (``evolve_basis_series``)
-  and apply P_R = |chi><chi| (x) 1 on its own qubits: c is <chi| contracted
+* A circuit evolves K in the register (``evolve_basis_series``) and
+  applies P_R = |chi><chi| (x) 1 on its own qubits: c is <chi| contracted
   into the observed legs of K_t (``contract_isometry``) and R = K_t - chi (x) c,
   so the D x D/D_S isometry L is never formed. Peak memory is a few
-  D x D_eta blocks.
+  D x D_eta blocks. A CUE source splits K = K_0 the same way.
+* A CUE time t > 0 is an independent Haar U_t, so (L^dag U_t K,
+  (1 - P_R) U_t K) are, in a basis [L, L_perp], the top D_R and bottom
+  D - D_R rows of a D x D_eta Haar isometry, whatever L and K are. The
+  reduction reads them only through c^dag c and R^dag R, whose joint law
+  ``haar_corner_stacks`` draws from two Bartlett R factors, up to one common
+  diagonal phase conjugation that no quantity below sees: c and R are the
+  two row blocks of its thin Q, at O(D_eta^3) and with no D-sized array.
 * A Hamiltonian H = V diag(E) V^dag is reduced in its ``Eigenframe``:
   with W = V^dag L and Y = V^dag K, X_t = exp(-iEt) Y, c = W^dag X_t and
   V^dag R = X_t - W c. A GUE frame is drawn as E and W alone, so neither V
@@ -44,6 +51,7 @@ from .hilbert import (
     _map_contiguous,
     _on_sites,
     _pool_for,
+    _time_step,
     contract_isometry,
     derive_rng,
     embed_isometry,
@@ -146,22 +154,46 @@ class CorrelatorSeries:
     cos2: np.ndarray
 
 
-def _observed_splits(setup: ManyBodySetup, source, times: np.ndarray, k):
+def _register_split(setup: ManyBodySetup, kt: np.ndarray) -> tuple:
+    """(c, R) of a register block K_t, with P_R = |chi><chi| (x) 1 applied on
+    its own qubits; R is formed in place of chi (x) c."""
+    c = contract_isometry(setup, "observable", kt)
+    residual = _on_sites(setup.observed_state, setup.observed_sites,
+                         setup.n_total, c)
+    np.subtract(kt, residual, out=residual)
+    return c, residual
+
+
+def _observed_splits(setup: ManyBodySetup, source, times: np.ndarray):
     """Yield (c, R) at each time: c = L^dag K_t and the residual R = (1 - P_R) K_t.
 
     An ``Eigenframe`` yields them in its eigenframe, where R is V^dag R; a
-    CUE or circuit source in the register, from the core basis K = ``k``,
-    with P_R = |chi><chi| (x) 1 applied on its own qubits. K_t is dropped
-    before the yield, and R is formed in place of chi (x) c.
+    circuit in the register, from the core basis K evolved by
+    ``evolve_basis_series``, and a CUE source at t = 0 from K itself. K_t is
+    dropped before the yield. A CUE time t > 0 yields the two row blocks of
+    the thin Q of one Bartlett stack, drawn from ``derive_rng(seed, "cue", t)``:
+    c, its first min(D_R, D_eta) rows, and R, the other min(D - D_R, D_eta).
+    The times' stacks come from one ``haar_corner_stacks`` call, whose draws
+    do not depend on how they are stacked.
     """
-    if isinstance(source, UnitarySource):
-        for kt in evolve_basis_series(source, k, times):
-            c = contract_isometry(setup, "observable", kt)
-            residual = _on_sites(setup.observed_state, setup.observed_sites,
-                                 setup.n_total, c)
-            np.subtract(kt, residual, out=residual)
+    if isinstance(source, UnitarySource) and source.kind == "circuit":
+        for kt in evolve_basis_series(source, embed_isometry(setup, "core"), times):
+            split = _register_split(setup, kt)
             del kt
-            yield c, residual
+            yield split
+        return
+    if isinstance(source, UnitarySource):
+        steps = [_time_step(source.kind, t) for t in times]
+        rngs = (derive_rng(source.seed, "cue", step) for step in steps if step > 0)
+        draws = (q for stack in haar_corner_stacks(setup.dim, setup.d_r, setup.d_rho, rngs)
+                 for q in stack)
+        rows = min(setup.d_r, setup.d_rho)
+        for step in steps:
+            if step == 0:
+                yield _register_split(setup, embed_isometry(setup, "core"))
+            else:
+                q = next(draws)
+                yield q[:rows], q[rows:]
         return
     evals, w, y = source.evals, source.w, source.y
     for t in times:
@@ -193,8 +225,9 @@ def correlator_series(setup: ManyBodySetup, source: Eigenframe | UnitarySource,
 
     The times of an eigenframe or a CUE source are independent of each
     other, so they go to the pool (``hilbert._map_contiguous``) in
-    contiguous chunks when a time's D x D_rho block reaches
-    ``hilbert.POOL_MIN_ENTRIES``, and the rows come back in time order. A
+    contiguous chunks when a time's D x D_rho block, or a CUE time's
+    Bartlett stack, reaches ``hilbert.POOL_MIN_ENTRIES``, and the rows come
+    back in time order. A
     circuit carries its block from one time to the next, so its grid runs in
     order on one thread. Each time is reduced by the same operations on either
     route, so the series does not depend on the pool.
@@ -225,17 +258,18 @@ def correlator_series(setup: ManyBodySetup, source: Eigenframe | UnitarySource,
     elif source.dim != setup.dim:
         raise ValueError(
             f"source dimension {source.dim} does not match setup {setup.dim}")
-    core = None if isinstance(source, Eigenframe) else embed_isometry(setup, "core")
     times = np.asarray([float(t) for t in times])
 
     def rows(span):
         return [_reduce(c, residual, d_rho) for c, residual in
-                _observed_splits(setup, source, times[span.start:span.stop], core)]
+                _observed_splits(setup, source, times[span.start:span.stop])]
 
     if isinstance(source, UnitarySource) and source.kind == "circuit":
         reduced = rows(range(len(times)))
     else:
-        with _pool_for(setup.dim * d_rho):
+        entries = (setup.dim * d_rho if isinstance(source, Eigenframe)
+                   else _corner_stack_entries(setup.dim, setup.d_r, d_rho))
+        with _pool_for(entries):
             reduced = _map_contiguous(rows, len(times))
     g2, g4, sigma2, comm = (np.array([r[k] for r in reduced], dtype=float)
                             for k in range(4))

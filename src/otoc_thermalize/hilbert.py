@@ -6,9 +6,11 @@ Hamiltonian, circular unitary ensemble, brickwork circuit). A ``Projector``
 is its D x rank orthonormal basis; its D x D matrix is never formed. A product
 state |s><s| (x) 1 is never formed as one: ``embed_isometry`` is its
 isometry L, and ``contract_isometry`` applies L^dag by contracting <s| into
-the factor's qubits. A CUE or circuit source acts on a D x r basis K through
+the factor's qubits. A circuit source acts on a D x r basis K through
 ``evolve_basis_series``: it yields U(t) K on a time grid without forming
-U(t), carrying a circuit's block forward; a single time is a one-point grid.
+U(t), carrying its block forward; a single time is a one-point grid. A CUE
+source is not evolved: ``dynamics`` reads each of its times t > 0 off the
+corner law of ``haar_corner_stacks`` (below).
 A state is placed on its qubits in one way (``_on_sites``), and a brickwork
 gate is a 4 x 4 matmul on a (2^a, 4, rest) view of the block. A GUE
 Hamiltonian H = V diag(E) V^dag is not evolved in the register, and is never
@@ -28,7 +30,7 @@ draws, and every draw where the library is not found, goes through
 Haar isometry is read, ``haar_corner_stacks`` draws a matrix with that
 Gram's law from two Bartlett R factors, with no D-sized array; the whole
 thin Q it yields is a Haar pair's basis in the span of the pair's principal
-vectors.
+vectors, and a CUE time's cross-Gram and residual.
 ``_one_blas_thread`` pins that OpenBLAS to one thread through the same
 handle, so that the command line's output depends on its config and seed
 alone. Beside that one BLAS thread policy there is one pool,
@@ -458,11 +460,12 @@ def _map_ordered(fn: Callable[[int], object], count: int) -> List[object]:
     map                        entries per task
     =========================  ==========================================
     Monte Carlo samples        rows x D_rho of the Bartlett stack
-    eigenframe or CUE times    D x D_rho
+    eigenframe times           D x D_rho
+    CUE times                  rows x D_rho of the Bartlett stack
     Bohr-sum row blocks        ``BLOCK`` x D
     CLI instances              D x D_R (gue sweep, predictor-demo),
-                               D x D_rho (cue, circuit), rows x D_rho of
-                               the Bartlett stack (verify-theorem)
+                               D x D_rho (circuit), rows x D_rho of the
+                               Bartlett stack (cue, verify-theorem)
     =========================  ==========================================
     """
     workers = _pool_width(count)
@@ -760,7 +763,9 @@ class UnitarySource:
 
     ``haar_cue``: each integer t > 0 labels an independent Haar unitary drawn
     from the seed, with t = 0 the identity; this realizes "evolve to the
-    Haar-typicality regime" without a model Hamiltonian.
+    Haar-typicality regime" without a model Hamiltonian. No unitary is drawn:
+    a time reads only the Gram law of a Haar isometry's row split, which
+    ``dynamics.correlator_series`` draws from one Bartlett stack.
     ``circuit``: brickwork of Haar-random two-qubit gates on log2(dim)
     qubits; integer t counts applied layers, each layer's gates derived
     deterministically from the seed.
@@ -839,52 +844,47 @@ def _apply_circuit(source: UnitarySource, k: np.ndarray, start: int,
     return k
 
 
+def _time_step(kind: str, t: float) -> int:
+    """The integer step of time ``t`` of a ``kind`` source: ValueError unless
+    ``t`` is a nonnegative integer."""
+    if not np.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
+    step = int(round(t))
+    if step < 0 or abs(t - step) > 1e-12:
+        raise ValueError(
+            f"{kind} sources are defined on nonnegative integer times, got {t}")
+    return step
+
+
 def evolve_basis_series(source: UnitarySource, k: np.ndarray,
                         times: Sequence[float]) -> Iterator[np.ndarray]:
-    """Yield U(t) K for each t in ``times``, in order, never forming U(t).
+    """Yield U(t) K for each t in ``times`` of a circuit, in order, never forming U(t).
 
     K is a D x r matrix (a Hamiltonian is evolved in its ``Eigenframe``
-    instead). Times are nonnegative integers, t = 0 giving a copy of K.
-    Costs per time: for CUE, the leading m columns of the Haar unitary
-    (D x m Gaussians and a thin QR, O(D m^2)), where m is one plus the index
-    of the last nonzero row of K, times K[:m] unless K[:m] is the identity
-    (checked once per series).
-    A circuit carries its block forward while the times do not decrease,
+    instead, and ``dynamics`` reads a CUE source off its corner law). Times
+    are nonnegative integers, t = 0 giving a copy of K.
+    The circuit carries its block forward while the times do not decrease,
     applying only the layers between consecutive times at O(D r) each, so a
     grid t = 0..T costs T layers rather than T(T+1)/2; a decreasing time
-    starts again from K. Circuit blocks for t > 0 are read-only: the next
-    block is computed from the last, which a time with no new gate yields again.
+    starts again from K. Blocks for t > 0 are read-only: the next block is
+    computed from the last, which a time with no new gate yields again.
     """
+    if source.kind != "circuit":
+        raise ValueError(f"evolve_basis_series evolves circuits, got a {source.kind} source")
     k = np.asarray(k, dtype=complex)
     if k.ndim != 2 or k.shape[0] != source.dim:
         raise ValueError(
             f"dimension mismatch: source acts on {source.dim}, K is {k.shape}")
-    if source.kind == "haar_cue":
-        m = int(np.max(np.flatnonzero(np.any(k != 0, axis=1)), initial=0)) + 1
-        # a product core on the leading qubits has k[:m] = 1: skip that product
-        identity = k.shape[1] == m and np.array_equal(k[:m], np.eye(m))
     depth, kt = None, None
     for t in times:
-        if not np.isfinite(t):
-            raise ValueError(f"time must be finite, got {t}")
-        step = int(round(t))
-        if step < 0 or abs(t - step) > 1e-12:
-            raise ValueError(
-                f"{source.kind} sources are defined on nonnegative integer times, got {t}")
+        step = _time_step(source.kind, t)
         if step == 0:
             yield k.copy()
-        elif source.kind == "haar_cue":
-            rng = derive_rng(source.seed, "cue", step)
-            # yielded unnamed, so the caller alone holds the block (and the
-            # draw is freed before the yield)
-            yield (sample_haar_unitary(source.dim, rng=rng, columns=m) if identity
-                   else sample_haar_unitary(source.dim, rng=rng, columns=m) @ k[:m])
-        else:
-            if depth is None or step < depth:
-                # layer 0 has a gate, so the block yielded is never K itself
-                depth, kt = 0, k
-            kt = _apply_circuit(source, kt, depth, step)
-            depth = step
-            kt.flags.writeable = False
-            yield kt
-
+            continue
+        if depth is None or step < depth:
+            # layer 0 has a gate, so the block yielded is never K itself
+            depth, kt = 0, k
+        kt = _apply_circuit(source, kt, depth, step)
+        depth = step
+        kt.flags.writeable = False
+        yield kt

@@ -10,7 +10,11 @@ whether a block of code took an eigendecomposition route at all, and
 ``principal_axes`` is the singular-vector route to the principal axes, which
 the library never forms. ``dense_unitary`` is the D x D unitary U(t) of a
 source: V exp(-iEt) V^dag for an ``Eigenframe`` with eigenvectors V, the
-basis evolution applied to K = 1 for the others. ``gue_hamiltonian`` draws a
+circuit's basis evolution applied to K = 1, and a CUE step's Haar unitary
+drawn in full by ``thin_cue_draw``, the D-row route that the library's
+corner-law CUE replaced. ``cue_register_block`` places a CUE time's
+corner-law (c, R) in the register, so that the dense routes can check it.
+``gue_hamiltonian`` draws a
 dense GUE matrix, whose ``eigh`` the library's eigen-law draw
 ``sample_gue_eigensystem`` is held against. ``hamiltonian_source`` turns an
 explicit Hermitian H into the ``Eigenframe`` the library reads, through its
@@ -38,7 +42,7 @@ import math
 import numpy as np
 import pytest
 
-from otoc_thermalize import hilbert
+from otoc_thermalize import dynamics, hilbert
 from otoc_thermalize.geometry import (
     MAX_CORRELATOR_ORDER,
     correlator_trace,
@@ -101,11 +105,61 @@ def dense_unitary(source, t, vecs=None):
     """The D x D unitary U(t) of a source.
 
     V exp(-iEt) V^dag for an ``Eigenframe`` with eigenvectors ``vecs``;
-    for a CUE or circuit source, ``evolve_basis_series`` at one time on K = 1.
+    for a CUE or circuit source, its basis route at one time on K = 1.
     """
     if isinstance(source, Eigenframe):
         return (vecs * np.exp(-1j * t * source.evals)) @ vecs.conj().T
-    return next(evolve_basis_series(source, np.eye(source.dim, dtype=complex), [t]))
+    eye = np.eye(source.dim, dtype=complex)
+    if source.kind == "haar_cue":
+        return thin_cue_draw(source, eye, t)
+    return next(evolve_basis_series(source, eye, [t]))
+
+
+def thin_cue_draw(source, k, t):
+    """U_t K for a CUE source, where U_t is the Haar unitary drawn from
+    ``derive_rng(seed, "cue", t)`` (the identity at t = 0).
+
+    Only the leading m columns of U_t are drawn, m one plus the index of the
+    last nonzero row of K, and multiplied by K[:m]: O(D m^2), where the
+    library's corner law costs O(D_eta^3) and no D-row array.
+    """
+    step = hilbert._time_step(source.kind, t)
+    k = np.asarray(k, dtype=complex)
+    if step == 0:
+        return k.copy()
+    m = int(np.max(np.flatnonzero(np.any(k != 0, axis=1)), initial=0)) + 1
+    rng = derive_rng(source.seed, "cue", step)
+    return sample_haar_unitary(source.dim, rng=rng, columns=m) @ k[:m]
+
+
+def cue_register_block(setup, source, t):
+    """The block K_t that the library's CUE series reads at time t, in the register.
+
+    At t = 0 it is the core basis K. At t > 0 the series reads the thin Q of
+    one Bartlett stack, q = [c; R] (``dynamics.haar_corner_stacks``, so a
+    patched sampler shows here too), and K_t = L[:, :a] c + L_perp[:, :b] R,
+    with a = min(D_R, D_eta), b = min(D - D_R, D_eta) and L_perp the trailing
+    columns of a complete QR of the observable's isometry L. Then
+    L^dag K_t = [c; 0] and (1 - P_R) K_t = L_perp[:, :b] R, so a dense route on
+    K_t sees the series' c^dag c and R^dag R.
+    """
+    step = hilbert._time_step(source.kind, t)
+    if step == 0:
+        return embed_isometry(setup, "core")
+    rng = derive_rng(source.seed, "cue", step)
+    q = next(dynamics.haar_corner_stacks(setup.dim, setup.d_r, setup.d_rho, [rng]))[0]
+    l = embed_isometry(setup, "observable")
+    l_perp = np.linalg.qr(l, mode="complete")[0][:, setup.d_r:]
+    a = min(setup.d_r, setup.d_rho)
+    return l[:, :a] @ q[:a] + l_perp[:, :len(q) - a] @ q[a:]
+
+
+def dense_evolved_core(setup, source, t, vecs=None):
+    """The evolved core basis U(t) K that a dense route reads at time t:
+    ``cue_register_block`` for a CUE source, ``dense_unitary`` times K else."""
+    if not isinstance(source, Eigenframe) and source.kind == "haar_cue":
+        return cue_register_block(setup, source, t)
+    return dense_unitary(source, t, vecs) @ embed_isometry(setup, "core")
 
 
 def completed_eigenbasis(setup, frame):

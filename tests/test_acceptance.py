@@ -12,7 +12,7 @@ import numpy as np
 
 from _dense import (
     dense_embed,
-    dense_unitary,
+    dense_evolved_core,
     gue_hamiltonian,
     hamiltonian_source,
     swap_representation_check,
@@ -33,7 +33,6 @@ from otoc_thermalize.hilbert import (
     Projector,
     UnitarySource,
     derive_rng,
-    embed_isometry,
     sample_haar_unitary,
 )
 from otoc_thermalize.predictor import (
@@ -319,9 +318,8 @@ def test_series_chain_and_commutator_identity():
         series = correlator_series(setup, source, times)
         # the angle route on dense projectors agrees with the series to 1e-9
         p_r = dense_embed(setup, "observable")
-        k = embed_isometry(setup, "core")
         for i, t in enumerate(times):
-            p_t = Projector(dense_unitary(source, t, vecs) @ k)
+            p_t = Projector(dense_evolved_core(setup, source, t, vecs))
             geom = halmos_decompose(p_r, p_t)
             assert np.max(np.abs(series.cos2[i] - np.sort(geom.cos2))) <= 1e-9
             assert abs(correlator_from_angles(geom, 1) - series.g2[i]) <= 1e-9

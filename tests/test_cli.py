@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from _dense import (
     completed_eigenbasis,
     dense_embed,
-    dense_unitary,
+    dense_evolved_core,
     pool_at_any_size,
     predictor_demo_rows,
     recording_eigh,
@@ -330,13 +330,11 @@ def test_many_body_sweep_thermal_dimensions_match_dense_route(tmp_path, source):
                      "--out", str(out)]) == EXIT_PASS
     setup = cli._product_setup(n, 1, 2)
     p_r = dense_embed(setup, "observable")
-    p_rho = dense_embed(setup, "core")
     expected = []
     for i in range(2):
         src, vecs = _sweep_source(source, seed, i, setup)
         for t in (0, 1, 3):
-            geom = halmos_decompose(p_r, Projector(dense_unitary(src, t, vecs)
-                                                   @ p_rho.basis))
+            geom = halmos_decompose(p_r, Projector(dense_evolved_core(setup, src, t, vecs)))
             expected += [float(np.count_nonzero(thermal_axes(geom.cos2, lam)))
                          for lam in lambdas]
     assert [float(row["measured"]) for row in read_rows(out)] == expected
@@ -767,9 +765,10 @@ def test_a_run_builds_one_thread_pool(monkeypatch, capsys, pool_at_any_size,
 #: Configs on either side of ``hilbert.POOL_MIN_ENTRIES``, with the pools each
 #: builds at a pool width of 2: the ``ensemble`` benchmark's Monte Carlo jobs
 #: draw 32 x 16 Bartlett stacks, 512 entries, and run inline, and so do the
-#: instances of verify-theorem at n = 8 (its 32 x 16 Bartlett stack); the
-#: instances of a cue sweep at n = 10 (D x D_rho = 65536) and of verify-theorem
-#: at n = 12 (a 512 x 256 stack, 131072 entries) take the pool.
+#: instances of verify-theorem at n = 8 (its 32 x 16 Bartlett stack) and of a
+#: cue sweep at n = 9 (a time's 64 x 32 stack, 2048 entries); the instances of
+#: a cue sweep at n = 10 (a 128 x 64 stack, 8192 entries) and of
+#: verify-theorem at n = 12 (a 512 x 256 stack, 131072 entries) take the pool.
 POOL_GATE_CONFIGS = [
     pytest.param({"experiment": "haar-typicality", "n": 8, "n_s": 1, "n_sigma": 4,
                   "n_samples": 200}, [], id="haar-typicality"),
@@ -777,6 +776,8 @@ POOL_GATE_CONFIGS = [
                   "n_samples": 200}, [], id="negative-demo"),
     pytest.param({"experiment": "many-body-sweep", "source": "cue", "n": 10,
                   "n_instances": 2, "times": [0, 1]}, [2], id="cue"),
+    pytest.param({"experiment": "many-body-sweep", "source": "cue", "n": 9,
+                  "n_instances": 2, "times": [0, 1]}, [], id="cue-inline"),
     pytest.param({"experiment": "verify-theorem", "n": 12, "n_instances": 2,
                   "n_bases": 0}, [2], id="verify-theorem"),
     pytest.param({"experiment": "verify-theorem", "n": 8, "n_instances": 2,
@@ -1028,9 +1029,11 @@ def test_in_place_and_numpy_qr_draws_give_byte_identical_runs(monkeypatch, confi
         if hasattr(module, "sample_haar_unitary"):
             monkeypatch.setattr(module, "sample_haar_unitary", numpy_qr_draw)
     assert runs() == in_place
-    # haar-typicality, negative-demo and verify-theorem draw Bartlett R
-    # factors, not a D-row isometry; verify-theorem's probes are stacks
-    draws_isometries = config["experiment"] in ("many-body-sweep", "predictor-demo")
+    # haar-typicality, negative-demo, verify-theorem and a cue sweep draw
+    # Bartlett R factors, not a D-row isometry; verify-theorem's probes are
+    # stacks. A gue frame and a circuit's gates are single draws
+    draws_isometries = (config["experiment"] == "predictor-demo"
+                        or config.get("source") in ("gue", "circuit"))
     assert bool(in_place_calls) == draws_isometries
 
 

@@ -1,6 +1,7 @@
 """Tests for correlator time series, Haar predictions, and the swap check."""
 
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -10,11 +11,13 @@ from _dense import (
     completed_eigenbasis,
     dense_correlator_trace,
     dense_embed,
+    dense_evolved_core,
     dense_matrix,
     dense_unitary,
     gue_hamiltonian,
     hamiltonian_source,
     swap_representation_check,
+    thin_cue_draw,
 )
 from otoc_thermalize import dynamics, hilbert
 from otoc_thermalize.geometry import (
@@ -27,6 +30,7 @@ from otoc_thermalize.hilbert import (
     ManyBodySetup,
     Projector,
     UnitarySource,
+    contract_isometry,
     derive_rng,
     embed_isometry,
     evolve_basis_series,
@@ -58,9 +62,8 @@ def assert_angle_route_agrees(setup, source, times, series, vecs=None, tol=SERIE
     match the series to ``tol``. ``vecs`` is an eigenframe source's eigenbasis.
     """
     p_r = dense_embed(setup, "observable")
-    k = embed_isometry(setup, "core")
     for i, t in enumerate(times):
-        geom = halmos_decompose(p_r, Projector(dense_unitary(source, t, vecs) @ k))
+        geom = halmos_decompose(p_r, Projector(dense_evolved_core(setup, source, t, vecs)))
         np.testing.assert_allclose(series.cos2[i], np.sort(geom.cos2), rtol=0, atol=tol)
         for n, direct in ((1, series.g2[i]), (2, series.g4[i])):
             assert abs(correlator_from_angles(geom, n) - direct) <= tol
@@ -263,9 +266,8 @@ def assert_dense_route_agrees(setup, source, times, series, vecs=None):
     """Dense oracle: G^2, G^4 by the dense trace and the angle route, and the
     commutator norm from the dense D x D commutator, each to 1e-12."""
     p_r = dense_embed(setup, "observable")
-    p_rho = dense_embed(setup, "core")
     for i, t in enumerate(times):
-        p_t = Projector(dense_unitary(source, t, vecs) @ p_rho.basis)
+        p_t = Projector(dense_evolved_core(setup, source, t, vecs))
         r, pt = dense_matrix(p_r), dense_matrix(p_t)
         comm = np.sum(np.abs(r @ pt - pt @ r) ** 2) / (2.0 * setup.d_rho)
         geom = halmos_decompose(p_r, p_t)
@@ -332,9 +334,13 @@ def test_commutator_norm_reads_the_residual(monkeypatch, source, times):
     # a basis scaled by 1.01 keeps the chain G2 >= G4 >= G2^2 at these
     # scrambled times but is no isometry; R^dag R = 1 - m would hide that,
     # and the commutator identity would hold. A Hamiltonian's core basis is
-    # scaled in its eigenframe, as Y
+    # scaled in its eigenframe, as Y, and a CUE time's Bartlett Q as [c; R]
     if isinstance(source, Eigenframe):
         source = dataclasses.replace(source, y=1.01 * source.y)
+    elif source.kind == "haar_cue":
+        stacks = dynamics.haar_corner_stacks
+        monkeypatch.setattr(dynamics, "haar_corner_stacks", lambda *a: (
+            1.01 * q for q in stacks(*a)))
     else:
         evolve_series = dynamics.evolve_basis_series
         monkeypatch.setattr(dynamics, "evolve_basis_series", lambda *a: (
@@ -411,11 +417,16 @@ def test_evolve_basis_matches_dense_unitary(case):
         gue_frame_case(default_setup(6, 1, 3), 61, [0.0, 0.7, 2.5]),
         gue_frame_case(nested_setup(), 62, [0.0, 1.3]),
     ])[case]
+    # the library does not evolve a CUE source: its cases hold the oracle's
+    # thin draw, the leading columns of U_t times K[:m], against the full U_t
     k = embed_isometry(setup, "core")
     for t in times:
-        kt = (vecs @ (np.exp(-1j * t * source.evals)[:, None] * source.y)
-              if isinstance(source, Eigenframe)
-              else next(evolve_basis_series(source, k, [t])))
+        if isinstance(source, Eigenframe):
+            kt = vecs @ (np.exp(-1j * t * source.evals)[:, None] * source.y)
+        elif source.kind == "haar_cue":
+            kt = thin_cue_draw(source, k, t)
+        else:
+            kt = next(evolve_basis_series(source, k, [t]))
         np.testing.assert_allclose(kt, dense_unitary(source, t, vecs) @ k,
                                    rtol=0, atol=1e-12)
 
@@ -427,15 +438,17 @@ def test_evolve_basis_series_matches_evolve_basis(case):
     # ascending, repeated, ascending again, then back to an earlier time; each
     # block must equal a one-time series started afresh from K
     grid = list(times) + [times[-1], times[-1] + 2, times[0] + 1]
-    if isinstance(source, Eigenframe):
+    if isinstance(source, Eigenframe) or source.kind == "haar_cue":
         # no block is evolved: each time of a series over the grid equals a
-        # one-time series
+        # one-time series, and a CUE time bit for bit, wherever its Bartlett
+        # draw sits in the grid's stacks
         series = correlator_series(setup, source, grid)
+        tol = 1e-12 if isinstance(source, Eigenframe) else 0.0
         for i, t in enumerate(grid):
             one = correlator_series(setup, source, [t])
-            for name in ("g2", "g4", "commutator_norm", "cos2"):
+            for name in ("g2", "g4", "sigma2", "commutator_norm", "cos2"):
                 np.testing.assert_allclose(getattr(series, name)[i],
-                                           getattr(one, name)[0], rtol=0, atol=1e-12)
+                                           getattr(one, name)[0], rtol=0, atol=tol)
         return
     for t, kt in zip(grid, evolve_basis_series(source, k, grid), strict=True):
         np.testing.assert_allclose(kt, next(evolve_basis_series(source, k, [t])),
@@ -456,7 +469,101 @@ def test_circuit_series_applies_each_layer_once(monkeypatch):
 
 def test_evolve_basis_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
-        next(evolve_basis_series(UnitarySource.haar_cue(8, seed=0), np.eye(4), [1]))
+        next(evolve_basis_series(UnitarySource.circuit(3, seed=0), np.eye(4), [1]))
+
+
+@pytest.mark.parametrize("dim, d_r, d_rho", [(64, 32, 8), (64, 8, 1), (64, 4, 16)])
+def test_the_corner_law_split_of_one_ginibre_matrix_is_its_register_split(dim, d_r, d_rho):
+    # one Ginibre G: the Haar isometry QR(G) split by the first D_R axes, and
+    # the Q of the stacked R factors of G's two row blocks, give the same
+    # G2, G4, commutator norm and cos2; (64, 32, 8) is default_setup(6, 1, 3),
+    # (64, 8, 1) default_setup(6, 3, 6), and (64, 4, 16) has D_R < D_rho
+    rng = np.random.default_rng(dim + d_r + d_rho)
+    g = rng.standard_normal((dim, d_rho)) + 1j * rng.standard_normal((dim, d_rho))
+    v = np.linalg.qr(g).Q
+    register = dynamics._reduce(v[:d_r], v[d_r:], d_rho)
+    q = np.linalg.qr(np.vstack([np.linalg.qr(g[:d_r]).R, np.linalg.qr(g[d_r:]).R])).Q
+    a = min(d_r, d_rho)
+    assert len(q) == a + min(dim - d_r, d_rho)
+    corner = dynamics._reduce(q[:a], q[a:], d_rho)
+    for x, y in zip(register, corner):
+        np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("setup", [default_setup(6, 1, 3), spread_setup(),
+                                   entangled_pair_setup()],
+                         ids=["default", "spread", "entangled"])
+def test_cue_corner_law_matches_the_thin_draw_stat(setup):
+    # [stat] the series at t = 1 against the D-row route, U_1 K drawn as the
+    # thin Haar draw and split in the register, over 1,000 sources a route:
+    # the means of G2, G4, sigma2 and the commutator norm agree within 4
+    # standard errors of their difference. The entangled layout's core is not
+    # inside the observable's range: the corner law holds for any layout
+    n, l = 1000, embed_isometry(setup, "observable")
+    k = embed_isometry(setup, "core")
+
+    def thin(seed):
+        kt = thin_cue_draw(UnitarySource.haar_cue(setup.dim, seed), k, 1)
+        c = contract_isometry(setup, "observable", kt)
+        m = c.conj().T @ c
+        g2, g4 = np.trace(m).real / setup.d_rho, np.sum(np.abs(m) ** 2) / setup.d_rho
+        comm = np.linalg.norm((kt - l @ c) @ c.conj().T) ** 2 / setup.d_rho
+        return g2, g4, g4 - g2 ** 2, comm
+
+    def law(seed):
+        series = correlator_series(setup, UnitarySource.haar_cue(setup.dim, seed), [1])
+        return series.g2[0], series.g4[0], series.sigma2[0], series.commutator_norm[0]
+
+    ours = np.array([law(seed) for seed in range(n)])
+    oracle = np.array([thin(seed) for seed in range(n, 2 * n)])
+    gap = np.abs(ours.mean(axis=0) - oracle.mean(axis=0))
+    se = np.sqrt((ours.var(axis=0, ddof=1) + oracle.var(axis=0, ddof=1)) / n)
+    assert np.all(gap <= 4 * se)
+
+
+def test_cue_series_draws_no_d_row_isometry(monkeypatch):
+    # t = 0 splits the core basis; every other time is one Bartlett stack
+    calls = []
+    sample, qr_in_place = hilbert.sample_haar_unitary, hilbert._qr_in_place
+    monkeypatch.setattr(hilbert, "sample_haar_unitary",
+                        lambda *a, **kw: calls.append(a) or sample(*a, **kw))
+    monkeypatch.setattr(hilbert, "_qr_in_place",
+                        lambda *a: calls.append(a) or qr_in_place(*a))
+    setup = default_setup(8, 1, 4)
+    series = correlator_series(setup, UnitarySource.haar_cue(setup.dim, seed=68), range(6))
+    assert calls == []
+    assert series.g2[0] == 1.0 and np.all(series.g2[1:] < 1.0)
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_cue_series_holds_no_d_sized_block(monkeypatch, width):
+    # n = 12, D_eta = 64: one D x D_eta block is 4 MiB, and t = 1..10 form
+    # none. A time's 128 x 64 Bartlett QR holds about 0.7 MiB, and the pool
+    # runs `width` of them at once
+    monkeypatch.setattr(os, "cpu_count", lambda: width)
+    setup = default_setup(12, 1, 6)
+    source = UnitarySource.haar_cue(setup.dim, seed=69)
+    correlator_series(setup, source, range(1, 11))  # numpy's one-time set-up
+    tracemalloc.start()
+    try:
+        correlator_series(setup, source, range(1, 11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < width * 2 ** 20
+
+
+@pytest.mark.parametrize("t, message", [(0.5, "integer"), (-1, "integer"),
+                                        (np.inf, "finite")])
+def test_cue_series_needs_nonnegative_integer_times(t, message):
+    with pytest.raises(ValueError, match=message):
+        correlator_series(default_setup(4, 1, 2), UnitarySource.haar_cue(16, seed=0), [1, t])
+
+
+def test_evolve_basis_evolves_circuits_alone():
+    # a CUE series reads its times off the corner law, never off a register block
+    with pytest.raises(ValueError, match="evolves circuits"):
+        next(evolve_basis_series(UnitarySource.haar_cue(8, seed=0), np.eye(8), [1]))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +600,9 @@ def test_typicality_experiment_rejects_nonpositive_kappa(kappa):
 
 
 def test_typicality_holds_no_dim_sized_array():
-    # D = 2**20 with D_rho = 8: one D x D_rho Haar draw would be 128 MiB
+    # D = 2**20 with D_rho = 8: one D x D_rho Haar draw would be 128 MiB. The
+    # first run takes numpy's one-time set-up, which the bound is not about
+    typicality_experiment(2 ** 20, 2, 2 ** 17, n_samples=50, seed=3)
     tracemalloc.start()
     try:
         result = typicality_experiment(2 ** 20, 2, 2 ** 17, n_samples=50, seed=3)

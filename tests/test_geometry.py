@@ -203,11 +203,14 @@ def test_angle_variance_rejects_a_nan_cross_gram():
 
 def test_decomposition_and_trace_route_stay_within_the_cross_gram():
     # D = 2048, d_r = 1024, d_rho = 2: c is 32 KiB, while a d_r x d_r
-    # singular-vector factor would be 16 MiB and a conjugate of V_R 32 MiB
+    # singular-vector factor would be 16 MiB and a conjugate of V_R 32 MiB. A
+    # first pass takes numpy's one-time set-up, which the bound is not about
     rng = np.random.default_rng(4)
     p_r = Projector.coordinate(2048, 1024)
     p_rho = Projector(
         np.linalg.qr(rng.standard_normal((2048, 2)) + 1j * rng.standard_normal((2048, 2)))[0])
+    warm = halmos_decompose(p_r, p_rho)
+    correlator_trace(warm, 1), correlator_trace(warm, 2)
     tracemalloc.start()
     try:
         geom = halmos_decompose(p_r, p_rho)
